@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import ParseError, ResourceLimitError
@@ -97,22 +97,56 @@ class Const(Formula):
     value: bool
 
 
+# Operator and belief nodes compute their hash once, at construction, instead
+# of rehashing the whole subtree on every dict or set lookup.  The value is the
+# one the dataclass would compute, ``hash(fields)``; ``__reduce__`` rebuilds
+# through the constructor, so a pickled node rehashes in its new process.
+
+
 @dataclass(frozen=True, slots=True)
 class App(Formula):
     op: str
     args: tuple[Formula, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        arity = CONNECTIVE_ARITY.get(self.op)
+    def __init__(self, op: str, args: tuple[Formula, ...]):
+        # written out, with the slots' own setters, because parsing builds
+        # one node per connective and the generated frozen __init__ plus a
+        # __post_init__ take about 40 % longer per node
+        arity = CONNECTIVE_ARITY.get(op)
         if arity is None:
-            raise ValueError(f"unknown connective {self.op!r}")
-        if arity != len(self.args):
-            raise ValueError(f"{self.op} expects {arity} arguments, got {len(self.args)}")
+            raise ValueError(f"unknown connective {op!r}")
+        if arity != len(args):
+            raise ValueError(f"{op} expects {arity} arguments, got {len(args)}")
+        _set_op(self, op)
+        _set_args(self, args)
+        _set_app_hash(self, hash((op, args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return App, (self.op, self.args)
+
+
+_set_op = App.__dict__["op"].__set__
+_set_args = App.__dict__["args"].__set__
+_set_app_hash = App.__dict__["_hash"].__set__
 
 
 @dataclass(frozen=True, slots=True)
 class Believes(Formula):
     arg: Formula
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.arg,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Believes, (self.arg,)
 
 
 TRUE = Const(True)

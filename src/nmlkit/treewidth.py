@@ -38,24 +38,18 @@ class TreeDecomposition:
 @dataclass(frozen=True)
 class NiceTreeDecomposition(TreeDecomposition):
     """Rooted decomposition where every node is a leaf (empty bag), an
-    introduce, a forget, or a join with two equal-bag children."""
+    introduce, a forget, or a join with two equal-bag children.  Node ids run
+    from 1 and every child's id is smaller than its parent's, so ascending id
+    order visits children first and the root has the largest id.  ``kinds``
+    holds each node's kind and introduced or forgotten vertex, recorded as
+    the node is built."""
 
     root: int = 0
     children: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    kinds: dict[int, tuple[str, Optional[int]]] = field(default_factory=dict)
 
     def node_kind(self, bid: int) -> tuple[str, Optional[int]]:
-        kids = self.children.get(bid, ())
-        if not kids:
-            return ("leaf", None)
-        if len(kids) == 2:
-            return ("join", None)
-        (child,) = kids
-        here, below = self.bags[bid], self.bags[child]
-        if len(here) == len(below) + 1:
-            (v,) = here - below
-            return ("introduce", v)
-        (v,) = below - here
-        return ("forget", v)
+        return self.kinds[bid]
 
     def postorder(self) -> list[int]:
         order: list[int] = []
@@ -150,14 +144,14 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
 
 
 def _fill_count(adj: dict[int, set[int]], v: int) -> int:
-    nbrs = sorted(adj[v])
-    count = 0
-    for i, a in enumerate(nbrs):
-        adj_a = adj[a]
-        for b in nbrs[i + 1:]:
-            if b not in adj_a:
-                count += 1
-    return count
+    """Edges that eliminating v would add: non-adjacent pairs among its
+    neighbors.  ``nbrs - adj[a]`` holds a itself and a's missing partners,
+    and each missing pair is counted from both ends."""
+    nbrs = adj[v]
+    missing = 0
+    for a in nbrs:
+        missing += len(nbrs - adj[a])
+    return (missing - len(nbrs)) // 2
 
 
 def _eliminate(adj: dict[int, set[int]], v: int) -> list[tuple[int, int]]:
@@ -176,8 +170,9 @@ def _eliminate(adj: dict[int, set[int]], v: int) -> list[tuple[int, int]]:
     return added
 
 
-def elimination_order(g: Graph, method: str) -> list[int]:
-    """Greedy elimination ordering; ties broken by smallest vertex id."""
+def _greedy_elimination(g: Graph, method: str) -> tuple[list[int], list[frozenset[int]]]:
+    """Greedy elimination ordering, ties broken by smallest vertex id, with
+    each vertex's closed neighborhood at the time it is eliminated."""
     if method not in ("min_degree", "min_fill"):
         raise ValueError(f"unknown method {method!r}")
     adj = g.adjacency()
@@ -189,16 +184,17 @@ def elimination_order(g: Graph, method: str) -> list[int]:
     current = {v: keyf(v) for v in adj}
     heap = [(k, v) for v, k in current.items()]
     heapq.heapify(heap)
-    order = []
+    order: list[int] = []
+    bags: list[frozenset[int]] = []
     while heap:
         k, v = heapq.heappop(heap)
         if v not in adj or current[v] != k:
             continue
         order.append(v)
-        nbrs = set(adj[v])
+        touched = adj[v] | {v}
+        bags.append(frozenset(touched))
         added = _eliminate(adj, v)
         del current[v]
-        touched = set(nbrs)
         if method == "min_fill":
             for a, b in added:
                 touched |= adj[a] & adj[b]
@@ -208,7 +204,27 @@ def elimination_order(g: Graph, method: str) -> list[int]:
                 if current[w] != k2:
                     current[w] = k2
                     heapq.heappush(heap, (k2, w))
-    return order
+    return order, bags
+
+
+def elimination_order(g: Graph, method: str) -> list[int]:
+    """Greedy elimination ordering; ties broken by smallest vertex id."""
+    return _greedy_elimination(g, method)[0]
+
+
+def _tree_from_elimination(order: list[int], bags: list[frozenset[int]]) -> TreeDecomposition:
+    """Bag i+1 is ``bags[i]``, the closed neighborhood of ``order[i]`` when it
+    was eliminated; it hangs off the bag of that vertex's first subsequently
+    eliminated neighbor, or off the next bag if it has none."""
+    pos = {v: i for i, v in enumerate(order)}
+    edges: set[tuple[int, int]] = set()
+    for i, (v, bag) in enumerate(zip(order, bags)):
+        later = [pos[u] for u in bag if u != v]
+        if later:
+            edges.add((i + 1, min(later) + 1))
+        elif i + 1 < len(order):
+            edges.add((i + 1, i + 2))
+    return TreeDecomposition(dict(enumerate(bags, start=1)), frozenset(edges))
 
 
 def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
@@ -220,32 +236,20 @@ def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     if sorted(order) != list(g.vertices):
         raise ValueError("order must enumerate every vertex exactly once")
     adj = g.adjacency()
-    pos = {v: i for i, v in enumerate(order)}
-    bag_of: dict[int, int] = {}
-    bags: dict[int, frozenset[int]] = {}
-    edges: set[tuple[int, int]] = set()
-    parent_vertex: dict[int, Optional[int]] = {}
+    bags = []
     for v in order:
-        bid = len(bags) + 1
-        bag_of[v] = bid
-        bags[bid] = frozenset(adj[v] | {v})
-        nbrs = adj[v]
-        parent_vertex[v] = min(nbrs, key=pos.__getitem__) if nbrs else None
+        bags.append(frozenset(adj[v] | {v}))
         _eliminate(adj, v)
-    for i, v in enumerate(order):
-        pv = parent_vertex[v]
-        if pv is None:
-            if i + 1 < len(order):
-                pv = order[i + 1]
-            else:
-                continue
-        a, b = bag_of[v], bag_of[pv]
-        edges.add((min(a, b), max(a, b)))
-    return TreeDecomposition(bags, frozenset(edges))
+    return _tree_from_elimination(order, bags)
 
 
 def heuristic_decomposition(g: Graph, method: str = "min_fill") -> TreeDecomposition:
-    return decomposition_from_order(g, elimination_order(g, method))
+    """``decomposition_from_order(g, elimination_order(g, method))``, built in
+    the same elimination run that picks the order."""
+    order, bags = _greedy_elimination(g, method)
+    if not order:
+        return TreeDecomposition({1: frozenset()}, frozenset())
+    return _tree_from_elimination(order, bags)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +410,10 @@ def _branch_and_bound(
 # ---------------------------------------------------------------------------
 
 
+_LEAF = ("leaf", None)
+_JOIN = ("join", None)
+
+
 def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     """Rooted nice form of a valid decomposition: leaves are empty bags,
     every other node introduces one vertex, forgets one vertex, or joins two
@@ -421,26 +429,29 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
 
     bags: dict[int, frozenset[int]] = {}
     children: dict[int, tuple[int, ...]] = {}
-    counter = [0]
+    kinds: dict[int, tuple[str, Optional[int]]] = {}
 
-    def new_node(bag: frozenset[int], kids: tuple[int, ...]) -> int:
-        counter[0] += 1
-        bags[counter[0]] = bag
-        children[counter[0]] = kids
-        return counter[0]
+    def new_node(
+        bag: frozenset[int], kids: tuple[int, ...], kind: tuple[str, Optional[int]]
+    ) -> int:
+        bid = len(bags) + 1
+        bags[bid] = bag
+        children[bid] = kids
+        kinds[bid] = kind
+        return bid
 
     def chain(from_id: int, from_bag: frozenset[int], to_bag: frozenset[int]) -> int:
         node, bag = from_id, from_bag
         for v in sorted(from_bag - to_bag):
             bag = bag - {v}
-            node = new_node(bag, (node,))
+            node = new_node(bag, (node,), ("forget", v))
         for v in sorted(to_bag - bag):
             bag = bag | {v}
-            node = new_node(bag, (node,))
+            node = new_node(bag, (node,), ("introduce", v))
         return node
 
     def leaf_chain(to_bag: frozenset[int]) -> int:
-        node = new_node(frozenset(), ())
+        node = new_node(frozenset(), (), _LEAF)
         return chain(node, frozenset(), to_bag)
 
     # iterative post-order over the original tree
@@ -464,14 +475,13 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
         adapted = [chain(built[c], td.bags[c], bag) for c in kids_old]
         node = adapted[0]
         for other in adapted[1:]:
-            node = new_node(bag, (node, other))
+            node = new_node(bag, (node, other), _JOIN)
         built[old] = node
 
     root = built[root_old]
-    edges = frozenset(
-        (min(p, c), max(p, c)) for p, kids in children.items() for c in kids
-    )
-    return NiceTreeDecomposition(bags, edges, root, children)
+    # every node is created after its children, so a child's id is the smaller
+    edges = frozenset((c, p) for p, kids in children.items() for c in kids)
+    return NiceTreeDecomposition(bags, edges, root, children, kinds)
 
 
 # ---------------------------------------------------------------------------

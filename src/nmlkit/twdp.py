@@ -6,15 +6,27 @@ The DP runs on the *constraint graph* of a formula set: one vertex per
 distinct subterm, with a clique over every operator node and its arguments.
 Each clique carries the local truth-functional constraint, so it sits inside
 some bag of any valid decomposition and can be checked at a single introduce
-node.  Belief subformulas are opaque leaves.
+node.  Belief subformulas are opaque leaves: the subterm walk stops at ``L``,
+so what occurs only under it gets no vertex.
+
+Before the DP runs, every local constraint is compiled at its introduce node
+into a table over bag positions, ``(scope_mask, allowed)``: a labeling ``m``
+of the bag (bit i = the i-th smallest vertex) satisfies it iff
+``m & scope_mask`` is in ``allowed``.  The DP then walks the nice nodes in id
+order, children first, with one set of bitmasks per pending node (the
+dynamic-programming scheme of Gottlob, Pichler and Wei, AIJ 2010).
 """
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .errors import ResourceLimitError
 from .formula import (
+    CONNECTIVE_ARITY,
     App,
     Believes,
     Const,
@@ -23,7 +35,6 @@ from .formula import (
     apply_connective,
     lnot,
     sat_bruteforce,
-    subformulae,
 )
 from .limits import Limits, get_limits
 from .structures import Graph, make_graph
@@ -49,35 +60,73 @@ class ConstraintGraph:
 def build_constraint_graph(gamma: Iterable[Formula]) -> ConstraintGraph:
     """Subterm graph of a formula set with local constraints: operator nodes
     are pinned to their connective's truth table, constants to their value,
-    and the set's formulas to true."""
+    and the set's formulas to true.  Vertices are numbered in post-order of
+    first occurrence; the walk stops at ``L`` nodes, which are opaque atoms,
+    so a subterm that occurs only under ``L`` gets no vertex."""
     roots = list(gamma)
-    subs = subformulae(roots)
-    vertex_of = {f: i for i, f in enumerate(subs, start=1)}
+    vertex_of: dict[Formula, int] = {}
     edges: set[tuple[int, int]] = set()
     constraints: list[Constraint] = []
-    for f in subs:
-        v = vertex_of[f]
-        if isinstance(f, App):
-            kids = tuple(vertex_of[a] for a in f.args)
-            constraints.append(("op", v, f.op, kids))
-            scope = {v, *kids}
-            for a in scope:
-                for b in scope:
-                    if a < b:
+    for root in roots:
+        stack: list[tuple[Formula, bool]] = [(root, False)]
+        while stack:
+            f, expanded = stack.pop()
+            if f in vertex_of:
+                continue
+            if isinstance(f, App) and not expanded:
+                stack.append((f, True))
+                stack.extend((a, False) for a in reversed(f.args))
+                continue
+            v = vertex_of[f] = len(vertex_of) + 1
+            if isinstance(f, App):
+                kids = tuple(vertex_of[a] for a in f.args)
+                constraints.append(("op", v, f.op, kids))
+                scope = sorted({v, *kids})
+                for i, a in enumerate(scope):
+                    for b in scope[i + 1:]:
                         edges.add((a, b))
-        elif isinstance(f, Const):
-            constraints.append(("unit", v, f.value))
+            elif isinstance(f, Const):
+                constraints.append(("unit", v, f.value))
     for f in roots:
         constraints.append(("unit", vertex_of[f], True))
-    graph = make_graph(len(subs), edges)
+    graph = make_graph(len(vertex_of), edges)
     return ConstraintGraph(graph, tuple(constraints), vertex_of)
 
 
-def _check(constraint: Constraint, value_of) -> bool:
-    if constraint[0] == "unit":
-        return value_of(constraint[1]) == constraint[2]
-    _, v, op, kids = constraint
-    return value_of(v) == apply_connective(op, tuple(value_of(k) for k in kids))
+# rule -> allowed rows: for a connective, every row (output, *inputs) of its
+# truth table; for a unit constraint (True or False), its one value
+_ROWS: dict[Union[str, bool], tuple[tuple[int, ...], ...]] = {
+    op: tuple(
+        (int(apply_connective(op, ins)), *map(int, ins))
+        for ins in itertools.product((False, True), repeat=arity)
+    )
+    for op, arity in CONNECTIVE_ARITY.items()
+}
+_ROWS[True] = ((1,),)
+_ROWS[False] = ((0,),)
+
+
+@functools.lru_cache(maxsize=4096)
+def _compile(rule: Union[str, bool], positions: tuple[int, ...]) -> tuple[int, frozenset[int]]:
+    """A local constraint as ``(scope_mask, allowed)`` over bag positions: a
+    labeling ``m`` of the bag satisfies it iff ``m & scope_mask in allowed``.
+    ``rule`` is the constraint's connective or unit value, and its scope's
+    vertices sit at ``positions``.  A vertex that repeats in the scope
+    (``p & p``) has one position, and rows that give it two values are
+    dropped."""
+    bits = [1 << p for p in positions]
+    allowed = set()
+    for row in _ROWS[rule]:
+        m = 0
+        for bit, value in zip(bits, row):
+            if value:
+                m |= bit
+        if all(bool(m & bit) == value for bit, value in zip(bits, row)):
+            allowed.add(m)
+    scope_mask = 0
+    for bit in bits:
+        scope_mask |= bit
+    return scope_mask, frozenset(allowed)
 
 
 def dp_sat(
@@ -100,73 +149,98 @@ def dp_sat(
     return _run_dp(cg, nice)
 
 
-def _run_dp(cg: ConstraintGraph, nice: NiceTreeDecomposition) -> bool:
+_NO_STEP = (0, ())
+
+
+def _plan(
+    cg: ConstraintGraph, nice: NiceTreeDecomposition
+) -> list[tuple[int, tuple[tuple[int, frozenset[int]], ...]]]:
+    """One step per nice node, in id order (children first): the bit position
+    of its introduced or forgotten vertex, and, at an introduce node, the
+    compiled constraints it checks.  Each constraint goes to the first
+    introduce node of one of its vertices whose bag covers its scope.  A
+    labeling's bit i is the i-th smallest vertex of the bag."""
     by_vertex: dict[int, list[int]] = {}
-    scopes: list[frozenset[int]] = []
+    scopes: list[tuple[int, ...]] = []
     for ci, c in enumerate(cg.constraints):
-        scope = frozenset({c[1], *c[3]}) if c[0] == "op" else frozenset({c[1]})
+        scope = (c[1], *c[3]) if c[0] == "op" else (c[1],)
         scopes.append(scope)
-        for v in scope:
+        for v in set(scope):
             by_vertex.setdefault(v, []).append(ci)
 
-    order = nice.postorder()
-    # assign each constraint to one introduce node whose bag covers its scope
-    assigned: dict[int, list[int]] = {}
-    done: set[int] = set()
-    for node in order:
-        kind, v = nice.node_kind(node)
-        if kind != "introduce":
-            continue
-        bag = nice.bags[node]
-        for ci in by_vertex.get(v, ()):
-            if ci not in done and scopes[ci] <= bag:
-                assigned.setdefault(node, []).append(ci)
-                done.add(ci)
-    if len(done) != len(cg.constraints):
-        raise AssertionError("some local constraint fits no bag; decomposition invalid")
-
-    tables: dict[int, set[int]] = {}
-    bag_order: dict[int, tuple[int, ...]] = {
-        node: tuple(sorted(nice.bags[node])) for node in order
-    }
-    for node in order:
-        kind, v = nice.node_kind(node)
-        kids = nice.children.get(node, ())
+    done = [False] * len(cg.constraints)
+    placed = 0
+    order: dict[int, tuple[int, ...]] = {}  # sorted bag of nodes whose parent is pending
+    steps: list[tuple] = []
+    kinds, children, bags = nice.kinds, nice.children, nice.bags
+    for node in range(1, len(bags) + 1):
+        kind, v = kinds[node]
+        kids = children[node]
         if kind == "leaf":
-            tables[node] = {0}
+            order[node] = ()
+            steps.append(_NO_STEP)
             continue
+        below = order.pop(kids[0])
         if kind == "join":
-            left = tables.pop(kids[0])
-            right = tables.pop(kids[1])
-            tables[node] = left & right
+            del order[kids[1]]
+            order[node] = below
+            steps.append(_NO_STEP)
             continue
-        (child,) = kids
-        child_masks = tables.pop(child)
-        here = bag_order[node]
         if kind == "forget":
-            pos = bag_order[child].index(v)
-            low = (1 << pos) - 1
-            tables[node] = {(m & low) | ((m >> (pos + 1)) << pos) for m in child_masks}
+            pos = below.index(v)
+            order[node] = below[:pos] + below[pos + 1:]
+            steps.append((pos, ()))
             continue
-        # introduce
-        pos = here.index(v)
-        low = (1 << pos) - 1
-        checks = assigned.get(node, ())
-        pos_of = {u: i for i, u in enumerate(here)}
-        new_masks: set[int] = set()
-        for m in child_masks:
-            expanded = (m & low) | ((m >> pos) << (pos + 1))
-            for bit in (0, 1):
-                cand = expanded | (bit << pos)
-                ok = True
-                for ci in checks:
-                    value_of = lambda u: bool((cand >> pos_of[u]) & 1)  # noqa: E731
-                    if not _check(cg.constraints[ci], value_of):
-                        ok = False
-                        break
-                if ok:
-                    new_masks.add(cand)
-        tables[node] = new_masks
+        pos = bisect.bisect(below, v)
+        here = order[node] = below[:pos] + (v,) + below[pos:]
+        checks = []
+        bag = bags[node]
+        pos_of = None
+        for ci in by_vertex.get(v, ()):
+            if not done[ci] and bag.issuperset(scopes[ci]):
+                if pos_of is None:
+                    pos_of = {u: i for i, u in enumerate(here)}
+                positions = tuple(map(pos_of.__getitem__, scopes[ci]))
+                checks.append(_compile(cg.constraints[ci][2], positions))
+                done[ci] = True
+                placed += 1
+        steps.append((pos, tuple(checks)))
+    if placed != len(cg.constraints):
+        raise AssertionError("some local constraint fits no bag; decomposition invalid")
+    return steps
+
+
+def _run_dp(cg: ConstraintGraph, nice: NiceTreeDecomposition) -> bool:
+    """Bottom-up over the plan: a table holds the bag labelings (bitmasks)
+    that extend to a labeling of the subtree meeting every constraint checked
+    there.  The set is satisfiable iff the root's table is nonempty."""
+    tables: dict[int, set[int]] = {}
+    kinds, children = nice.kinds, nice.children
+    for node, (pos, checks) in enumerate(_plan(cg, nice), start=1):
+        kind = kinds[node][0]
+        kids = children[node]
+        if kind == "leaf":
+            table = {0}
+        elif kind == "join":
+            table = tables.pop(kids[0]) & tables.pop(kids[1])
+        elif kind == "forget":
+            low = (1 << pos) - 1
+            table = {(m & low) | ((m >> (pos + 1)) << pos) for m in tables.pop(kids[0])}
+        else:
+            low = (1 << pos) - 1
+            bit = 1 << pos
+            table = set()
+            for m in tables.pop(kids[0]):
+                expanded = (m & low) | ((m >> pos) << (pos + 1))
+                for cand in (expanded, expanded | bit):
+                    for scope_mask, allowed in checks:
+                        if cand & scope_mask not in allowed:
+                            break
+                    else:
+                        table.add(cand)
+        if not table:
+            return False  # an empty table stays empty up to the root
+        tables[node] = table
     return bool(tables[nice.root])
 
 
@@ -213,7 +287,13 @@ class EntailmentOracle:
         return hit
 
     def entails(self, premises: Iterable[Formula], conclusion: Formula) -> bool:
-        return not self.satisfiable(tuple(premises) + (lnot(conclusion),))
+        """Premises entail the conclusion iff adding its negation is
+        unsatisfiable; a negated conclusion ``!x`` adds ``x`` itself."""
+        if isinstance(conclusion, App) and conclusion.op == "not":
+            negated = conclusion.args[0]
+        else:
+            negated = lnot(conclusion)
+        return not self.satisfiable(tuple(premises) + (negated,))
 
     def __repr__(self) -> str:
         return f"EntailmentOracle({self.kind!r})"

@@ -181,3 +181,14 @@ def test_basis_validation():
 def test_app_arity_checked():
     with pytest.raises(ValueError):
         App("and", (Var("p"),))
+
+
+def test_cached_hash_equals_field_hash():
+    rng = random.Random(31)
+    for _ in range(200):
+        f = random_formula(rng, ["p", "q", "r"], max_depth=4, allow_believes=True)
+        for s in subformulae(f):
+            if isinstance(s, App):
+                assert hash(s) == hash((s.op, s.args))
+            elif isinstance(s, Believes):
+                assert hash(s) == hash((s.arg,))

@@ -240,6 +240,44 @@ def test_make_nice_preserves_width_and_niceness():
                 assert nice.bags[kids[0]] - nice.bags[b] == {v}
 
 
+def test_heuristic_decomposition_equals_decomposition_of_its_order():
+    rng = random.Random(12)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 30), rng.random() * 0.5)
+        for method in ("min_fill", "min_degree"):
+            one_pass = heuristic_decomposition(g, method)
+            two_pass = decomposition_from_order(g, elimination_order(g, method))
+            assert one_pass.bags == two_pass.bags
+            assert one_pass.edges == two_pass.edges
+
+
+def _kind_from_bags(nice, bid):
+    kids = nice.children[bid]
+    if not kids:
+        return ("leaf", None)
+    if len(kids) == 2:
+        return ("join", None)
+    here, below = nice.bags[bid], nice.bags[kids[0]]
+    if len(here) == len(below) + 1:
+        (v,) = here - below
+        return ("introduce", v)
+    (v,) = below - here
+    return ("forget", v)
+
+
+def test_make_nice_records_kinds_and_numbers_children_first():
+    rng = random.Random(13)
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(1, 25), rng.random() * 0.5)
+        for method in ("min_fill", "min_degree"):
+            nice = make_nice(heuristic_decomposition(g, method))
+            assert sorted(nice.bags) == list(range(1, len(nice.bags) + 1))
+            assert nice.root == len(nice.bags)
+            for bid in nice.bags:
+                assert nice.node_kind(bid) == _kind_from_bags(nice, bid)
+                assert all(kid < bid for kid in nice.children[bid])
+
+
 def test_make_nice_rejects_invalid():
     with pytest.raises(ValueError):
         make_nice(TreeDecomposition({1: frozenset({1}), 2: frozenset({2})}, frozenset()))

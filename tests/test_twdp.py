@@ -5,18 +5,22 @@ import pytest
 
 from nmlkit.errors import ResourceLimitError
 from nmlkit.formula import (
+    Believes,
     Var,
     implies_bruteforce,
     land,
+    liff,
     limp,
     lnot,
     lor,
+    lxor,
+    lxor3,
     sat_bruteforce,
 )
 from nmlkit.harness import dp_scaling
 from nmlkit.limits import Limits
 from nmlkit.randgen import random_entailment_query, random_formula_set
-from nmlkit.treewidth import heuristic_decomposition, width
+from nmlkit.treewidth import heuristic_decomposition, make_nice, width
 from nmlkit.twdp import (
     build_constraint_graph,
     dp_implication,
@@ -67,6 +71,32 @@ def test_dp_sat_belief_atoms_are_opaque():
     assert dp_sat([land(Believes(p), lnot(Believes(p)))]) is False
 
 
+def test_dp_sat_repeated_arguments():
+    p, q = Var("p"), Var("q")
+    for f in (land(p, p), lxor(p, p), limp(p, p), liff(p, p), lxor3(p, p, q), lxor3(p, p, p)):
+        for gamma in ([f], [lnot(f)]):
+            assert dp_sat(gamma) == (sat_bruteforce(gamma) is not None), gamma
+
+
+def test_constraint_graph_stops_at_belief_atoms():
+    p, q, r = Var("p"), Var("q"), Var("r")
+    hidden = land(p, q)
+    belief = Believes(hidden)
+    cg = build_constraint_graph([land(belief, r), lor(belief, p)])
+    assert hidden not in cg.vertex_of and q not in cg.vertex_of
+    assert set(cg.vertex_of) == {belief, r, p, land(belief, r), lor(belief, p)}
+    assert sorted(cg.vertex_of.values()) == list(range(1, cg.graph.n + 1))
+    assert dp_sat([belief, lnot(hidden)]) is True
+
+
+def test_dp_sat_deep_formula():
+    f = Var("x0")
+    for i in range(1, 2000):
+        f = land(f, Var(f"x{i}"))
+    assert dp_sat([f]) is True
+    assert dp_sat([f, lnot(Var("x7"))]) is False
+
+
 def test_dp_implication_examples():
     assert dp_implication([Var("p"), limp(Var("p"), Var("q"))], [Var("q")]) is True
     assert dp_implication([lor(Var("p"), Var("q"))], [Var("p")]) is False
@@ -102,6 +132,20 @@ def test_oracles_agree_on_entailment():
         assert brute.entails(premises, conclusion) == twdp.entails(premises, conclusion)
 
 
+def test_oracles_agree_on_negated_conclusions():
+    """Both oracles answer a negated conclusion by adding its argument, so
+    they are checked against the truth table, not only against each other."""
+    rng = random.Random(60)
+    brute = entailment_oracle("brute")
+    twdp = entailment_oracle("twdp")
+    for _ in range(300):
+        premises, conclusion = random_entailment_query(rng)
+        for c in (conclusion, lnot(conclusion)):
+            expected = implies_bruteforce(premises, [c])
+            assert brute.entails(premises, c) == expected
+            assert twdp.entails(premises, c) == expected
+
+
 def test_empty_premises_entail_exactly_tautologies():
     oracle = entailment_oracle("twdp")
     assert oracle.entails([], lor(Var("p"), lnot(Var("p")))) is True
@@ -122,6 +166,14 @@ def test_linear_scaling_at_fixed_width():
     all_sat, ratio, _ = dp_scaling(chain(1000), chain(2000))
     assert all_sat
     assert ratio <= 2.5
+
+
+def test_nice_node_count_linear_at_fixed_width():
+    def nice_nodes(m):
+        cg = build_constraint_graph(chain(m))
+        return len(make_nice(heuristic_decomposition(cg.graph, "min_fill")).bags)
+
+    assert nice_nodes(2000) <= 2.05 * nice_nodes(1000)
 
 
 def test_constraint_graph_scopes_are_cliques():
