@@ -109,29 +109,19 @@ class App(Formula):
     args: tuple[Formula, ...]
     _hash: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, op: str, args: tuple[Formula, ...]):
-        # written out, with the slots' own setters, because parsing builds
-        # one node per connective and the generated frozen __init__ plus a
-        # __post_init__ take about 40 % longer per node
-        arity = CONNECTIVE_ARITY.get(op)
+    def __post_init__(self):
+        arity = CONNECTIVE_ARITY.get(self.op)
         if arity is None:
-            raise ValueError(f"unknown connective {op!r}")
-        if arity != len(args):
-            raise ValueError(f"{op} expects {arity} arguments, got {len(args)}")
-        _set_op(self, op)
-        _set_args(self, args)
-        _set_app_hash(self, hash((op, args)))
+            raise ValueError(f"unknown connective {self.op!r}")
+        if arity != len(self.args):
+            raise ValueError(f"{self.op} expects {arity} arguments, got {len(self.args)}")
+        object.__setattr__(self, "_hash", hash((self.op, self.args)))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
         return App, (self.op, self.args)
-
-
-_set_op = App.__dict__["op"].__set__
-_set_args = App.__dict__["args"].__set__
-_set_app_hash = App.__dict__["_hash"].__set__
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,7 +9,7 @@ to the reduced core, which is what actually gets searched.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .errors import ParseError, ResourceLimitError
@@ -42,11 +42,12 @@ class NiceTreeDecomposition(TreeDecomposition):
     from 1 and every child's id is smaller than its parent's, so ascending id
     order visits children first and the root has the largest id.  ``kinds``
     holds each node's kind and introduced or forgotten vertex, recorded as
-    the node is built."""
+    the node is built.  Only ``make_nice`` builds one, and it keeps these
+    invariants."""
 
-    root: int = 0
-    children: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    kinds: dict[int, tuple[str, Optional[int]]] = field(default_factory=dict)
+    root: int
+    children: dict[int, tuple[int, ...]]
+    kinds: dict[int, tuple[str, Optional[int]]]
 
     def node_kind(self, bid: int) -> tuple[str, Optional[int]]:
         return self.kinds[bid]
@@ -215,7 +216,10 @@ def elimination_order(g: Graph, method: str) -> list[int]:
 def _tree_from_elimination(order: list[int], bags: list[frozenset[int]]) -> TreeDecomposition:
     """Bag i+1 is ``bags[i]``, the closed neighborhood of ``order[i]`` when it
     was eliminated; it hangs off the bag of that vertex's first subsequently
-    eliminated neighbor, or off the next bag if it has none."""
+    eliminated neighbor, or off the next bag if it has none.  An empty graph
+    gets one empty bag."""
+    if not order:
+        return TreeDecomposition({1: frozenset()}, frozenset())
     pos = {v: i for i, v in enumerate(order)}
     edges: set[tuple[int, int]] = set()
     for i, (v, bag) in enumerate(zip(order, bags)):
@@ -231,8 +235,6 @@ def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     """The tree decomposition induced by an elimination ordering: one bag per
     vertex (its closed neighborhood at elimination time), each attached to the
     bag of its first subsequently eliminated neighbor."""
-    if g.n == 0:
-        return TreeDecomposition({1: frozenset()}, frozenset())
     if sorted(order) != list(g.vertices):
         raise ValueError("order must enumerate every vertex exactly once")
     adj = g.adjacency()
@@ -246,10 +248,7 @@ def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
 def heuristic_decomposition(g: Graph, method: str = "min_fill") -> TreeDecomposition:
     """``decomposition_from_order(g, elimination_order(g, method))``, built in
     the same elimination run that picks the order."""
-    order, bags = _greedy_elimination(g, method)
-    if not order:
-        return TreeDecomposition({1: frozenset()}, frozenset())
-    return _tree_from_elimination(order, bags)
+    return _tree_from_elimination(*_greedy_elimination(g, method))
 
 
 # ---------------------------------------------------------------------------

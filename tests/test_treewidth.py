@@ -245,10 +245,24 @@ def test_heuristic_decomposition_equals_decomposition_of_its_order():
     for _ in range(200):
         g = random_graph(rng, rng.randint(0, 30), rng.random() * 0.5)
         for method in ("min_fill", "min_degree"):
+            order = elimination_order(g, method)
             one_pass = heuristic_decomposition(g, method)
-            two_pass = decomposition_from_order(g, elimination_order(g, method))
+            two_pass = decomposition_from_order(g, order)
             assert one_pass.bags == two_pass.bags
             assert one_pass.edges == two_pass.edges
+            # the edge rule, restated: the bag of the i-th eliminated vertex
+            # hangs off the bag of its earliest-eliminated later neighbor,
+            # or off the next bag if it has none
+            pos = {v: i for i, v in enumerate(order)}
+            expected = set()
+            for i, v in enumerate(order):
+                assert v in one_pass.bags[i + 1]
+                later = [u for u in one_pass.bags[i + 1] if u != v]
+                if later:
+                    expected.add((i + 1, min(pos[u] for u in later) + 1))
+                elif i + 1 < len(order):
+                    expected.add((i + 1, i + 2))
+            assert one_pass.edges == expected
 
 
 def _kind_from_bags(nice, bid):
