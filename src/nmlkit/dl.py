@@ -5,6 +5,14 @@ Extensions are deductively closed and infinite, so they are represented by
 the set of generating rules; membership questions are entailment queries
 against a pluggable oracle.  Rule indices are 1-based throughout, matching
 the rule elements d1..dm of the relational structure.
+
+The stage construction has two steps, shared by the acceptance check and the
+search: the *blocked set* of a rule set C (rules whose negated justification
+follows from knowledge plus C's conclusions) and the *least fixpoint* of
+rules applied under a given blocked set.  ``extension_exists`` searches the
+generating sets depth first and bounds the fixpoint of every completion of a
+partial choice from below and above, which prunes whole subtrees instead of
+running the stage construction on all 2^m candidates.
 """
 from __future__ import annotations
 
@@ -54,6 +62,43 @@ class ExtensionWitness:
     generating: frozenset[int]
 
 
+def _blocked(
+    theory: DefaultTheory, chosen: Iterable[int], oracle: EntailmentOracle
+) -> frozenset[int]:
+    """Rules whose negated justification follows from the knowledge base
+    plus the conclusions of ``chosen``.  Monotone in ``chosen``; if those
+    premises are inconsistent every rule is blocked."""
+    rules = theory.defaults
+    closure = list(theory.knowledge) + [rules[i - 1].conclusion for i in sorted(chosen)]
+    return frozenset(
+        i
+        for i in range(1, len(rules) + 1)
+        if oracle.entails(closure, lnot(rules[i - 1].justification))
+    )
+
+
+def _least_fixpoint(
+    theory: DefaultTheory, blocked: frozenset[int], oracle: EntailmentOracle
+) -> frozenset[int]:
+    """Rules applied from the knowledge base upward: an unblocked rule fires
+    once its prerequisite follows from what has been applied.  Antitone in
+    ``blocked``."""
+    rules = theory.defaults
+    base = list(theory.knowledge)
+    applied: set[int] = set()
+    changed = True
+    while changed:
+        changed = False
+        derived = base + [rules[i - 1].conclusion for i in sorted(applied)]
+        for i in range(1, len(rules) + 1):
+            if i in applied or i in blocked:
+                continue
+            if oracle.entails(derived, rules[i - 1].prerequisite):
+                applied.add(i)
+                changed = True
+    return frozenset(applied)
+
+
 def stage_fixpoint(
     theory: DefaultTheory,
     candidate: Iterable[int],
@@ -70,27 +115,10 @@ def stage_fixpoint(
     """
     oracle = oracle or entailment_oracle("brute")
     candidate = frozenset(candidate)
-    rules = theory.defaults
-    if not candidate <= set(range(1, len(rules) + 1)):
+    if not candidate <= set(range(1, len(theory.defaults) + 1)):
         raise ValueError("candidate contains unknown rule indices")
-    base = list(theory.knowledge)
-    closure = base + [rules[i - 1].conclusion for i in sorted(candidate)]
-    blocked = {
-        i: oracle.entails(closure, lnot(rules[i - 1].justification))
-        for i in range(1, len(rules) + 1)
-    }
-    applied: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        derived = base + [rules[i - 1].conclusion for i in sorted(applied)]
-        for i in range(1, len(rules) + 1):
-            if i in applied or blocked[i]:
-                continue
-            if oracle.entails(derived, rules[i - 1].prerequisite):
-                applied.add(i)
-                changed = True
-    return frozenset(applied) == candidate, frozenset(applied)
+    applied = _least_fixpoint(theory, _blocked(theory, candidate, oracle), oracle)
+    return applied == candidate, applied
 
 
 def extension_exists(
@@ -99,19 +127,58 @@ def extension_exists(
     *,
     limits: Limits | None = None,
 ) -> tuple[bool, list[ExtensionWitness]]:
-    """Enumerate all candidate generating sets (binary counting order, rule 1
-    on the least significant bit) and keep those closing the stage fixpoint."""
+    """All generating sets C with ``stage_fixpoint`` applied(C) = C, in
+    binary counting order (rule 1 on the least significant bit).
+
+    A depth-first search decides rule m first, then m-1, ..., 1, trying OUT
+    before IN, so its leaves come in counting order.  At a node with rules
+    k+1..m decided and 1..k open, every completion C satisfies
+    IN <= C <= IN | OPEN.  Blocking is monotone in C and the fixpoint is
+    antitone in the blocked set, so
+
+        LO = fix(blocked(IN | OPEN))  <=  applied(C)  <=  UP = fix(blocked(IN)).
+
+    A witness has applied(C) = C, so the node is pruned when IN is not
+    within UP or when LO meets OUT.  The OUT child keeps its parent's UP and
+    the IN child keeps its parent's LO, so each child computes one new bound.
+    A leaf that survives has LO = UP = IN and is confirmed by
+    ``stage_fixpoint``, the one acceptance check, whose queries are all cache
+    hits by then.
+    """
     oracle = oracle or entailment_oracle("brute")
     m = len(theory.defaults)
     cap = get_limits(limits).dl_rules
     if m > cap:
         raise ResourceLimitError(f"{m} rules exceed the enumeration cap of {cap}")
-    witnesses = []
-    for mask in range(1 << m):
-        candidate = frozenset(i + 1 for i in range(m) if (mask >> i) & 1)
-        ok, _ = stage_fixpoint(theory, candidate, oracle)
-        if ok:
-            witnesses.append(ExtensionWitness(candidate))
+
+    def bound(chosen: frozenset[int]) -> frozenset[int]:
+        return _least_fixpoint(theory, _blocked(theory, chosen, oracle), oracle)
+
+    witnesses: list[ExtensionWitness] = []
+
+    def search(
+        k: int,
+        chosen: frozenset[int],
+        out: frozenset[int],
+        lo: frozenset[int],
+        up: frozenset[int],
+    ) -> None:
+        if not chosen <= up or lo & out:
+            return
+        if k == 0:
+            # stage_fixpoint is looked up at call time, so a wrapper
+            # installed on this module sees every leaf
+            if stage_fixpoint(theory, chosen, oracle)[0]:
+                witnesses.append(ExtensionWitness(chosen))
+            return
+        # the children's bounds nest inside the parent's, so rule k in LO
+        # already prunes the OUT child and rule k outside UP the IN child
+        if k not in lo:
+            search(k - 1, chosen, out | {k}, bound(chosen | frozenset(range(1, k))), up)
+        if k in up:
+            search(k - 1, chosen | {k}, out, lo, bound(chosen | {k}))
+
+    search(m, frozenset(), frozenset(), bound(frozenset(range(1, m + 1))), bound(frozenset()))
     return bool(witnesses), witnesses
 
 

@@ -101,6 +101,31 @@ class Const(Formula):
 # of rehashing the whole subtree on every dict or set lookup.  The value is the
 # one the dataclass would compute, ``hash(fields)``; ``__reduce__`` rebuilds
 # through the constructor, so a pickled node rehashes in its new process.
+# Both share ``_nodes_equal``, which walks with an explicit stack so that deep
+# formulas compare without recursion.
+
+
+def _nodes_equal(a: Formula, b: Formula) -> bool:
+    """Structural equality: identity first, then a cached-hash mismatch
+    rejects, then the children are compared pairwise."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if x.__class__ is not y.__class__:
+            return False
+        if x.__class__ is App:
+            if x._hash != y._hash or x.op != y.op:
+                return False
+            stack.extend(zip(x.args, y.args))
+        elif x.__class__ is Believes:
+            if x._hash != y._hash:
+                return False
+            stack.append((x.arg, y.arg))
+        elif x != y:
+            return False
+    return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,6 +145,11 @@ class App(Formula):
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not App:
+            return NotImplemented
+        return _nodes_equal(self, other)
+
     def __reduce__(self):
         return App, (self.op, self.args)
 
@@ -134,6 +164,11 @@ class Believes(Formula):
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Believes:
+            return NotImplemented
+        return _nodes_equal(self, other)
 
     def __reduce__(self):
         return Believes, (self.arg,)

@@ -20,7 +20,7 @@ class Limits:
     exact_tw_core: int = 24      # vertex cap for the branch-and-bound core (after reductions)
     clique_vertices: int = 64    # vertex cap for max-clique based lower bounds
     dp_width: int = 14           # decomposition-width cap for the treewidth DP
-    dl_rules: int = 20           # default-rule cap for candidate enumeration
+    dl_rules: int = 20           # default-rule cap for the generating-set search
     ael_prefixes: int = 20       # belief-atom cap for full-set enumeration
 
 

@@ -70,20 +70,22 @@ def width(td: TreeDecomposition) -> int:
     return max(len(b) for b in td.bags.values()) - 1
 
 
-def _tree_violations(td: TreeDecomposition) -> list[str]:
-    problems = []
+def _tree_violations(
+    td: TreeDecomposition,
+) -> tuple[list[str], Optional[dict[int, set[int]]]]:
+    """Violations of the tree conditions, plus the bag adjacency for callers
+    that walk the tree next (None when an edge names a missing bag)."""
     ids = set(td.bags)
     for u, v in td.edges:
         if u not in ids or v not in ids:
-            problems.append(f"(tree) edge ({u},{v}) references a missing bag")
-            return problems
+            return [f"(tree) edge ({u},{v}) references a missing bag"], None
+    adj = td.neighbors()
+    problems = []
     if len(td.edges) != max(len(ids) - 1, 0):
         problems.append(
             f"(tree) {len(ids)} bags need {max(len(ids) - 1, 0)} tree edges, found {len(td.edges)}"
         )
-        return problems
-    if ids:
-        adj = td.neighbors()
+    elif ids:
         seen = {next(iter(sorted(ids)))}
         frontier = list(seen)
         while frontier:
@@ -95,7 +97,7 @@ def _tree_violations(td: TreeDecomposition) -> list[str]:
         if seen != ids:
             missing = sorted(ids - seen)[0]
             problems.append(f"(tree) bag {missing} is disconnected from the rest")
-    return problems
+    return problems, adj
 
 
 def validate_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
@@ -105,7 +107,7 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
         for v in bag:
             if not (1 <= v <= g.n):
                 raise ValueError(f"bag {bid} references vertex {v} outside the graph")
-    problems = _tree_violations(td)
+    problems, adj = _tree_violations(td)
     if problems:
         return problems
     covered: set[int] = set()
@@ -117,7 +119,6 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
     for u, v in sorted(g.edges):
         if not any(u in bag and v in bag for bag in td.bags.values()):
             problems.append(f"(ii) edge ({u},{v}) is contained in no bag")
-    adj = td.neighbors()
     for v in g.vertices:
         holding = [b for b, bag in sorted(td.bags.items()) if v in bag]
         if len(holding) <= 1:
@@ -418,13 +419,12 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     every other node introduces one vertex, forgets one vertex, or joins two
     children with identical bags.  Width is preserved; the root keeps the
     original root bag."""
-    problems = _tree_violations(td)
+    problems, adj = _tree_violations(td)
     if problems:
         raise ValueError("invalid decomposition: " + problems[0])
     if not td.bags:
         raise ValueError("decomposition has no bags")
     root_old = min(td.bags)
-    adj = td.neighbors()
 
     bags: dict[int, frozenset[int]] = {}
     children: dict[int, tuple[int, ...]] = {}

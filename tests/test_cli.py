@@ -126,6 +126,17 @@ def test_gen_dl_ael_imp_lower(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_dl_solve_lower_bound_n5_twdp(tmp_path, capsys):
+    # 15 rules: 2^15 candidates by enumeration, a few hundred queries by search
+    f = tmp_path / "d5.dt"
+    assert main(["gen", "dl-lower", "-n", "5", "-o", str(f)]) == 0
+    capsys.readouterr()
+    code, payload = run_json(capsys, ["dl", "solve", str(f), "--oracle", "twdp", "--json"])
+    assert code == 0
+    assert payload["exists"] is True
+    assert payload["witnesses"] == [[]]
+
+
 def test_mso_eval_subcommand(tmp_path, capsys):
     ae = tmp_path / "neg.ae"
     ae.write_text("!L p -> p\n")

@@ -12,12 +12,13 @@ from nmlkit.dl import (
 )
 from nmlkit.encodings import extension_existence
 from nmlkit.errors import ParseError, ResourceLimitError
+from nmlkit.families import gen_dl_lower
 from nmlkit.formula import Basis, FALSE, TRUE, Var, lnot
 from nmlkit.limits import Limits
 from nmlkit.mso import eval_mso
 from nmlkit.randgen import random_literal_default_theory
 from nmlkit.structures import build_dl_structure
-from nmlkit.twdp import entailment_oracle
+from nmlkit.twdp import EntailmentOracle, entailment_oracle
 
 P, Q, R = Var("p"), Var("q"), Var("r")
 
@@ -107,6 +108,66 @@ def test_oracle_independence():
         b = extension_exists(theory, entailment_oracle("twdp"))
         assert a[0] == b[0]
         assert [w.generating for w in a[1]] == [w.generating for w in b[1]]
+
+
+def _enumerated_witnesses(theory, oracle):
+    """Reference: every candidate in binary counting order (rule 1 on the
+    least significant bit), kept when the stage construction closes."""
+    m = len(theory.defaults)
+    candidates = (
+        frozenset(i + 1 for i in range(m) if (mask >> i) & 1) for mask in range(1 << m)
+    )
+    return [c for c in candidates if stage_fixpoint(theory, c, oracle)[0]]
+
+
+@pytest.mark.parametrize("kind,count,seed", [("brute", 200, 64), ("twdp", 50, 65)])
+def test_search_matches_enumeration_up_to_8_rules(kind, count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        theory = random_literal_default_theory(rng, max_rules=8)
+        oracle = entailment_oracle(kind)
+        exists, witnesses = extension_exists(theory, oracle)
+        expected = _enumerated_witnesses(theory, oracle)
+        assert [w.generating for w in witnesses] == expected
+        assert exists == bool(expected)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_mutually_blocking_pairs_have_all_extensions(k):
+    # rules 2i-1 = T : !a_i / b_i and 2i = T : !b_i / a_i; each pair picks one
+    rules = []
+    for i in range(k):
+        a, b = Var(f"a{i}"), Var(f"b{i}")
+        rules += [DefaultRule(TRUE, lnot(a), b), DefaultRule(TRUE, lnot(b), a)]
+    theory = DefaultTheory((), tuple(rules))
+    oracle = entailment_oracle("brute")
+    exists, witnesses = extension_exists(theory, oracle)
+    expected = _enumerated_witnesses(theory, oracle)
+    assert exists and len(witnesses) == 2 ** k
+    assert [w.generating for w in witnesses] == expected
+
+
+class _CountingOracle(EntailmentOracle):
+    def __init__(self, kind):
+        super().__init__(kind)
+        self.calls = 0
+
+    def satisfiable(self, formulas):
+        self.calls += 1
+        return super().satisfiable(formulas)
+
+
+def test_search_work_grows_polynomially_on_lower_bound_family():
+    calls = {}
+    for n in (4, 5):
+        oracle = _CountingOracle("twdp")
+        exists, witnesses = extension_exists(gen_dl_lower(n), oracle)
+        assert exists and [w.generating for w in witnesses] == [frozenset()]
+        calls[n] = oracle.calls
+    # enumerating all 2^15 candidates of n=5 makes 491,535 calls
+    assert calls[5] <= 1000
+    # quadratic growth in n gives 2.25x; enumeration gives 48x
+    assert calls[5] <= 2.5 * calls[4]
 
 
 def test_mso_agreement_small_theories():

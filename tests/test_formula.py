@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -192,3 +193,34 @@ def test_cached_hash_equals_field_hash():
                 assert hash(s) == hash((s.op, s.args))
             elif isinstance(s, Believes):
                 assert hash(s) == hash((s.arg,))
+
+
+def _conjunct_chain(n):
+    f = Var("x0")
+    for i in range(1, n):
+        f = land(f, Var(f"x{i}"))
+    return f
+
+
+def test_deep_formulas_compare_without_recursion():
+    a, b = _conjunct_chain(2000), _conjunct_chain(2000)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != land(_conjunct_chain(1999), Var("y"))
+    assert a != _conjunct_chain(1999)
+    x, y = Var("p"), Var("p")
+    for _ in range(2000):
+        x, y = Believes(lnot(x)), Believes(lnot(y))
+    assert x == y and x != Believes(x)
+
+
+def test_equality_is_structural():
+    # deep copies rebuild every node, so equal trees are never identical;
+    # repr spells out the whole tree
+    rng = random.Random(32)
+    pool = [
+        random_formula(rng, ["p", "q"], max_depth=3, allow_believes=True) for _ in range(60)
+    ]
+    copies = [copy.deepcopy(f) for f in pool]
+    for f in pool:
+        for g in copies:
+            assert (f == g) == (repr(f) == repr(g))

@@ -97,6 +97,21 @@ def test_dp_sat_deep_formula():
     assert dp_sat([f, lnot(Var("x7"))]) is False
 
 
+def test_oracle_cache_lookup_on_deep_formula():
+    # a separately built equal formula hits the cache through deep equality
+    def conjuncts():
+        f = Var("x0")
+        for i in range(1, 2000):
+            f = land(f, Var(f"x{i}"))
+        return f
+
+    oracle = entailment_oracle("twdp")
+    a, b = conjuncts(), conjuncts()
+    assert oracle.satisfiable([a]) is True
+    assert oracle.satisfiable([b]) is True
+    assert len(oracle._cache) == 1
+
+
 def test_dp_implication_examples():
     assert dp_implication([Var("p"), limp(Var("p"), Var("q"))], [Var("q")]) is True
     assert dp_implication([lor(Var("p"), Var("q"))], [Var("p")]) is False
