@@ -8,17 +8,19 @@ opaquely, so the brute-force and decomposition oracles apply unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
-from .errors import ParseError, ResourceLimitError
+from .errors import ResourceLimitError
 from .formula import (
     Basis,
     Believes,
     Formula,
     believes_subformulae,
     format_formula,
+    format_formula_set,
     lnot,
     parse_formula,
+    read_lines,
 )
 from .limits import Limits, get_limits
 from .twdp import EntailmentOracle, entailment_oracle
@@ -101,18 +103,8 @@ def expansion_exists(
 def parse_ae_theory(text: str, basis: Basis = None) -> AeTheory:
     """Parse the .ae format: one formula per line, '#' comments."""
     basis = basis or Basis()
-    formulas = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            formulas.append(parse_formula(line, "ae", basis))
-        except ParseError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-    return AeTheory(tuple(formulas))
+    return AeTheory(tuple(read_lines(text, lambda _, line: parse_formula(line, "ae", basis))[""]))
 
 
 def format_ae_theory(sigma: AeTheory) -> str:
-    lines = [format_formula(f) for f in sigma.formulas]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return format_formula_set(sigma.formulas)

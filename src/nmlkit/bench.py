@@ -1,5 +1,9 @@
 """Benchmark runner: timed rows over instance families, emitted as CSV.
 
+Families: ``chain`` (the implication chain of ``families.chain``, solved by
+the treewidth DP or, with method ``brute``, by the truth-table oracle) and
+``pseudo-clique`` (exact treewidth of ``gen_pseudo_clique(n, 2)``).
+
 Columns: family,param,n_vertices,width,method,wall_ms,verdict.  Rows that hit
 a resource cap are recorded with verdict ``resource-limit`` and the run
 continues.
@@ -13,9 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ResourceLimitError
-from .families import PseudoCliqueSpec, gen_pseudo_clique
-from .formula import Var, limp, sat_bruteforce
-from .structures import Graph
+from .families import PseudoCliqueSpec, chain, gen_pseudo_clique
+from .formula import sat_bruteforce
 from .treewidth import exact_treewidth, heuristic_decomposition, width
 from .twdp import build_constraint_graph, dp_sat
 
@@ -44,15 +47,11 @@ class BenchRow:
         }
 
 
-def _chain(m: int) -> list:
-    return [Var("x1")] + [limp(Var(f"x{i}"), Var(f"x{i+1}")) for i in range(1, m)]
-
-
-def run_bench(family: str, sizes: list[int], method: str = "dp", seed: int = 1) -> list[BenchRow]:
+def run_bench(family: str, sizes: list[int], method: str = "dp") -> list[BenchRow]:
     rows = []
     for size in sizes:
         if family == "chain":
-            gamma = _chain(size)
+            gamma = chain(size)
             cg = build_constraint_graph(gamma)
             n_vertices = cg.graph.n
             td = heuristic_decomposition(cg.graph, "min_fill")
@@ -80,15 +79,6 @@ def run_bench(family: str, sizes: list[int], method: str = "dp", seed: int = 1) 
                 verdict = "resource-limit"
             ms = (time.perf_counter() - t0) * 1000
             rows.append(BenchRow("pseudo-clique", size, g.n, w, "exact", ms, verdict))
-        elif family == "brute-sat":
-            gamma = _chain(size)
-            t0 = time.perf_counter()
-            try:
-                verdict = "sat" if sat_bruteforce(gamma) is not None else "unsat"
-            except ResourceLimitError:
-                verdict = "resource-limit"
-            ms = (time.perf_counter() - t0) * 1000
-            rows.append(BenchRow("brute-sat", size, size, None, "brute", ms, verdict))
         else:
             raise ValueError(f"unknown family {family!r}")
     return rows

@@ -19,19 +19,22 @@ from typing import Optional
 from .ael import expansion_exists, format_ae_theory, parse_ae_theory
 from .bench import rows_to_csv, run_bench
 from .dl import extension_exists, format_default_theory, parse_default_theory
-from .encodings import (
-    expansion_existence,
-    extension_existence,
-    implication,
-    mso_encoding,
-    satisfiability,
-)
-from .errors import NmlkitError, ParseError, ResourceLimitError
+from .encodings import expansion_existence, extension_existence, mso_encoding
+from .errors import NmlkitError, ResourceLimitError
 from .families import PseudoCliqueSpec, gen_ael_lower, gen_dl_lower, gen_imp_lower, gen_pseudo_clique
-from .formula import Basis, atom_label, format_formula, parse_formula, sat_bruteforce, implies_bruteforce
+from .formula import (
+    Basis,
+    atom_label,
+    format_formula,
+    format_implication,
+    parse_formula_set,
+    parse_implication,
+    sat_bruteforce,
+)
 from .harness import run_all
 from .mso import eval_mso
 from .structures import (
+    Graph,
     build_ael_structure,
     build_dl_structure,
     build_imp_structure,
@@ -42,7 +45,6 @@ from .structures import (
     parse_gr,
     parse_labels,
 )
-from .structures import Graph
 from .treewidth import (
     emit_td,
     exact_treewidth,
@@ -53,7 +55,7 @@ from .treewidth import (
     validate_decomposition,
     width,
 )
-from .twdp import dp_implication, dp_sat, entailment_oracle
+from .twdp import dp_sat, entailment_oracle
 
 BASIS = Basis()
 
@@ -65,9 +67,7 @@ class _Report:
         self.timings: dict[str, float] = {}
         self.limits_hit: list[str] = []
         self.result: dict = {}
-
-    def fingerprint(self, text: str) -> None:
-        self.input_sha256 = hashlib.sha256(text.encode()).hexdigest()
+        self.exit_code = 0
 
     def to_json(self) -> str:
         payload = {
@@ -82,47 +82,11 @@ class _Report:
 
 def _read(path: str, report: _Report) -> str:
     text = Path(path).read_text()
-    report.fingerprint(text)
+    report.input_sha256 = hashlib.sha256(text.encode()).hexdigest()
     return text
 
 
-def _parse_imp_file(text: str) -> tuple[list, list]:
-    premises, conclusions = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, sep, rest = line.partition(":")
-        if not sep or head.strip() not in ("p", "c"):
-            raise ParseError(f"expected 'p:' or 'c:' line, got {line!r}", line=lineno)
-        formula = parse_formula(rest, "prop", BASIS)
-        (premises if head.strip() == "p" else conclusions).append(formula)
-    return premises, conclusions
-
-
-def _parse_fs_file(text: str) -> list:
-    formulas = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        formulas.append(parse_formula(line, "prop", BASIS))
-    return formulas
-
-
-def _emit(report: _Report, args, lines: list[str]) -> None:
-    if getattr(args, "json", False):
-        print(report.to_json())
-    else:
-        for line in lines:
-            print(line)
-
-
-def _load_graph(path: str, report: _Report) -> Graph:
-    return parse_gr(_read(path, report))
-
-
-def _write_or_print(text: str, out: Optional[str], as_json: bool = False) -> None:
+def _write_or_print(text: str, out: Optional[str | Path], as_json: bool) -> None:
     """Write an artifact to a file, or to stdout unless a JSON report is the
     requested stdout payload."""
     if out:
@@ -131,33 +95,41 @@ def _write_or_print(text: str, out: Optional[str], as_json: bool = False) -> Non
         sys.stdout.write(text)
 
 
+def _write_graph(g: Graph, args) -> None:
+    """The .gr text to ``-o`` or stdout; with ``--labels`` also the .labels
+    text, next to ``-o`` or to stdout."""
+    _write_or_print(emit_gr(g), args.output, args.json)
+    if args.labels:
+        labels_out = Path(args.output).with_suffix(".labels") if args.output else None
+        _write_or_print(emit_labels(g), labels_out, args.json)
+
+
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each takes the parsed arguments and the report, fills
+# in the report and returns the plain-text lines
 # ---------------------------------------------------------------------------
 
 
-def _cmd_fmt(args, report: _Report) -> list[str]:
-    oracle_kind = args.oracle
+def _cmd_check_sat(args, report: _Report) -> list[str]:
+    formulas = parse_formula_set(_read(args.file, report), BASIS)
     t0 = time.perf_counter()
-    if args.fmt_cmd == "check-sat":
-        formulas = _parse_fs_file(_read(args.file, report))
-        if oracle_kind == "brute":
-            witness = sat_bruteforce(formulas)
-            satisfiable = witness is not None
-            witness_obj = (
-                {atom_label(k): v for k, v in witness.items()} if witness else None
-            )
-        else:
-            satisfiable = dp_sat(formulas)
-            witness_obj = None
-        report.timings["solve"] = (time.perf_counter() - t0) * 1000
-        report.result = {"satisfiable": satisfiable, "witness": witness_obj}
-        return [f"satisfiable: {satisfiable}"]
-    premises, conclusions = _parse_imp_file(_read(args.file, report))
-    if oracle_kind == "brute":
-        holds = implies_bruteforce(premises, conclusions)
+    if args.oracle == "brute":
+        witness = sat_bruteforce(formulas)
+        satisfiable = witness is not None
+        witness_obj = {atom_label(k): v for k, v in witness.items()} if witness else None
     else:
-        holds = dp_implication(premises, conclusions)
+        satisfiable = dp_sat(formulas)
+        witness_obj = None
+    report.timings["solve"] = (time.perf_counter() - t0) * 1000
+    report.result = {"satisfiable": satisfiable, "witness": witness_obj}
+    return [f"satisfiable: {satisfiable}"]
+
+
+def _cmd_check_imp(args, report: _Report) -> list[str]:
+    premises, conclusions = parse_implication(_read(args.file, report), BASIS)
+    t0 = time.perf_counter()
+    oracle = entailment_oracle(args.oracle)
+    holds = all(oracle.entails(premises, c) for c in conclusions)
     report.timings["solve"] = (time.perf_counter() - t0) * 1000
     report.result = {"implies": holds}
     return [f"implies: {holds}"]
@@ -204,101 +176,96 @@ def _cmd_ael(args, report: _Report) -> list[str]:
 
 def _build_structure(kind: str, text: str):
     if kind == "prop":
-        return build_prop_structure(_parse_fs_file(text), BASIS)
+        return build_prop_structure(parse_formula_set(text, BASIS), BASIS)
     if kind == "imp":
-        premises, conclusions = _parse_imp_file(text)
-        return build_imp_structure(premises, conclusions, BASIS)
+        return build_imp_structure(*parse_implication(text, BASIS), BASIS)
     if kind == "dl":
         return build_dl_structure(parse_default_theory(text, BASIS), BASIS)
     return build_ael_structure(parse_ae_theory(text, BASIS).formulas, BASIS)
 
 
 def _cmd_struct(args, report: _Report) -> list[str]:
-    structure = _build_structure(args.kind, _read(args.file, report))
-    g = gaifman_graph(structure)
-    text = emit_gr(g)
-    _write_or_print(text, args.output, getattr(args, "json", False))
+    g = gaifman_graph(_build_structure(args.kind, _read(args.file, report)))
+    _write_graph(g, args)
     lines = [f"universe: {g.n} elements, {len(g.edges)} gaifman edges"]
-    if args.labels:
-        labels_text = emit_labels(g)
-        if args.output:
-            Path(args.output).with_suffix(".labels").write_text(labels_text)
-            lines.append(f"labels written next to {args.output}")
-        else:
-            sys.stdout.write(labels_text)
+    if args.labels and args.output:
+        lines.append(f"labels written next to {args.output}")
     report.result = {"n_vertices": g.n, "n_edges": len(g.edges)}
     return lines
 
 
-def _cmd_tw(args, report: _Report) -> list[str]:
-    if args.tw_cmd == "compute":
-        g = _load_graph(args.file, report)
-        t0 = time.perf_counter()
-        if args.exact:
-            w, td = exact_treewidth(g)
-            method = "exact"
-        else:
-            td = heuristic_decomposition(g, args.method)
-            w = width(td)
-            method = args.method
-        report.timings["compute"] = (time.perf_counter() - t0) * 1000
-        if args.output:
-            Path(args.output).write_text(emit_td(td, g.n))
-        report.result = {"width": w, "method": method, "n_vertices": g.n}
-        return [f"width: {w} ({method})"]
-    if args.tw_cmd == "verify":
-        g = _load_graph(args.graph, report)
-        td, _ = parse_td(Path(args.decomposition).read_text())
-        violations = validate_decomposition(g, td)
-        report.result = {"valid": not violations, "violations": violations}
-        return [f"valid: {not violations}"] + violations
-    if args.tw_cmd == "normalize":
-        g = _load_graph(args.graph, report)
-        labels, descriptions = parse_labels(Path(args.labels_file).read_text())
-        g = Graph(g.n, g.edges, labels, descriptions)
-        td, _ = parse_td(Path(args.decomposition).read_text())
-        out = normalize_pseudo(g, td)
-        _write_or_print(emit_td(out, g.n), args.output, getattr(args, "json", False))
-        report.result = {"width": width(out), "valid": not validate_decomposition(g, out)}
-        return [f"normalized width: {width(out)}"]
-    g = _load_graph(args.file, report)
-    r = pseudo_clique_lower_bound(g)
+def _cmd_tw_compute(args, report: _Report) -> list[str]:
+    g = parse_gr(_read(args.file, report))
+    t0 = time.perf_counter()
+    if args.exact:
+        w, td = exact_treewidth(g)
+        method = "exact"
+    else:
+        td = heuristic_decomposition(g, args.method)
+        w = width(td)
+        method = args.method
+    report.timings["compute"] = (time.perf_counter() - t0) * 1000
+    if args.output:
+        Path(args.output).write_text(emit_td(td, g.n))
+    report.result = {"width": w, "method": method, "n_vertices": g.n}
+    return [f"width: {w} ({method})"]
+
+
+def _cmd_tw_verify(args, report: _Report) -> list[str]:
+    g = parse_gr(_read(args.graph, report))
+    td, _ = parse_td(Path(args.decomposition).read_text())
+    violations = validate_decomposition(g, td)
+    report.result = {"valid": not violations, "violations": violations}
+    return [f"valid: {not violations}"] + violations
+
+
+def _cmd_tw_normalize(args, report: _Report) -> list[str]:
+    g = parse_gr(_read(args.graph, report))
+    labels, descriptions = parse_labels(Path(args.labels_file).read_text())
+    g = Graph(g.n, g.edges, labels, descriptions)
+    td, _ = parse_td(Path(args.decomposition).read_text())
+    out = normalize_pseudo(g, td)
+    _write_or_print(emit_td(out, g.n), args.output, args.json)
+    report.result = {"width": width(out), "valid": not validate_decomposition(g, out)}
+    return [f"normalized width: {width(out)}"]
+
+
+def _cmd_tw_lower_bound(args, report: _Report) -> list[str]:
+    r = pseudo_clique_lower_bound(parse_gr(_read(args.file, report)))
     report.result = {"pseudo_clique_size": r, "tw_lower_bound": r - 1}
     return [f"pseudo-clique size: {r} (treewidth >= {r - 1})"]
 
 
-def _cmd_gen(args, report: _Report) -> list[str]:
-    if args.gen_cmd == "pseudo-clique":
-        g = gen_pseudo_clique(PseudoCliqueSpec(args.n, args.k))
-        _write_or_print(emit_gr(g), args.output, getattr(args, "json", False))
-        if args.labels:
-            if args.output:
-                Path(args.output).with_suffix(".labels").write_text(emit_labels(g))
-            else:
-                sys.stdout.write(emit_labels(g))
-        report.result = {"n_vertices": g.n, "n_edges": len(g.edges)}
-        return []
-    if args.gen_cmd == "dl-lower":
-        theory = gen_dl_lower(args.n, args.variant)
-        _write_or_print(format_default_theory(theory), args.output, getattr(args, "json", False))
-        report.result = {"n_rules": len(theory.defaults)}
-        return []
-    if args.gen_cmd == "ael-lower":
-        sigma = gen_ael_lower(args.k)
-        _write_or_print(format_ae_theory(sigma), args.output, getattr(args, "json", False))
-        report.result = {"n_formulas": len(sigma.formulas)}
-        return []
+def _cmd_gen_pseudo_clique(args, report: _Report) -> list[str]:
+    g = gen_pseudo_clique(PseudoCliqueSpec(args.n, args.k))
+    _write_graph(g, args)
+    report.result = {"n_vertices": g.n, "n_edges": len(g.edges)}
+    return []
+
+
+def _cmd_gen_dl_lower(args, report: _Report) -> list[str]:
+    theory = gen_dl_lower(args.n, args.variant)
+    _write_or_print(format_default_theory(theory), args.output, args.json)
+    report.result = {"n_rules": len(theory.defaults)}
+    return []
+
+
+def _cmd_gen_ael_lower(args, report: _Report) -> list[str]:
+    sigma = gen_ael_lower(args.k)
+    _write_or_print(format_ae_theory(sigma), args.output, args.json)
+    report.result = {"n_formulas": len(sigma.formulas)}
+    return []
+
+
+def _cmd_gen_imp_lower(args, report: _Report) -> list[str]:
     premises, conclusions = gen_imp_lower(args.kind, args.n)
-    lines = [f"p: {format_formula(f)}" for f in premises]
-    lines += [f"c: {format_formula(f)}" for f in conclusions]
-    _write_or_print("\n".join(lines) + "\n", args.output, getattr(args, "json", False))
+    _write_or_print(format_implication(premises, conclusions), args.output, args.json)
     report.result = {"n_premises": len(premises), "n_conclusions": len(conclusions)}
     return []
 
 
 def _cmd_mso(args, report: _Report) -> list[str]:
-    text = _read(args.file, report)
-    structure = _build_structure(args.kind, text)
+    structure = _build_structure(args.kind, _read(args.file, report))
     name = args.name.replace("-", "_")
     default_kind = {"sat": "prop", "imp": "imp", "extension": "dl", "full_exists": "ae"}
     if name in default_kind and args.kind != default_kind[name]:
@@ -313,7 +280,7 @@ def _cmd_mso(args, report: _Report) -> list[str]:
     return [f"holds: {verdict}"]
 
 
-def _cmd_verify(args, report: _Report) -> tuple[list[str], int]:
+def _cmd_verify(args, report: _Report) -> list[str]:
     results = run_all(seed=args.seed, quick=args.quick)
     checks = [
         {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
@@ -322,12 +289,16 @@ def _cmd_verify(args, report: _Report) -> tuple[list[str], int]:
     lines = [r.line() for r in results]
     n_pass = sum(r.passed for r in results)
     lines.append(f"{n_pass}/{len(results)} checks passed")
-    return lines, 0 if n_pass == len(results) else 1
+    report.exit_code = 0 if n_pass == len(results) else 1
+    return lines
 
 
 def _cmd_bench(args, report: _Report) -> list[str]:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    rows = run_bench(args.family, sizes, method=args.method, seed=args.seed)
+    family, method = args.family, args.method
+    if family == "brute-sat":  # alias of --family chain --method brute
+        family, method = "chain", "brute"
+    rows = run_bench(family, sizes, method=method)
     text = rows_to_csv(rows)
     if args.csv:
         Path(args.csv).write_text(text)
@@ -353,88 +324,74 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nmlkit",
         description="Nonmonotonic-logic toolkit: formulas, structures, MSO model checking, treewidth",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output")
+
+    def leaf(group, name: str, handler, *parents, **kwargs) -> argparse.ArgumentParser:
+        p = group.add_parser(name, parents=[common, *parents], **kwargs)
+        p.set_defaults(handler=handler)
+        return p
+
+    def group(name: str, help: str):
+        return sub.add_parser(name, help=help).add_subparsers(dest=f"{name}_cmd", required=True)
+
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    fmt = sub.add_parser("fmt", help="propositional formula sets")
-    fmt_sub = fmt.add_subparsers(dest="fmt_cmd", required=True)
-    for name, filehelp in (("check-sat", ".fs file"), ("check-imp", ".imp file")):
-        p = fmt_sub.add_parser(name)
+    fmt = group("fmt", "propositional formula sets")
+    for name, filehelp, handler in (
+        ("check-sat", ".fs file", _cmd_check_sat),
+        ("check-imp", ".imp file", _cmd_check_imp),
+    ):
+        p = leaf(fmt, name, handler)
         p.add_argument("file", help=filehelp)
         p.add_argument("--oracle", choices=("brute", "twdp"), default="twdp")
-        p.add_argument("--json", action="store_true")
 
-    dl = sub.add_parser("dl", help="default logic")
-    dl_sub = dl.add_subparsers(dest="dl_cmd", required=True)
-    p = dl_sub.add_parser("solve")
+    p = leaf(group("dl", "default logic"), "solve", _cmd_dl)
     p.add_argument("file", help=".dt file")
     p.add_argument("--method", choices=("enum", "mso"), default="enum")
     p.add_argument("--oracle", choices=("brute", "twdp"), default="brute")
-    p.add_argument("--json", action="store_true")
 
-    ael = sub.add_parser("ael", help="autoepistemic logic")
-    ael_sub = ael.add_subparsers(dest="ael_cmd", required=True)
-    p = ael_sub.add_parser("solve")
+    p = leaf(group("ael", "autoepistemic logic"), "solve", _cmd_ael)
     p.add_argument("file", help=".ae file")
     p.add_argument("--method", choices=("fullsets", "mso"), default="fullsets")
-    p.add_argument("--json", action="store_true")
 
-    st = sub.add_parser("struct", help="relational structures")
-    st_sub = st.add_subparsers(dest="struct_cmd", required=True)
-    p = st_sub.add_parser("build")
+    p = leaf(group("struct", "relational structures"), "build", _cmd_struct, output)
     p.add_argument("file")
     p.add_argument("--kind", choices=("prop", "imp", "dl", "ae"), required=True)
-    p.add_argument("-o", "--output")
     p.add_argument("--labels", action="store_true")
-    p.add_argument("--json", action="store_true")
 
-    tw = sub.add_parser("tw", help="tree decompositions")
-    tw_sub = tw.add_subparsers(dest="tw_cmd", required=True)
-    p = tw_sub.add_parser("compute")
+    tw = group("tw", "tree decompositions")
+    p = leaf(tw, "compute", _cmd_tw_compute, output)
     p.add_argument("file", help=".gr file")
     p.add_argument("--exact", action="store_true")
     p.add_argument("--method", choices=("min_fill", "min_degree"), default="min_fill")
-    p.add_argument("-o", "--output")
-    p.add_argument("--json", action="store_true")
-    p = tw_sub.add_parser("verify")
+    p = leaf(tw, "verify", _cmd_tw_verify)
     p.add_argument("graph", help=".gr file")
     p.add_argument("decomposition", help=".td file")
-    p.add_argument("--json", action="store_true")
-    p = tw_sub.add_parser("normalize")
+    p = leaf(tw, "normalize", _cmd_tw_normalize, output)
     p.add_argument("graph", help=".gr file")
     p.add_argument("decomposition", help=".td file")
     p.add_argument("--labels-file", required=True)
-    p.add_argument("-o", "--output")
-    p.add_argument("--json", action="store_true")
-    p = tw_sub.add_parser("lower-bound")
+    p = leaf(tw, "lower-bound", _cmd_tw_lower_bound)
     p.add_argument("file", help=".gr file")
-    p.add_argument("--json", action="store_true")
 
-    gen = sub.add_parser("gen", help="instance generators")
-    gen_sub = gen.add_subparsers(dest="gen_cmd", required=True)
-    p = gen_sub.add_parser("pseudo-clique")
+    gen = group("gen", "instance generators")
+    p = leaf(gen, "pseudo-clique", _cmd_gen_pseudo_clique, output)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--labels", action="store_true")
-    p.add_argument("-o", "--output")
-    p.add_argument("--json", action="store_true")
-    p = gen_sub.add_parser("dl-lower")
+    p = leaf(gen, "dl-lower", _cmd_gen_dl_lower, output)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--variant", choices=("printed", "symmetric"), default="printed")
-    p.add_argument("-o", "--output")
-    p.add_argument("--json", action="store_true")
-    p = gen_sub.add_parser("ael-lower")
+    p = leaf(gen, "ael-lower", _cmd_gen_ael_lower, output)
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("-o", "--output")
-    p.add_argument("--json", action="store_true")
-    p = gen_sub.add_parser("imp-lower")
+    p = leaf(gen, "imp-lower", _cmd_gen_imp_lower, output)
     p.add_argument("--kind", choices=("xor3", "cnf_dnf"), required=True)
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("-o", "--output")
-    p.add_argument("--json", action="store_true")
 
-    mso = sub.add_parser("mso", help="MSO model checking")
-    mso_sub = mso.add_subparsers(dest="mso_cmd", required=True)
-    p = mso_sub.add_parser("eval")
+    p = leaf(group("mso", "MSO model checking"), "eval", _cmd_mso)
     p.add_argument("file")
     p.add_argument("--kind", choices=("prop", "imp", "dl", "ae"), required=True)
     p.add_argument(
@@ -443,53 +400,30 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--variant", choices=("corrected", "as_printed"), default="corrected")
-    p.add_argument("--json", action="store_true")
 
-    verify = sub.add_parser("verify-paper", help="run the full verification suite")
-    verify.add_argument("--quick", action="store_true")
-    verify.add_argument("--seed", type=int, default=1)
-    verify.add_argument("--json", action="store_true")
+    p = leaf(sub, "verify-paper", _cmd_verify, help="run the full verification suite")
+    p.add_argument("--quick", action="store_true")
+    p.add_argument("--seed", type=int, default=1)
 
-    bench = sub.add_parser("bench", help="benchmark runner")
-    bench.add_argument("--family", choices=("chain", "pseudo-clique", "brute-sat"), required=True)
-    bench.add_argument("--sizes", required=True, help="comma-separated instance sizes")
-    bench.add_argument("--method", choices=("dp", "brute", "exact"), default="dp")
-    bench.add_argument("--seed", type=int, default=1)
-    bench.add_argument("--csv", help="write the CSV summary to this path")
-    bench.add_argument("--json", action="store_true")
+    p = leaf(sub, "bench", _cmd_bench, help="benchmark runner")
+    p.add_argument("--family", choices=("chain", "pseudo-clique", "brute-sat"), required=True)
+    p.add_argument("--sizes", required=True, help="comma-separated instance sizes")
+    p.add_argument("--method", choices=("dp", "brute", "exact"), default="dp")
+    p.add_argument("--csv", help="write the CSV summary to this path")
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     report = _Report(argv)
-    exit_code = 0
     try:
-        if args.cmd == "fmt":
-            lines = _cmd_fmt(args, report)
-        elif args.cmd == "dl":
-            lines = _cmd_dl(args, report)
-        elif args.cmd == "ael":
-            lines = _cmd_ael(args, report)
-        elif args.cmd == "struct":
-            lines = _cmd_struct(args, report)
-        elif args.cmd == "tw":
-            lines = _cmd_tw(args, report)
-        elif args.cmd == "gen":
-            lines = _cmd_gen(args, report)
-        elif args.cmd == "mso":
-            lines = _cmd_mso(args, report)
-        elif args.cmd == "verify-paper":
-            lines, exit_code = _cmd_verify(args, report)
-        elif args.cmd == "bench":
-            lines = _cmd_bench(args, report)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.cmd!r}")
-    except ResourceLimitError as exc:
+        lines = args.handler(args, report)
+    except (ResourceLimitError, RecursionError) as exc:
+        # the recursive formula and structure walkers meet Python's recursion
+        # limit on very deep or very wide input: a resource limit too
         report.limits_hit.append(str(exc))
-        if getattr(args, "json", False):
+        if args.json:
             print(report.to_json())
         else:
             print(f"resource limit: {exc}", file=sys.stderr)
@@ -497,8 +431,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, NmlkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args, lines)
-    return exit_code
+    if args.json:
+        print(report.to_json())
+    else:
+        for line in lines:
+            print(line)
+    return report.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -20,7 +20,16 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import ParseError, ResourceLimitError
-from .formula import Basis, Formula, format_formula, is_propositional, lnot, parse_formula
+from .formula import (
+    Basis,
+    Formula,
+    format_formula,
+    is_propositional,
+    join_lines,
+    lnot,
+    parse_formula,
+    read_lines,
+)
 from .limits import Limits, get_limits
 from .twdp import EntailmentOracle, entailment_oracle
 
@@ -186,42 +195,24 @@ def parse_default_theory(text: str, basis: Basis = None) -> DefaultTheory:
     """Parse the .dt format: '#' comments, ``w: <formula>`` knowledge lines,
     ``d: <alpha> ; <beta> ; <gamma>`` rule lines."""
     basis = basis or Basis()
-    knowledge: list[Formula] = []
-    rules: list[DefaultRule] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, sep, rest = line.partition(":")
-        head = head.strip()
-        if not sep or head not in ("w", "d"):
-            raise ParseError(f"expected 'w:' or 'd:' line, got {line!r}", line=lineno)
-        try:
-            if head == "w":
-                knowledge.append(parse_formula(rest, "prop", basis))
-            else:
-                parts = rest.split(";")
-                if len(parts) != 3:
-                    raise ParseError(
-                        "default needs three ';'-separated parts", line=lineno
-                    )
-                alpha, beta, gamma = (parse_formula(p, "prop", basis) for p in parts)
-                rules.append(DefaultRule(alpha, beta, gamma))
-        except ParseError as exc:
-            if exc.line is None:
-                raise ParseError(str(exc), line=lineno) from None
-            raise
-    return DefaultTheory(tuple(knowledge), tuple(rules))
+
+    def parse_line(head: str, rest: str):
+        if head == "w":
+            return parse_formula(rest, "prop", basis)
+        parts = rest.split(";")
+        if len(parts) != 3:
+            raise ParseError("default needs three ';'-separated parts")
+        return DefaultRule(*(parse_formula(p, "prop", basis) for p in parts))
+
+    groups = read_lines(text, parse_line, ("w", "d"))
+    return DefaultTheory(tuple(groups["w"]), tuple(groups["d"]))
 
 
 def format_default_theory(theory: DefaultTheory) -> str:
-    lines = [f"w: {format_formula(f)}" for f in theory.knowledge]
-    lines += [
-        "d: {} ; {} ; {}".format(
-            format_formula(r.prerequisite),
-            format_formula(r.justification),
-            format_formula(r.conclusion),
-        )
-        for r in theory.defaults
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return join_lines(
+        [f"w: {format_formula(f)}" for f in theory.knowledge]
+        + [
+            "d: " + " ; ".join(map(format_formula, (r.prerequisite, r.justification, r.conclusion)))
+            for r in theory.defaults
+        ]
+    )

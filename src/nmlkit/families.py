@@ -15,8 +15,8 @@ from .formula import (
     FALSE,
     Formula,
     Var,
-    lnot,
     land,
+    limp,
     lor,
     lxor3,
 )
@@ -139,6 +139,12 @@ def gen_imp_lower(kind: str, n: int) -> tuple[list[Formula], list[Formula]]:
             dnf = lor(dnf, c)
         return premises, [dnf]
     raise ValueError(f"unknown kind {kind!r}")
+
+
+def chain(m: int) -> list[Formula]:
+    """The satisfiable implication chain x1, x1 -> x2, ..., x(m-1) -> xm:
+    its constraint graph keeps the same treewidth as m grows."""
+    return [Var("x1")] + [limp(Var(f"x{i}"), Var(f"x{i+1}")) for i in range(1, m)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import ParseError, ResourceLimitError
 from .limits import Limits, get_limits
@@ -555,6 +555,63 @@ class _Parser:
 def parse_formula(text: str, mode: str = "prop", basis: Basis = DEFAULT_BASIS) -> Formula:
     """Parse a formula; ``mode='prop'`` rejects the belief operator ``L``."""
     return _Parser(text, mode, basis).parse()
+
+
+def read_lines(
+    text: str, parse_line: Callable[[str, str], object], heads: tuple[str, ...] = ()
+) -> dict[str, list]:
+    """Read a line format (.fs, .imp, .dt, .ae): ``#`` starts a comment and
+    blank lines are skipped.  With ``heads``, every line starts with one of
+    them and a colon.  Returns ``parse_line(head, rest)`` of each line,
+    grouped by head in file order (the single group ``""`` without heads).
+    A ParseError gets the number of the line it came from."""
+    groups: dict[str, list] = {head: [] for head in heads or ("",)}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            head, rest = "", line
+            if heads:
+                head, sep, rest = line.partition(":")
+                head = head.strip()
+                if not sep or head not in heads:
+                    expected = " or ".join(f"'{h}:'" for h in heads)
+                    raise ParseError(f"expected {expected} line, got {line!r}")
+            groups[head].append(parse_line(head, rest))
+        except ParseError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+    return groups
+
+
+def join_lines(lines: Iterable[str]) -> str:
+    """The text of a line format: every line ends in a newline."""
+    return "".join(line + "\n" for line in lines)
+
+
+def parse_formula_set(text: str, basis: Basis = DEFAULT_BASIS) -> list[Formula]:
+    """Parse the .fs format: one propositional formula per line."""
+    return read_lines(text, lambda _, line: parse_formula(line, "prop", basis))[""]
+
+
+def format_formula_set(formulas: Iterable[Formula]) -> str:
+    return join_lines(format_formula(f) for f in formulas)
+
+
+def parse_implication(
+    text: str, basis: Basis = DEFAULT_BASIS
+) -> tuple[list[Formula], list[Formula]]:
+    """Parse the .imp format: ``p: <formula>`` premise and ``c: <formula>``
+    conclusion lines."""
+    groups = read_lines(text, lambda _, rest: parse_formula(rest, "prop", basis), ("p", "c"))
+    return groups["p"], groups["c"]
+
+
+def format_implication(premises: Iterable[Formula], conclusions: Iterable[Formula]) -> str:
+    return join_lines(
+        [f"p: {format_formula(f)}" for f in premises]
+        + [f"c: {format_formula(f)}" for f in conclusions]
+    )
 
 
 def is_propositional(f: Formula) -> bool:

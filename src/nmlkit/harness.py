@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .ael import AeTheory, expansion_exists
-from .dl import DefaultTheory, extension_exists, stage_fixpoint
+from .dl import extension_exists, stage_fixpoint
 from .encodings import (
     expansion_existence,
     extension_existence,
@@ -21,7 +21,7 @@ from .encodings import (
     structure_check,
 )
 from .errors import ResourceLimitError
-from .families import PseudoCliqueSpec, gen_ael_lower, gen_dl_lower, gen_pseudo_clique
+from .families import PseudoCliqueSpec, chain, gen_ael_lower, gen_dl_lower, gen_pseudo_clique
 from .formula import (
     Basis,
     Believes,
@@ -299,9 +299,6 @@ def check_dp_scaling(seed: int = 1, quick: bool = False) -> CheckResult:
     """The decomposition DP solves the 2000-rule chain in under a second and
     scales about linearly from 1000 to 2000, while the truth-table oracle is
     rejected by its atom cap on the same instance."""
-
-    def chain(m: int):
-        return [Var("x1")] + [limp(Var(f"x{i}"), Var(f"x{i+1}")) for i in range(1, m)]
 
     def run():
         c2000 = chain(2000)

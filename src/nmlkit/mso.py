@@ -788,22 +788,6 @@ def eval_mso(
     return result
 
 
-def evaluation_steps(
-    structure: RelationalStructure,
-    phi: MsoFormula,
-    env: Optional[Mapping[str, object]] = None,
-    *,
-    limits: Limits | None = None,
-) -> tuple[bool, int]:
-    """Like eval_mso, also reporting the number of evaluation steps used."""
-    fo, so = _prepare_env(structure, env)
-    _check_bound(phi, fo, so)
-    ev = _Evaluator(structure, fo, so, get_limits(limits).mso_steps)
-    result = ev.eval(_miniscoped(phi))
-    assert result is not None
-    return result, ev.steps
-
-
 # ---------------------------------------------------------------------------
 # Reference evaluator
 # ---------------------------------------------------------------------------
@@ -853,10 +837,7 @@ def eval_mso_bruteforce(
             fo[name] = value
         else:
             so[name] = frozenset(value)
-    fo_free, so_free = free_vars(phi)
-    missing = (fo_free - fo.keys()) | (so_free - so.keys())
-    if missing:
-        raise ValueError(f"unbound variables: {sorted(missing)}")
+    _check_bound(phi, fo, so)
     return _brute(structure, phi, fo, so)
 
 

@@ -9,7 +9,6 @@ from .ael import AeTheory
 from .dl import DefaultRule, DefaultTheory
 from .formula import (
     App,
-    Basis,
     Believes,
     Const,
     Formula,

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional
 
 from .errors import ParseError, ResourceLimitError
 from .limits import Limits, get_limits
-from .structures import Graph, make_graph
+from .structures import Graph
 
 
 @dataclass(frozen=True)
@@ -23,9 +23,6 @@ class TreeDecomposition:
 
     bags: dict[int, frozenset[int]]
     edges: frozenset[tuple[int, int]]
-
-    def bag_ids(self) -> list[int]:
-        return sorted(self.bags)
 
     def neighbors(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {b: set() for b in self.bags}
@@ -690,35 +687,15 @@ def pseudo_clique_lower_bound(g: Graph, *, limits: Limits | None = None) -> int:
             changed = True
             break
     clique = _max_clique(adj) if adj else []
-    # soundness check: the paths realizing the clique edges must be
-    # internally disjoint (they are by construction; verified defensively)
+    # the paths realizing the clique edges are internally disjoint: every
+    # suppressed vertex lies on the route of at most one surviving edge
     used: set[int] = set()
     for i, a in enumerate(clique):
         for b in clique[i + 1:]:
             path = route.get((min(a, b), max(a, b)), [])
-            if used & set(path):
-                return max(2, len(_largest_verified(adj, route, clique)))
+            assert not used & set(path)
             used |= set(path)
     return len(clique)
-
-
-def _largest_verified(adj, route, clique) -> list[int]:  # pragma: no cover - defensive
-    for drop in sorted(clique):
-        reduced = [v for v in clique if v != drop]
-        used: set[int] = set()
-        ok = True
-        for i, a in enumerate(reduced):
-            for b in reduced[i + 1:]:
-                path = route.get((min(a, b), max(a, b)), [])
-                if used & set(path):
-                    ok = False
-                    break
-                used |= set(path)
-            if not ok:
-                break
-        if ok:
-            return reduced
-    return clique[:2]
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,8 @@ from .errors import ResourceLimitError
 from .formula import (
     CONNECTIVE_ARITY,
     App,
-    Believes,
     Const,
     Formula,
-    Var,
     apply_connective,
     lnot,
     sat_bruteforce,
@@ -250,12 +248,10 @@ def dp_implication(
     *,
     limits: Limits | None = None,
 ) -> bool:
-    """Premises entail conclusions iff each premises+negated-conclusion set is
-    unsatisfiable; each run decomposes independently."""
-    premises = list(f)
-    return all(
-        not dp_sat(premises + [lnot(c)], limits=limits) for c in g
-    )
+    """Premises entail every conclusion, asked of the decomposition oracle."""
+    oracle = EntailmentOracle("twdp", limits)
+    premises = tuple(f)
+    return all(oracle.entails(premises, c) for c in g)
 
 
 # ---------------------------------------------------------------------------

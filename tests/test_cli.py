@@ -1,10 +1,14 @@
+import argparse
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from nmlkit.cli import main
+from nmlkit.cli import build_parser, main
+from nmlkit.families import gen_imp_lower
+from nmlkit.formula import implies_bruteforce, parse_implication
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "nmlkit" / "report_schema.json").read_text()
@@ -214,3 +218,91 @@ def test_nmlkit_limits_env_rejects_unknown_keys(monkeypatch):
 
     with pytest.raises(ValueError):
         get_limits()
+
+
+@pytest.mark.parametrize(
+    "command, name, text",
+    [
+        (["fmt", "check-sat"], "bad.fs", "p\nq |\n"),
+        (["fmt", "check-imp"], "bad.imp", "p: p\nc: q |\n"),
+        (["dl", "solve"], "bad.dt", "w: p\nd: q | ; p ; p\n"),
+        (["ael", "solve"], "bad.ae", "L p\nq |\n"),
+    ],
+)
+def test_parse_error_names_its_line(tmp_path, capsys, command, name, text):
+    f = tmp_path / name
+    f.write_text(text)
+    assert main(command + [str(f)]) == 2
+    assert capsys.readouterr().err.rstrip().endswith("(line 2)")
+
+
+@pytest.fixture
+def fresh_recursion_limit():
+    """The recursion limit of a fresh interpreter (eval_mso raises it for
+    the whole process)."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(saved)
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (["struct", "build", "--kind", "prop"], " & ".join(f"x{i}" for i in range(10_000))),
+        (["mso", "eval", "--kind", "prop", "--name", "sat"], " & ".join(f"x{i}" for i in range(10_000))),
+        (["fmt", "check-sat"], "!" * 5000 + "x"),
+    ],
+    ids=["wide-struct", "wide-mso", "deep-fmt"],
+)
+def test_deep_or_wide_input_is_a_resource_limit(tmp_path, capsys, fresh_recursion_limit, command, text):
+    f = tmp_path / "big.fs"
+    f.write_text(text + "\n")
+    code, payload = run_json(capsys, command + [str(f), "--json"])
+    assert code == 3
+    assert any("recursion" in hit for hit in payload["limits_hit"])
+    assert main(command + [str(f)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("resource limit:") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("kind", ["xor3", "cnf_dnf"])
+def test_generated_imp_file_reads_back(tmp_path, capsys, kind):
+    f = tmp_path / "i.imp"
+    assert main(["gen", "imp-lower", "--kind", kind, "-n", "5", "-o", str(f)]) == 0
+    premises, conclusions = gen_imp_lower(kind, 5)
+    assert parse_implication(f.read_text()) == (premises, conclusions)
+    for oracle in ("brute", "twdp"):
+        code, payload = run_json(capsys, ["fmt", "check-imp", str(f), "--oracle", oracle, "--json"])
+        assert code == 0 and payload["implies"] == implies_bruteforce(premises, conclusions)
+
+
+def _leaf_parsers(parser, path=()):
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield path, parser
+    for group in groups:
+        for name, child in group.choices.items():
+            yield from _leaf_parsers(child, path + (name,))
+
+
+def _required_argv(parser):
+    argv = []
+    for action in parser._actions:
+        if action.option_strings and not action.required:
+            continue
+        value = str(action.choices[0] if action.choices else 1)
+        argv += action.option_strings[:1] + [value]
+    return argv
+
+
+def test_every_leaf_command_takes_json_and_resolves_to_a_handler():
+    leaves = list(_leaf_parsers(build_parser()))
+    assert len(leaves) == 16
+    handlers = set()
+    for path, leaf in leaves:
+        args = build_parser().parse_args([*path, *_required_argv(leaf), "--json"])
+        assert args.json is True, path
+        assert callable(args.handler) and args.handler is leaf.get_default("handler"), path
+        handlers.add(args.handler)
+    assert len(handlers) == len(leaves)

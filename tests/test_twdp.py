@@ -4,6 +4,7 @@ import time
 import pytest
 
 from nmlkit.errors import ResourceLimitError
+from nmlkit.families import chain
 from nmlkit.formula import (
     Believes,
     Var,
@@ -27,10 +28,6 @@ from nmlkit.twdp import (
     dp_sat,
     entailment_oracle,
 )
-
-
-def chain(m):
-    return [Var("x1")] + [limp(Var(f"x{i}"), Var(f"x{i+1}")) for i in range(1, m)]
 
 
 def test_dp_sat_contradiction():
