@@ -38,12 +38,6 @@ class FullSetCandidate:
 
     entries: tuple[tuple[Believes, bool], ...]
 
-    def polarity(self, atom: Believes) -> bool:
-        for bel, positive in self.entries:
-            if bel == atom:
-                return positive
-        raise KeyError(format_formula(atom))
-
     def literals(self) -> list[Formula]:
         return [bel if positive else lnot(bel) for bel, positive in self.entries]
 

@@ -97,11 +97,12 @@ def _write_or_print(text: str, out: Optional[str | Path], as_json: bool) -> None
 
 def _write_graph(g: Graph, args) -> None:
     """The .gr text to ``-o`` or stdout; with ``--labels`` also the .labels
-    text, next to ``-o`` or to stdout."""
+    text next to ``-o`` (both on stdout could not be read back apart)."""
+    if args.labels and not args.output:
+        raise ValueError("--labels needs -o: the .labels file is written next to it")
     _write_or_print(emit_gr(g), args.output, args.json)
     if args.labels:
-        labels_out = Path(args.output).with_suffix(".labels") if args.output else None
-        _write_or_print(emit_labels(g), labels_out, args.json)
+        _write_or_print(emit_labels(g), Path(args.output).with_suffix(".labels"), args.json)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +189,7 @@ def _cmd_struct(args, report: _Report) -> list[str]:
     g = gaifman_graph(_build_structure(args.kind, _read(args.file, report)))
     _write_graph(g, args)
     lines = [f"universe: {g.n} elements, {len(g.edges)} gaifman edges"]
-    if args.labels and args.output:
+    if args.labels:
         lines.append(f"labels written next to {args.output}")
     report.result = {"n_vertices": g.n, "n_edges": len(g.edges)}
     return lines

@@ -50,10 +50,10 @@ from .mso import (
     RelAtom,
     SetAtom,
     TOP,
-    Truth,
     Xor,
     conj,
     disj,
+    rename_set,
 )
 from .structures import CONN_BELIEF, conn_rel, const_rel
 
@@ -90,8 +90,8 @@ def _some_parent(basis: Basis, x: str, y: str, include_belief: bool = False) -> 
     return disj(atoms)
 
 
-def _unique_child(op: str, i: int, x: str) -> MsoFormula:
-    rel = conn_rel(op, i)
+def _unique_child(rel: str, x: str) -> MsoFormula:
+    """x has exactly one ``rel``-child."""
     return ExistsFO(
         "y",
         And(
@@ -103,11 +103,16 @@ def _unique_child(op: str, i: int, x: str) -> MsoFormula:
     )
 
 
+def _negates_belief(x: str) -> MsoFormula:
+    """x is the materialized negation of a belief atom."""
+    return ExistsFO("w", And((RelAtom("L", ("w",)), RelAtom(conn_rel("not", 1), ("w", x)))))
+
+
 def _well_formed_node(basis: Basis, x: str) -> MsoFormula:
     """x is a constant XOR x carries exactly one child per argument slot of
     exactly one connective shape."""
     shaped = disj(
-        conj(_unique_child(op, i, x) for i in range(1, arity + 1))
+        conj(_unique_child(conn_rel(op, i), x) for i in range(1, arity + 1))
         for op, arity in _proper(basis)
     )
     return Xor(_is_const(basis, x), shaped)
@@ -122,11 +127,15 @@ def structure_check(basis: Basis, flavor: str = "prop") -> MsoFormula:
     belief atoms and materialized belief negations as atoms.  Identical in
     both build variants.
     """
-    if flavor in ("prop", "imp"):
+    if flavor in ("prop", "imp", "dl"):
+        rule_guard = []
+        if flavor == "dl":
+            basis = basis.with_negation()
+            rule_guard = [Not(RelAtom("default", ("x",)))]
         first = ForallFO(
             "x",
             Imp(
-                Not(RelAtom("repr", ("x",))),
+                conj([Not(RelAtom("repr", ("x",)))] + rule_guard),
                 ExistsFO(
                     "y",
                     And((Not(RelAtom("var", ("y",))), _some_parent(basis, "x", "y"))),
@@ -135,39 +144,15 @@ def structure_check(basis: Basis, flavor: str = "prop") -> MsoFormula:
         )
         second = ForallFO(
             "x",
-            Imp(Not(RelAtom("var", ("x",))), _well_formed_node(basis, "x")),
-        )
-        return And((first, second))
-    if flavor == "dl":
-        basis = basis.with_negation()
-        not_default = Not(RelAtom("default", ("x",)))
-        first = ForallFO(
-            "x",
-            Imp(
-                conj([Not(RelAtom("repr", ("x",))), not_default]),
-                ExistsFO(
-                    "y",
-                    And((Not(RelAtom("var", ("y",))), _some_parent(basis, "x", "y"))),
-                ),
-            ),
-        )
-        second = ForallFO(
-            "x",
-            Imp(
-                conj([Not(RelAtom("var", ("x",))), not_default]),
-                _well_formed_node(basis, "x"),
-            ),
+            Imp(conj([Not(RelAtom("var", ("x",)))] + rule_guard), _well_formed_node(basis, "x")),
         )
         return And((first, second))
     if flavor == "ae":
         basis = basis.with_negation()
-        is_neg_of_belief = ExistsFO(
-            "w", And((RelAtom("L", ("w",)), RelAtom(conn_rel("not", 1), ("w", "x"))))
-        )
         first = ForallFO(
             "x",
             Imp(
-                conj([Not(RelAtom("repr", ("x",))), Not(is_neg_of_belief)]),
+                conj([Not(RelAtom("repr", ("x",))), Not(_negates_belief("x"))]),
                 ExistsFO("y", _some_parent(basis, "x", "y", include_belief=True)),
             ),
         )
@@ -192,18 +177,7 @@ def structure_check(basis: Basis, flavor: str = "prop") -> MsoFormula:
                     [
                         Not(_is_const(basis, "x")),
                         Not(has_children),
-                        ExistsFO(
-                            "y",
-                            And(
-                                (
-                                    RelAtom(CONN_BELIEF, ("y", "x")),
-                                    ForallFO(
-                                        "z",
-                                        Imp(RelAtom(CONN_BELIEF, ("z", "x")), Eq("z", "y")),
-                                    ),
-                                )
-                            ),
-                        ),
+                        _unique_child(CONN_BELIEF, "x"),
                     ]
                 ),
             ),
@@ -284,43 +258,44 @@ def implication(basis: Basis, variant: str = "corrected") -> MsoFormula:
 
 
 # ---------------------------------------------------------------------------
-# Default logic
+# Entailment, shared by default and autoepistemic logic
 # ---------------------------------------------------------------------------
 
 
-def _chi(cset: str, mset: str, x: str) -> MsoFormula:
-    """Premise sweep: element x, if in the knowledge base or in the
-    conclusion set, is true under the assignment."""
-    return Imp(Or((RelAtom("kb", (x,)), SetAtom(cset, x))), SetAtom(mset, x))
+def _chi(premise_rel: str, cset: str, x: str) -> MsoFormula:
+    """Premise sweep: element x, if a premise (``premise_rel``) or in the
+    candidate set, is true under the assignment M."""
+    return Imp(Or((RelAtom(premise_rel, (x,)), SetAtom(cset, x))), SetAtom("M", x))
 
 
-def _dl_entails(basis: Basis, cset: str, target: str) -> MsoFormula:
-    """Corrected: every consistent assignment satisfying kb and the
-    conclusion set satisfies the target element."""
+def _entails(basis: Basis, premise_rel: str, cset: str, target: str, x: str) -> MsoFormula:
+    """Corrected: every consistent assignment satisfying the premises and
+    the candidate set satisfies the target element.  The premises are ``kb``
+    for default logic and ``repr`` (the theory) for autoepistemic logic."""
     return ForallSO(
         "M",
         Imp(
-            And(
-                (
-                    assignment_constraint(basis),
-                    ForallFO("x", _chi(cset, "M", "x")),
-                )
-            ),
+            And((assignment_constraint(basis), ForallFO(x, _chi(premise_rel, cset, x)))),
             SetAtom("M", target),
         ),
     )
 
 
-def _dl_entails_printed(basis: Basis, cset: str, target: str) -> MsoFormula:
+def _entails_printed(basis: Basis, premise_rel: str, cset: str, target: str) -> MsoFormula:
     # Verbatim defect: the premise sweep sits inside the per-element
     # implication, so a single out-of-premise element trivializes the test.
     return ForallSO(
         "M",
         Imp(
             assignment_constraint(basis),
-            ForallFO("x", Imp(_chi(cset, "M", "x"), SetAtom("M", target))),
+            ForallFO("x", Imp(_chi(premise_rel, cset, "x"), SetAtom("M", target))),
         ),
     )
+
+
+# ---------------------------------------------------------------------------
+# Default logic
+# ---------------------------------------------------------------------------
 
 
 def _is_negation(basis: Basis, struc: MsoFormula, a: str, b: str) -> MsoFormula:
@@ -381,7 +356,7 @@ def extension_existence(basis: Basis, variant: str = "corrected") -> MsoFormula:
                         "x",
                         conj(
                             [
-                                _chi("C", "M", "x"),
+                                _chi("kb", "C", "x"),
                                 SetAtom("M", "bb"),
                                 _is_negation(basis_n, struc, "be", "bb"),
                             ]
@@ -401,7 +376,7 @@ def extension_existence(basis: Basis, variant: str = "corrected") -> MsoFormula:
                             RelAtom("prem", ("al", "d")),
                             RelAtom("just", ("be", "d")),
                             _conclusion_set_def("C", "G"),
-                            _dl_entails_printed(basis_n, "C", "al"),
+                            _entails_printed(basis_n, "kb", "C", "al"),
                             Not(entails_neg),
                         ]
                     ),
@@ -413,7 +388,7 @@ def extension_existence(basis: Basis, variant: str = "corrected") -> MsoFormula:
         )
 
         def stable_for(gset: str) -> MsoFormula:
-            return _rename_set(stable, "G", gset)
+            return rename_set(stable, "G", gset)
 
         gd = And(
             (
@@ -428,7 +403,7 @@ def extension_existence(basis: Basis, variant: str = "corrected") -> MsoFormula:
         And(
             (
                 _is_negation(basis_n, struc, "be", "bb"),
-                _dl_entails(basis_n, "C", "bb"),
+                _entails(basis_n, "kb", "C", "bb", "x"),
             )
         ),
     )
@@ -447,8 +422,8 @@ def extension_existence(basis: Basis, variant: str = "corrected") -> MsoFormula:
                             RelAtom("prem", ("al", "d")),
                             RelAtom("just", ("be", "d")),
                             _conclusion_set_def("C", gset),
-                            _dl_entails(basis_n, "C", "al"),
-                            Not(_rename_set(entails_neg, "C", blocked_cset)),
+                            _entails(basis_n, "kb", "C", "al", "x"),
+                            Not(rename_set(entails_neg, "C", blocked_cset)),
                         ]
                     ),
                 ),
@@ -462,7 +437,7 @@ def extension_existence(basis: Basis, variant: str = "corrected") -> MsoFormula:
     # Applicability with prerequisites from G1 but blocking w.r.t. G's
     # conclusions: used to state that no proper subset is application-closed.
     blocked_outer = ExistsSO(
-        "C0", And((_conclusion_set_def("C0", "G"), _rename_set(entails_neg, "C", "C0")))
+        "C0", And((_conclusion_set_def("C0", "G"), rename_set(entails_neg, "C", "C0")))
     )
     app_from_subset = ExistsFO(
         "al",
@@ -477,7 +452,7 @@ def extension_existence(basis: Basis, variant: str = "corrected") -> MsoFormula:
                         And(
                             (
                                 _conclusion_set_def("C1", "G1"),
-                                _dl_entails(basis_n, "C1", "al"),
+                                _entails(basis_n, "kb", "C1", "al", "x"),
                             )
                         ),
                     ),
@@ -513,83 +488,13 @@ def _extension_without_groundedness(basis: Basis) -> MsoFormula:
     struc, exists_g = corrected.parts
     full_body = exists_g.body
     guard, stable, _grounded = full_body.parts
-    stable_g1 = _rename_set(_rename_set(stable, "G1", "G1_tmp"), "G", "G1")
-    minimal = ForallSO("G1", Imp(_subsetneq("G1", "G"), Not(stable_g1)))
+    minimal = ForallSO("G1", Imp(_subsetneq("G1", "G"), Not(rename_set(stable, "G", "G1"))))
     return And((struc, ExistsSO("G", conj([guard, stable, minimal]))))
-
-
-def _rename_set(phi: MsoFormula, old: str, new: str) -> MsoFormula:
-    """Capture-avoiding rename of a free set variable (binders for ``old``
-    shadow it and are left alone; ``new`` must not be bound inside)."""
-    if old == new:
-        return phi
-    if isinstance(phi, SetAtom):
-        return SetAtom(new, phi.var) if phi.svar == old else phi
-    if isinstance(phi, (RelAtom, Eq, Truth)):
-        return phi
-    if isinstance(phi, Not):
-        return Not(_rename_set(phi.body, old, new))
-    if isinstance(phi, And):
-        return And(tuple(_rename_set(p, old, new) for p in phi.parts))
-    if isinstance(phi, Or):
-        return Or(tuple(_rename_set(p, old, new) for p in phi.parts))
-    if isinstance(phi, (Imp, Iff, Xor)):
-        return type(phi)(_rename_set(phi.left, old, new), _rename_set(phi.right, old, new))
-    if isinstance(phi, (ExistsFO, ForallFO)):
-        return type(phi)(phi.var, _rename_set(phi.body, old, new))
-    if isinstance(phi, (ExistsSO, ForallSO)):
-        if phi.svar == old:
-            return phi
-        if phi.svar == new:
-            raise ValueError(f"rename would capture {new!r}")
-        return type(phi)(phi.svar, _rename_set(phi.body, old, new))
-    raise TypeError(f"unknown node {phi!r}")
 
 
 # ---------------------------------------------------------------------------
 # Autoepistemic logic
 # ---------------------------------------------------------------------------
-
-
-def _ae_entails(basis: Basis, lset: str, target: str) -> MsoFormula:
-    """Corrected: the theory plus the chosen belief literals entail target."""
-    return ForallSO(
-        "M",
-        Imp(
-            And(
-                (
-                    assignment_constraint(basis),
-                    ForallFO(
-                        "z",
-                        Imp(
-                            Or((RelAtom("repr", ("z",)), SetAtom(lset, "z"))),
-                            SetAtom("M", "z"),
-                        ),
-                    ),
-                )
-            ),
-            SetAtom("M", target),
-        ),
-    )
-
-
-def _ae_entails_printed(basis: Basis, lset: str, target: str) -> MsoFormula:
-    return ForallSO(
-        "M",
-        Imp(
-            assignment_constraint(basis),
-            ForallFO(
-                "x",
-                Imp(
-                    Imp(
-                        Or((RelAtom("repr", ("x",)), SetAtom(lset, "x"))),
-                        SetAtom("M", "x"),
-                    ),
-                    SetAtom("M", target),
-                ),
-            ),
-        ),
-    )
 
 
 def _polarity_exclusion(lset: str) -> MsoFormula:
@@ -624,25 +529,14 @@ def expansion_existence(basis: Basis, variant: str = "corrected") -> MsoFormula:
             "x",
             Imp(
                 RelAtom("L", ("x",)),
-                Iff(SetAtom("Lam", "x"), _ae_entails_printed(basis_n, "Lam", "x")),
+                Iff(SetAtom("Lam", "x"), _entails_printed(basis_n, "repr", "Lam", "x")),
             ),
         )
         return And(
             (struc, ExistsSO("Lam", And((_polarity_exclusion("Lam"), fulltest))))
         )
 
-    literal_guard = _sort_guard(
-        "Lam",
-        lambda z: Or(
-            (
-                RelAtom("L", (z,)),
-                ExistsFO(
-                    "w",
-                    And((RelAtom("L", ("w",)), RelAtom(conn_rel("not", 1), ("w", z)))),
-                ),
-            )
-        ),
-    )
+    literal_guard = _sort_guard("Lam", lambda z: Or((RelAtom("L", (z,)), _negates_belief(z))))
     fulltest = ForallFO(
         "x",
         Imp(
@@ -651,7 +545,7 @@ def expansion_existence(basis: Basis, variant: str = "corrected") -> MsoFormula:
                 "p",
                 Imp(
                     RelAtom(CONN_BELIEF, ("p", "x")),
-                    Iff(SetAtom("Lam", "x"), _ae_entails(basis_n, "Lam", "p")),
+                    Iff(SetAtom("Lam", "x"), _entails(basis_n, "repr", "Lam", "p", "z")),
                 ),
             ),
         ),
@@ -663,6 +557,14 @@ def expansion_existence(basis: Basis, variant: str = "corrected") -> MsoFormula:
 # ---------------------------------------------------------------------------
 # Dispatcher
 # ---------------------------------------------------------------------------
+
+
+_SENTENCES = {
+    "sat": satisfiability,
+    "imp": implication,
+    "extension": extension_existence,
+    "full_exists": expansion_existence,
+}
 
 
 def mso_encoding(
@@ -682,12 +584,6 @@ def mso_encoding(
         return structure_check(basis, flavor)
     if name == "assign":
         return assignment_constraint(basis)
-    if name == "sat":
-        return satisfiability(basis, variant)
-    if name == "imp":
-        return implication(basis, variant)
-    if name == "extension":
-        return extension_existence(basis, variant)
-    if name == "full_exists":
-        return expansion_existence(basis, variant)
-    raise ValueError(f"unknown encoding {name!r}; expected one of {ENCODING_NAMES}")
+    if name not in _SENTENCES:
+        raise ValueError(f"unknown encoding {name!r}; expected one of {ENCODING_NAMES}")
+    return _SENTENCES[name](basis, variant)

@@ -10,13 +10,19 @@ Two evaluators share the same semantics:
 * ``eval_mso_bruteforce`` enumerates everything.  It is the independent
   oracle the production evaluator is swept against in the tests.
 
+The syntax walkers (free variables, renaming, miniscoping, printing, the
+reference's cost estimate) share one part/binder view of the node classes:
+``subformulas``, ``with_subformulas``, ``binder`` and ``atom_vars``.  The two
+evaluators keep their own dispatch on the node class: the production one
+because it is the hot path, the reference so that the cross-check stays
+independent.
+
 First-order variables are lowercase identifiers bound to universe elements;
 set variables are uppercase identifiers bound to subsets.
 """
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
@@ -139,6 +145,59 @@ def disj(parts: Iterable[MsoFormula]) -> MsoFormula:
 
 
 # ---------------------------------------------------------------------------
+# Syntax view shared by the walkers below (the evaluators keep their own)
+# ---------------------------------------------------------------------------
+
+_BINARY = (Imp, Iff, Xor)
+_FO_QUANTIFIERS = (ExistsFO, ForallFO)
+_SO_QUANTIFIERS = (ExistsSO, ForallSO)
+_ATOMS = (RelAtom, Eq, SetAtom, Truth)
+
+
+def subformulas(phi: MsoFormula) -> tuple[MsoFormula, ...]:
+    """The immediate subformulas of ``phi`` (none for an atom)."""
+    if isinstance(phi, (And, Or)):
+        return phi.parts
+    if isinstance(phi, _BINARY):
+        return (phi.left, phi.right)
+    if isinstance(phi, _ATOMS):
+        return ()
+    return (phi.body,)
+
+
+def with_subformulas(phi: MsoFormula, subs: Iterable[MsoFormula]) -> MsoFormula:
+    """``phi`` rebuilt around new immediate subformulas, keeping its binder;
+    an atom is returned as it is."""
+    if isinstance(phi, (And, Or)):
+        return type(phi)(tuple(subs))
+    if isinstance(phi, (Not,) + _BINARY):
+        return type(phi)(*subs)
+    if isinstance(phi, _ATOMS):
+        return phi
+    return type(phi)(binder(phi), *subs)
+
+
+def binder(phi: MsoFormula) -> Optional[str]:
+    """The variable a quantifier binds; None for any other node."""
+    if isinstance(phi, _FO_QUANTIFIERS):
+        return phi.var
+    if isinstance(phi, _SO_QUANTIFIERS):
+        return phi.svar
+    return None
+
+
+def atom_vars(phi: MsoFormula) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(first-order, set) variables of an atom; empty for any other node."""
+    if isinstance(phi, RelAtom):
+        return phi.args, ()
+    if isinstance(phi, Eq):
+        return (phi.left, phi.right), ()
+    if isinstance(phi, SetAtom):
+        return (phi.var,), (phi.svar,)
+    return (), ()
+
+
+# ---------------------------------------------------------------------------
 # Free variables
 # ---------------------------------------------------------------------------
 
@@ -150,34 +209,15 @@ def free_vars(phi: MsoFormula) -> tuple[frozenset[str], frozenset[str]]:
     cached = _FREE_CACHE.get(id(phi))
     if cached is not None and cached[2] is phi:
         return cached[0], cached[1]
-    if isinstance(phi, RelAtom):
-        fo, so = frozenset(phi.args), frozenset()
-    elif isinstance(phi, Eq):
-        fo, so = frozenset((phi.left, phi.right)), frozenset()
-    elif isinstance(phi, SetAtom):
-        fo, so = frozenset((phi.var,)), frozenset((phi.svar,))
-    elif isinstance(phi, Truth):
-        fo, so = frozenset(), frozenset()
-    elif isinstance(phi, Not):
-        fo, so = free_vars(phi.body)
-    elif isinstance(phi, (And, Or)):
-        fo, so = frozenset(), frozenset()
-        for p in phi.parts:
-            f2, s2 = free_vars(p)
-            fo |= f2
-            so |= s2
-    elif isinstance(phi, (Imp, Iff, Xor)):
-        f1, s1 = free_vars(phi.left)
-        f2, s2 = free_vars(phi.right)
-        fo, so = f1 | f2, s1 | s2
-    elif isinstance(phi, (ExistsFO, ForallFO)):
-        fo, so = free_vars(phi.body)
-        fo = fo - {phi.var}
-    elif isinstance(phi, (ExistsSO, ForallSO)):
-        fo, so = free_vars(phi.body)
-        so = so - {phi.svar}
-    else:  # pragma: no cover
-        raise TypeError(f"unknown node {phi!r}")
+    fo, so = map(frozenset, atom_vars(phi))
+    for p in subformulas(phi):
+        f2, s2 = free_vars(p)
+        fo |= f2
+        so |= s2
+    if isinstance(phi, _FO_QUANTIFIERS):
+        fo -= {phi.var}
+    elif isinstance(phi, _SO_QUANTIFIERS):
+        so -= {phi.svar}
     _FREE_CACHE[id(phi)] = (fo, so, phi)
     return fo, so
 
@@ -186,36 +226,26 @@ def free_vars(phi: MsoFormula) -> tuple[frozenset[str], frozenset[str]]:
 # Serialization (goldens and debugging)
 # ---------------------------------------------------------------------------
 
+_INFIX = {And: " & ", Or: " | ", Imp: " -> ", Iff: " <-> ", Xor: " ^ "}
+_QUANTIFIER = {ExistsFO: "E", ForallFO: "A", ExistsSO: "E", ForallSO: "A"}
+
 
 def to_text(phi: MsoFormula) -> str:
-    if isinstance(phi, RelAtom):
+    cls = type(phi)
+    if cls in _INFIX:
+        return "(" + _INFIX[cls].join(to_text(p) for p in subformulas(phi)) + ")"
+    if cls in _QUANTIFIER:
+        return f"({_QUANTIFIER[cls]} {binder(phi)}. {to_text(phi.body)})"
+    if cls is RelAtom:
         return f"{phi.rel}({', '.join(phi.args)})"
-    if isinstance(phi, Eq):
+    if cls is Eq:
         return f"{phi.left} = {phi.right}"
-    if isinstance(phi, SetAtom):
+    if cls is SetAtom:
         return f"{phi.var} in {phi.svar}"
-    if isinstance(phi, Truth):
+    if cls is Truth:
         return "T" if phi.value else "F"
-    if isinstance(phi, Not):
+    if cls is Not:
         return f"~{_paren(phi.body)}"
-    if isinstance(phi, And):
-        return "(" + " & ".join(to_text(p) for p in phi.parts) + ")"
-    if isinstance(phi, Or):
-        return "(" + " | ".join(to_text(p) for p in phi.parts) + ")"
-    if isinstance(phi, Imp):
-        return f"({to_text(phi.left)} -> {to_text(phi.right)})"
-    if isinstance(phi, Iff):
-        return f"({to_text(phi.left)} <-> {to_text(phi.right)})"
-    if isinstance(phi, Xor):
-        return f"({to_text(phi.left)} ^ {to_text(phi.right)})"
-    if isinstance(phi, ExistsFO):
-        return f"(E {phi.var}. {to_text(phi.body)})"
-    if isinstance(phi, ForallFO):
-        return f"(A {phi.var}. {to_text(phi.body)})"
-    if isinstance(phi, ExistsSO):
-        return f"(E {phi.svar}. {to_text(phi.body)})"
-    if isinstance(phi, ForallSO):
-        return f"(A {phi.svar}. {to_text(phi.body)})"
     raise TypeError(f"unknown node {phi!r}")
 
 
@@ -234,23 +264,11 @@ _MINISCOPE_CACHE: dict[MsoFormula, MsoFormula] = {}
 
 
 def _collect_names(phi: MsoFormula, out: set[str]) -> None:
-    if isinstance(phi, RelAtom):
-        out.update(phi.args)
-    elif isinstance(phi, Eq):
-        out.update((phi.left, phi.right))
-    elif isinstance(phi, SetAtom):
-        out.update((phi.svar, phi.var))
-    elif isinstance(phi, Not):
-        _collect_names(phi.body, out)
-    elif isinstance(phi, (And, Or)):
-        for p in phi.parts:
-            _collect_names(p, out)
-    elif isinstance(phi, (Imp, Iff, Xor)):
-        _collect_names(phi.left, out)
-        _collect_names(phi.right, out)
-    elif isinstance(phi, (ExistsFO, ForallFO, ExistsSO, ForallSO)):
-        out.add(phi.var if isinstance(phi, (ExistsFO, ForallFO)) else phi.svar)
-        _collect_names(phi.body, out)
+    out.update(*atom_vars(phi))
+    if (v := binder(phi)) is not None:
+        out.add(v)
+    for p in subformulas(phi):
+        _collect_names(p, out)
 
 
 def _standardize(phi: MsoFormula) -> MsoFormula:
@@ -278,25 +296,30 @@ def _standardize(phi: MsoFormula) -> MsoFormula:
             return Eq(fo.get(node.left, node.left), fo.get(node.right, node.right))
         if isinstance(node, SetAtom):
             return SetAtom(so.get(node.svar, node.svar), fo.get(node.var, node.var))
-        if isinstance(node, Truth):
-            return node
-        if isinstance(node, Not):
-            return Not(walk(node.body, fo, so))
-        if isinstance(node, And):
-            return And(tuple(walk(p, fo, so) for p in node.parts))
-        if isinstance(node, Or):
-            return Or(tuple(walk(p, fo, so) for p in node.parts))
-        if isinstance(node, (Imp, Iff, Xor)):
-            return type(node)(walk(node.left, fo, so), walk(node.right, fo, so))
-        if isinstance(node, (ExistsFO, ForallFO)):
+        if isinstance(node, _FO_QUANTIFIERS):
             new = fresh(node.var)
             return type(node)(new, walk(node.body, {**fo, node.var: new}, so))
-        if isinstance(node, (ExistsSO, ForallSO)):
+        if isinstance(node, _SO_QUANTIFIERS):
             new = fresh(node.svar)
             return type(node)(new, walk(node.body, fo, {**so, node.svar: new}))
-        raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+        return with_subformulas(node, [walk(p, fo, so) for p in subformulas(node)])
 
     return walk(phi, {}, {})
+
+
+def rename_set(phi: MsoFormula, old: str, new: str) -> MsoFormula:
+    """Capture-avoiding rename of a free set variable (binders for ``old``
+    shadow it and are left alone; ``new`` must not be bound inside)."""
+    if old == new:
+        return phi
+    if isinstance(phi, SetAtom):
+        return SetAtom(new, phi.var) if phi.svar == old else phi
+    if isinstance(phi, _SO_QUANTIFIERS):
+        if phi.svar == old:
+            return phi
+        if phi.svar == new:
+            raise ValueError(f"rename would capture {new!r}")
+    return with_subformulas(phi, [rename_set(p, old, new) for p in subformulas(phi)])
 
 
 def _miniscope(phi: MsoFormula) -> MsoFormula:
@@ -306,8 +329,8 @@ def _miniscope(phi: MsoFormula) -> MsoFormula:
     quantifier elimination, and hoisting a quantifier out of an implication
     side it does not occur in), so the result is logically equivalent.
     """
-    if isinstance(phi, Not):
-        return Not(_miniscope(phi.body))
+    if isinstance(phi, (Not,) + _BINARY):
+        return with_subformulas(phi, [_miniscope(p) for p in subformulas(phi)])
     if isinstance(phi, And):
         parts = []
         for p in phi.parts:
@@ -320,12 +343,6 @@ def _miniscope(phi: MsoFormula) -> MsoFormula:
             q = _miniscope(p)
             parts.extend(q.parts if isinstance(q, Or) else (q,))
         return disj(parts)
-    if isinstance(phi, Imp):
-        return Imp(_miniscope(phi.left), _miniscope(phi.right))
-    if isinstance(phi, Iff):
-        return Iff(_miniscope(phi.left), _miniscope(phi.right))
-    if isinstance(phi, Xor):
-        return Xor(_miniscope(phi.left), _miniscope(phi.right))
     if isinstance(phi, ExistsSO):
         body = _miniscope(phi.body)
         if phi.svar not in free_vars(body)[1]:
@@ -718,25 +735,28 @@ class _Evaluator:
         return result
 
     def _so_dfs(self, svar: str, body: MsoFormula, exists: bool) -> Optional[bool]:
-        v = self.eval(body)
-        if v is not None:
-            return v
-        wsvar, welem = self.watch
-        if wsvar != svar:
-            return None  # an enclosing quantifier's set is responsible
-        self.branch_counts[svar] = self.branch_counts.get(svar, 0) + 1
+        """Depth-first search over the memberships of ``svar`` that the body
+        asks for, False before True.  ``path`` lists the branched elements,
+        outermost first; the caller discards their assignments."""
         d = self.so[svar]
-        try:
-            for b in (False, True):
-                d[welem] = b
-                v = self._so_dfs(svar, body, exists)
-                if v is None:
-                    return None
-                if v is exists:
-                    return v
-        finally:
-            d.pop(welem, None)
-        return not exists
+        path: list[int] = []
+        while True:
+            v = self.eval(body)
+            if v is None:
+                wsvar, welem = self.watch
+                if wsvar != svar:
+                    return None  # an enclosing quantifier's set is responsible
+                self.branch_counts[svar] = self.branch_counts.get(svar, 0) + 1
+                path.append(welem)
+                d[welem] = False
+                continue
+            if v is exists:
+                return v
+            while path and d[path[-1]]:  # both values failed: back up
+                del d[path.pop()]
+            if not path:
+                return not exists
+            d[path[-1]] = True
 
 
 def _prepare_env(
@@ -780,8 +800,6 @@ def eval_mso(
     """
     fo, so = _prepare_env(structure, env)
     _check_bound(phi, fo, so)
-    if sys.getrecursionlimit() < 20000:
-        sys.setrecursionlimit(20000)  # membership branching can stack u frames per set variable
     ev = _Evaluator(structure, fo, so, get_limits(limits).mso_steps)
     result = ev.eval(_miniscoped(phi))
     assert result is not None, "evaluation of a closed formula cannot stay undetermined"
@@ -796,19 +814,15 @@ def eval_mso(
 def _estimate_cost(phi: MsoFormula, usize: int) -> int:
     """Worst-case enumeration count: usize per first-order quantifier,
     2^usize per set quantifier, multiplied along the nesting."""
-    if isinstance(phi, (RelAtom, Eq, SetAtom, Truth)):
+    subs = subformulas(phi)
+    if not subs:
         return 1
-    if isinstance(phi, Not):
-        return 1 + _estimate_cost(phi.body, usize)
-    if isinstance(phi, (And, Or)):
-        return 1 + sum(_estimate_cost(p, usize) for p in phi.parts)
-    if isinstance(phi, (Imp, Iff, Xor)):
-        return 1 + _estimate_cost(phi.left, usize) + _estimate_cost(phi.right, usize)
-    if isinstance(phi, (ExistsFO, ForallFO)):
-        return 1 + max(1, usize) * _estimate_cost(phi.body, usize)
-    if isinstance(phi, (ExistsSO, ForallSO)):
-        return 1 + (1 << usize) * _estimate_cost(phi.body, usize)
-    raise TypeError(f"unknown node {phi!r}")  # pragma: no cover
+    inner = sum(_estimate_cost(p, usize) for p in subs)
+    if isinstance(phi, _FO_QUANTIFIERS):
+        return 1 + max(1, usize) * inner
+    if isinstance(phi, _SO_QUANTIFIERS):
+        return 1 + (1 << usize) * inner
+    return 1 + inner
 
 
 def eval_mso_bruteforce(

@@ -306,11 +306,18 @@ class Graph:
         return range(1, self.n + 1)
 
     def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        return adjacency_sets(self.vertices, self.edges)
+
+
+def adjacency_sets(
+    vertices: Iterable[int], edges: Iterable[tuple[int, int]]
+) -> dict[int, set[int]]:
+    """Neighbor sets of ``vertices`` under the undirected ``edges``."""
+    adj: dict[int, set[int]] = {v: set() for v in vertices}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]], labels=None, descriptions=None) -> Graph:

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional
 
 from .errors import ParseError, ResourceLimitError
 from .limits import Limits, get_limits
-from .structures import Graph
+from .structures import Graph, adjacency_sets
 
 
 @dataclass(frozen=True)
@@ -25,11 +25,7 @@ class TreeDecomposition:
     edges: frozenset[tuple[int, int]]
 
     def neighbors(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {b: set() for b in self.bags}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        return adjacency_sets(self.bags, self.edges)
 
 
 @dataclass(frozen=True)
@@ -169,12 +165,14 @@ def _eliminate(adj: dict[int, set[int]], v: int) -> list[tuple[int, int]]:
     return added
 
 
-def _greedy_elimination(g: Graph, method: str) -> tuple[list[int], list[frozenset[int]]]:
-    """Greedy elimination ordering, ties broken by smallest vertex id, with
-    each vertex's closed neighborhood at the time it is eliminated."""
+def _greedy_elimination(
+    adj: dict[int, set[int]], method: str
+) -> tuple[list[int], list[frozenset[int]]]:
+    """Greedy elimination ordering of the graph ``adj`` (which it consumes),
+    ties broken by smallest vertex id, with each vertex's closed neighborhood
+    at the time it is eliminated."""
     if method not in ("min_degree", "min_fill"):
         raise ValueError(f"unknown method {method!r}")
-    adj = g.adjacency()
     keyf: Callable[[int], int]
     if method == "min_degree":
         keyf = lambda v: len(adj[v])  # noqa: E731
@@ -208,7 +206,7 @@ def _greedy_elimination(g: Graph, method: str) -> tuple[list[int], list[frozense
 
 def elimination_order(g: Graph, method: str) -> list[int]:
     """Greedy elimination ordering; ties broken by smallest vertex id."""
-    return _greedy_elimination(g, method)[0]
+    return _greedy_elimination(g.adjacency(), method)[0]
 
 
 def _tree_from_elimination(order: list[int], bags: list[frozenset[int]]) -> TreeDecomposition:
@@ -246,7 +244,7 @@ def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
 def heuristic_decomposition(g: Graph, method: str = "min_fill") -> TreeDecomposition:
     """``decomposition_from_order(g, elimination_order(g, method))``, built in
     the same elimination run that picks the order."""
-    return _tree_from_elimination(*_greedy_elimination(g, method))
+    return _tree_from_elimination(*_greedy_elimination(g.adjacency(), method))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +334,8 @@ def exact_treewidth(
         )
 
     if adj:
-        heur_order, heur_width = _greedy_order(adj)
+        heur_order, bags = _greedy_elimination({v: set(ns) for v, ns in adj.items()}, "min_fill")
+        heur_width = max(len(bag) for bag in bags) - 1
         prune_cap = (upper_hint + 1) if upper_hint is not None else (1 << 30)
         best_width, best_order = _branch_and_bound(adj, heur_width, heur_order, prune_cap)
         answer = max(forced, best_width)
@@ -346,18 +345,6 @@ def exact_treewidth(
         full_order = prefix
     td = decomposition_from_order(g, full_order)
     return answer, td
-
-
-def _greedy_order(adj: dict[int, set[int]]) -> tuple[list[int], int]:
-    work = {v: set(ns) for v, ns in adj.items()}
-    order = []
-    wid = 0
-    while work:
-        v = min(work, key=lambda u: (_fill_count(work, u), u))
-        wid = max(wid, len(work[v]))
-        _eliminate(work, v)
-        order.append(v)
-    return order, wid
 
 
 def _branch_and_bound(

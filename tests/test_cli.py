@@ -96,6 +96,25 @@ def test_gen_and_tw_pipeline(tmp_path, capsys):
     assert payload["tw_lower_bound"] == 4
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["struct", "build", "--kind", "prop", "FILE"],
+        ["gen", "pseudo-clique", "-n", "3", "-k", "1"],
+    ],
+    ids=["struct-build", "gen-pseudo-clique"],
+)
+def test_labels_without_output_is_a_usage_error(tmp_path, capsys, command):
+    # .gr and .labels back to back on stdout could not be parsed apart
+    fs = tmp_path / "a.fs"
+    fs.write_text("p & !q\n")
+    argv = [str(fs) if a == "FILE" else a for a in command] + ["--labels"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "-o" in captured.err and captured.out == ""
+    assert main(argv + ["--json"]) == 2
+
+
 def test_tw_verify_reports_violations(tmp_path, capsys):
     gr = tmp_path / "g.gr"
     gr.write_text("p tw 2 1\n1 2\n")
@@ -238,8 +257,8 @@ def test_parse_error_names_its_line(tmp_path, capsys, command, name, text):
 
 @pytest.fixture
 def fresh_recursion_limit():
-    """The recursion limit of a fresh interpreter (eval_mso raises it for
-    the whole process)."""
+    """The recursion limit of a fresh interpreter, so these inputs meet the
+    same limit whatever test or harness ran before."""
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     yield

@@ -1,4 +1,5 @@
 """Oracle-equivalence and regression tests for the MSO encodings."""
+import hashlib
 import random
 
 import pytest
@@ -215,3 +216,153 @@ def test_serialization_golden_small_basis():
         " <-> (y1 in M | y2 in M))))))) & (A x. (repr(x) -> x in M)))))"
     )
     assert text == expected
+
+
+# SHA-256 of to_text for every encoding tree, in both variants, every
+# structure-check flavor and the minimality variant of the extension sentence.
+# A change to a builder or to the MSO syntax helpers that alters a tree fails here.
+TREE_BASES = {
+    "full": Basis(),
+    "and-or-not": Basis({"and", "or", "not"}),
+    "xor3-true": Basis({"xor3", "true"}),
+    "imp-false": Basis({"imp", "false"}),
+}
+TREE_DIGESTS = {
+    ("sat/as_printed", "full"):
+        "77b7611e1cc85de79c88c43666a9c02e370c6d3115323a180f8a9504aeb810cb",
+    ("sat/corrected", "full"):
+        "77b7611e1cc85de79c88c43666a9c02e370c6d3115323a180f8a9504aeb810cb",
+    ("imp/as_printed", "full"):
+        "45d83b52266cf173d7ed999c5146167dc67bd24cc97af4f1218df0ac9258a1ac",
+    ("imp/corrected", "full"):
+        "45d83b52266cf173d7ed999c5146167dc67bd24cc97af4f1218df0ac9258a1ac",
+    ("extension/as_printed", "full"):
+        "5d71bf5044516107ae75c6877421b632e2465e24bda6af8dc6e27e4cc5e18acf",
+    ("extension/corrected", "full"):
+        "bc02e220ac9598e7ba09bce13e5c414d4b4ba09eb6381d007d83f23e41646661",
+    ("full_exists/as_printed", "full"):
+        "d360066230cf2d989d74d3f820007ac88996212e04cd4589e3796b68fbb572b5",
+    ("full_exists/corrected", "full"):
+        "ded46fa8264ab98ed882b000441af31707a753a1613a0e1e4b8ccece26c643e6",
+    ("assign/as_printed", "full"):
+        "ca7526b37894c4f3c63c0eafe58ad28d9bf62d88df37ba7dae5998e02fc879fd",
+    ("assign/corrected", "full"):
+        "ca7526b37894c4f3c63c0eafe58ad28d9bf62d88df37ba7dae5998e02fc879fd",
+    ("struc/prop", "full"):
+        "8d6ee170882e49bb7ecd93e6f647ce13a1288bd14a08a567ae3c57391062469c",
+    ("struc/imp", "full"):
+        "8d6ee170882e49bb7ecd93e6f647ce13a1288bd14a08a567ae3c57391062469c",
+    ("struc/dl", "full"):
+        "202e40c8835bcf12dbddd59358877c9e563ca8bfd0105dfdf60d36e5ca385198",
+    ("struc/ae", "full"):
+        "8f1dc4473434420fca8d04a75243cf9b661c4dc0f122c03deeb78f58b22d46b5",
+    ("without-groundedness", "full"):
+        "a62e157b7aa2cf686637b8b3e07d56ce926365c166b1a1c9ec3ada592163500a",
+    ("sat/as_printed", "and-or-not"):
+        "cbb82b900d666f9f5d5ea705c74aed8e014ff5e8fe0905d7968155d02d381454",
+    ("sat/corrected", "and-or-not"):
+        "cbb82b900d666f9f5d5ea705c74aed8e014ff5e8fe0905d7968155d02d381454",
+    ("imp/as_printed", "and-or-not"):
+        "9ea2956a09d317ed60a9873b432c7e50193e5de448b6cf58ac07a233a2104d10",
+    ("imp/corrected", "and-or-not"):
+        "9ea2956a09d317ed60a9873b432c7e50193e5de448b6cf58ac07a233a2104d10",
+    ("extension/as_printed", "and-or-not"):
+        "ff5bae9a4c331ca3d60c567313b38407e813940c3c7cce82a3633d8c53bf4511",
+    ("extension/corrected", "and-or-not"):
+        "650faed36847c44b4bf291c8367441738a86c4a67b8400bd4895bec36cabb369",
+    ("full_exists/as_printed", "and-or-not"):
+        "d5b497924cc2ece9fd2eca3b54d8eb7d04bfa4eaf3b280156c8572b8a850723c",
+    ("full_exists/corrected", "and-or-not"):
+        "abd32a9d5261594192e4f770d79fd609fe0ad9db4f344d251b986680c3a5c54b",
+    ("assign/as_printed", "and-or-not"):
+        "bf10d8d6c0f637bba59474622a9a52cca0008531c6116357ee292fca3e7fd956",
+    ("assign/corrected", "and-or-not"):
+        "bf10d8d6c0f637bba59474622a9a52cca0008531c6116357ee292fca3e7fd956",
+    ("struc/prop", "and-or-not"):
+        "811641248da4de127e7ea587370b5717a6502c2af74b7a218861acb1b7f59806",
+    ("struc/imp", "and-or-not"):
+        "811641248da4de127e7ea587370b5717a6502c2af74b7a218861acb1b7f59806",
+    ("struc/dl", "and-or-not"):
+        "2040389e163a11fe3f27bab43dd61daf4842f1b92191436d6d533b0b848d78a2",
+    ("struc/ae", "and-or-not"):
+        "5656fada15f8ca518a0e30fa3bce6ed82b4da4e541559074730826baa539f76a",
+    ("without-groundedness", "and-or-not"):
+        "2288a66fb65c5811da6cf5df12137eca1cc4c07effd63f74283a0124f07c0ba3",
+    ("sat/as_printed", "xor3-true"):
+        "da61047d14a61035b0bc77301d250eb684494cf00ba29c98fb3faef33e52b9b3",
+    ("sat/corrected", "xor3-true"):
+        "da61047d14a61035b0bc77301d250eb684494cf00ba29c98fb3faef33e52b9b3",
+    ("imp/as_printed", "xor3-true"):
+        "a053a14083304d273f9a664041ab37ef53b9476dd89161622e1a7ee2220a9125",
+    ("imp/corrected", "xor3-true"):
+        "a053a14083304d273f9a664041ab37ef53b9476dd89161622e1a7ee2220a9125",
+    ("extension/as_printed", "xor3-true"):
+        "2da6040ddc9d362953004d891a2d6804660eb90580cb6e126b40784413869524",
+    ("extension/corrected", "xor3-true"):
+        "400669035c0c3925c0f1c29468e90129b1f92c263302bf73b23407153de3215c",
+    ("full_exists/as_printed", "xor3-true"):
+        "8b8b670691d5ac9115a318640f254bf1426ae4a97e966ac55c1016de6c3a4ebe",
+    ("full_exists/corrected", "xor3-true"):
+        "2c9cc6c72aa672a634e10763bfa46cb7ff5dcf74031228eb535b503d564796da",
+    ("assign/as_printed", "xor3-true"):
+        "40e9e59b3f5586b412a141f890caf0377184dc0ffe0d29856a8859ccb4862b71",
+    ("assign/corrected", "xor3-true"):
+        "40e9e59b3f5586b412a141f890caf0377184dc0ffe0d29856a8859ccb4862b71",
+    ("struc/prop", "xor3-true"):
+        "51da55ca389a2343f38f3a2352be410892a1419416c46e1b7b87bf57fa9487cd",
+    ("struc/imp", "xor3-true"):
+        "51da55ca389a2343f38f3a2352be410892a1419416c46e1b7b87bf57fa9487cd",
+    ("struc/dl", "xor3-true"):
+        "8b5f892beeb854f9673c9c61880a7e5ef9de69d81cc2b63531dba1ad3e2a8f5f",
+    ("struc/ae", "xor3-true"):
+        "a05eca1ff748ca2cf560eb41ed44763d757cf787027076fc3abda0cf588bed4d",
+    ("without-groundedness", "xor3-true"):
+        "aefde7fec9c3539fe27989e41824d3fc4d422d0479d1dcbcbd08a286d83d20a4",
+    ("sat/as_printed", "imp-false"):
+        "a3ae14394f3a9dd4d067b8a195c5d49166da47eb67af5c048bd778fcd6b82520",
+    ("sat/corrected", "imp-false"):
+        "a3ae14394f3a9dd4d067b8a195c5d49166da47eb67af5c048bd778fcd6b82520",
+    ("imp/as_printed", "imp-false"):
+        "87abc64318c67201bc66fce94bf2ab638005118c1e7010b73e15b0a182c894c6",
+    ("imp/corrected", "imp-false"):
+        "87abc64318c67201bc66fce94bf2ab638005118c1e7010b73e15b0a182c894c6",
+    ("extension/as_printed", "imp-false"):
+        "4beed9ddc24ed6ec4f716434de77da1b3cffed26b6ac8b63237a4ef81e28cee9",
+    ("extension/corrected", "imp-false"):
+        "91d7ed5e461d35256b86b22bac65d78dc0c18a5cce147144e1ceb5dd9e95ad56",
+    ("full_exists/as_printed", "imp-false"):
+        "d16cfb54a4527c439ef25f939042c23027301a582f067f2f73f891a675df3033",
+    ("full_exists/corrected", "imp-false"):
+        "41dbe87d7f1f8b430d9f15b332cae0b1e38725dc2237eac885f124f465b35103",
+    ("assign/as_printed", "imp-false"):
+        "deb9e522e447400270a4c4d9915af15af33c4e7e7269f11fc516aae8f3b49bc9",
+    ("assign/corrected", "imp-false"):
+        "deb9e522e447400270a4c4d9915af15af33c4e7e7269f11fc516aae8f3b49bc9",
+    ("struc/prop", "imp-false"):
+        "5d19acd9c463341b490193950393f65df76fecca5815d37535deff5cc881fe3a",
+    ("struc/imp", "imp-false"):
+        "5d19acd9c463341b490193950393f65df76fecca5815d37535deff5cc881fe3a",
+    ("struc/dl", "imp-false"):
+        "4c166771838d315f17e0a721358f0fc65c1e24e0f4e7c49e4e1a7bb36470e701",
+    ("struc/ae", "imp-false"):
+        "d7c875a1292c63314e233bcb7f5bd6a31bb098736c5cfc21409ba8e36d6f252a",
+    ("without-groundedness", "imp-false"):
+        "217e9b0d797f8ea5367e4696ae187e96ca13d8e597ad55e50c5e63166b36884f",
+}
+
+
+def _build_tree(builder: str, basis: Basis):
+    name, _, arg = builder.partition("/")
+    if name == "struc":
+        return structure_check(basis, arg)
+    if name == "without-groundedness":
+        return _extension_without_groundedness(basis)
+    return mso_encoding(name, basis, arg)
+
+
+@pytest.mark.parametrize(
+    "builder, basis", sorted(TREE_DIGESTS), ids=[f"{e}-{b}" for e, b in sorted(TREE_DIGESTS)]
+)
+def test_encoding_tree_digest(builder, basis):
+    text = to_text(_build_tree(builder, TREE_BASES[basis]))
+    assert hashlib.sha256(text.encode()).hexdigest() == TREE_DIGESTS[builder, basis]

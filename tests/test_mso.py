@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -79,6 +80,27 @@ def test_shadowed_variables_evaluate_correctly():
         ),
     )
     assert eval_mso(s, phi) is eval_mso_bruteforce(s, phi) is True
+
+
+@pytest.mark.parametrize(
+    "phi, expected",
+    [
+        (ExistsSO("M", ForallFO("x", SetAtom("M", "x"))), True),
+        (ForallSO("M", ExistsFO("x", Not(SetAtom("M", "x")))), False),
+    ],
+    ids=["exists-full-set", "forall-some-nonmember"],
+)
+def test_deep_membership_branching_keeps_the_recursion_limit(phi, expected):
+    # The search branches on all 400 memberships in turn, one level each,
+    # deeper than the lowered limit would allow if every level took a frame.
+    s = tiny_structure(n=400, eds=())
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        assert eval_mso(s, phi) is expected
+        assert sys.getrecursionlimit() == 300
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def test_step_budget_exceeded_fo():
