@@ -421,8 +421,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         lines = args.handler(args, report)
     except (ResourceLimitError, RecursionError) as exc:
-        # the recursive formula and structure walkers meet Python's recursion
-        # limit on very deep or very wide input: a resource limit too
+        # the printer, the truth-table evaluator and the parser's descent
+        # through parentheses still recurse, and meet Python's recursion limit
+        # on very deep input (or a printed wide one): a resource limit too
         report.limits_hit.append(str(exc))
         if args.json:
             print(report.to_json())

@@ -151,13 +151,17 @@ def chain(m: int) -> list[Formula]:
 # Syntactic class linter
 # ---------------------------------------------------------------------------
 
-CLASS_NAMES = (
-    "dl_literals",
-    "dl_props_false",
-    "ael_disjunctions",
-    "imp_xor3",
-    "imp_cnf_dnf",
-)
+def _spine(f: Formula, op: str) -> list[Formula]:
+    """The operands of the ``op`` chain at the root of ``f``: ``f`` itself
+    when its root is not ``op``.  Walked with an explicit stack."""
+    operands, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, App) and g.op == op:
+            stack.extend(g.args)
+        else:
+            operands.append(g)
+    return operands
 
 
 def _is_literal(f: Formula) -> bool:
@@ -166,88 +170,73 @@ def _is_literal(f: Formula) -> bool:
     return isinstance(f, App) and f.op == "not" and isinstance(f.args[0], Var)
 
 
-def _is_prop_or_false(f: Formula) -> bool:
-    return isinstance(f, Var) or f == FALSE
+def _rule_parts(theory: DefaultTheory) -> list[Formula]:
+    return [p for r in theory.defaults for p in (r.prerequisite, r.justification, r.conclusion)]
 
 
-def _is_simple_disjunction(f: Formula) -> bool:
-    """Disjunction (possibly trivial) of propositions or L-prefixed
-    propositions."""
-    if isinstance(f, Var):
-        return True
-    if isinstance(f, Believes):
-        return isinstance(f.arg, Var)
-    if isinstance(f, App) and f.op == "or":
-        return all(_is_simple_disjunction(a) for a in f.args)
-    return False
-
-
-def _is_xor3_only(f: Formula) -> bool:
-    if isinstance(f, Var):
-        return True
-    if isinstance(f, App) and f.op == "xor3":
-        return all(_is_xor3_only(a) for a in f.args)
-    return False
-
-
-def _is_monotone_2clause(f: Formula) -> bool:
-    if isinstance(f, Var):
-        return True
+def _dl_literals(instance) -> bool:
     return (
-        isinstance(f, App)
-        and f.op == "or"
-        and all(isinstance(a, Var) for a in f.args)
+        isinstance(instance, DefaultTheory)
+        and not instance.knowledge
+        and all(_is_literal(p) or isinstance(p, Const) for p in _rule_parts(instance))
     )
 
 
-def _is_dnf(f: Formula) -> bool:
-    def conjunction_of_literals(g: Formula) -> bool:
-        if _is_literal(g):
-            return True
-        return (
-            isinstance(g, App)
-            and g.op == "and"
-            and all(conjunction_of_literals(a) for a in g.args)
-        )
+def _dl_props_false(instance) -> bool:
+    return (
+        isinstance(instance, DefaultTheory)
+        and len(instance.knowledge) <= 1
+        and all(isinstance(f, Var) for f in instance.knowledge)
+        and all(isinstance(p, Var) or p == FALSE for p in _rule_parts(instance))
+    )
 
-    if isinstance(f, App) and f.op == "or":
-        return all(_is_dnf(a) for a in f.args)
-    return conjunction_of_literals(f)
+
+def _ael_disjunctions(instance) -> bool:
+    """Disjunctions (possibly trivial) of propositions or L-prefixed
+    propositions."""
+    return isinstance(instance, AeTheory) and all(
+        isinstance(d, Var) or (isinstance(d, Believes) and isinstance(d.arg, Var))
+        for f in instance.formulas
+        for d in _spine(f, "or")
+    )
+
+
+def _imp_xor3(instance) -> bool:
+    premises, conclusions = instance
+    return all(
+        isinstance(d, Var) for f in [*premises, *conclusions] for d in _spine(f, "xor3")
+    )
+
+
+def _is_monotone_2clause(f: Formula) -> bool:
+    return isinstance(f, Var) or (
+        isinstance(f, App) and f.op == "or" and all(isinstance(a, Var) for a in f.args)
+    )
+
+
+def _imp_cnf_dnf(instance) -> bool:
+    """Monotone clauses of at most two variables against DNF conclusions."""
+    premises, conclusions = instance
+    return all(_is_monotone_2clause(f) for f in premises) and all(
+        _is_literal(c) for f in conclusions for d in _spine(f, "or") for c in _spine(d, "and")
+    )
+
+
+# class name -> membership test of an instance
+_CLASSES = {
+    "dl_literals": _dl_literals,
+    "dl_props_false": _dl_props_false,
+    "ael_disjunctions": _ael_disjunctions,
+    "imp_xor3": _imp_xor3,
+    "imp_cnf_dnf": _imp_cnf_dnf,
+}
+CLASS_NAMES = tuple(_CLASSES)
 
 
 def check_class(instance, class_name: str) -> bool:
     """Syntactic membership of an instance in one of the restricted classes
     the lower-bound families are drawn from."""
-    if class_name == "dl_literals":
-        if not isinstance(instance, DefaultTheory):
-            return False
-        return not instance.knowledge and all(
-            _is_literal(p) or p == FALSE or p == Const(True)
-            for r in instance.defaults
-            for p in (r.prerequisite, r.justification, r.conclusion)
-        )
-    if class_name == "dl_props_false":
-        if not isinstance(instance, DefaultTheory):
-            return False
-        if len(instance.knowledge) > 1 or any(
-            not isinstance(f, Var) for f in instance.knowledge
-        ):
-            return False
-        return all(
-            _is_prop_or_false(p)
-            for r in instance.defaults
-            for p in (r.prerequisite, r.justification, r.conclusion)
-        )
-    if class_name == "ael_disjunctions":
-        if not isinstance(instance, AeTheory):
-            return False
-        return all(_is_simple_disjunction(f) for f in instance.formulas)
-    if class_name == "imp_xor3":
-        premises, conclusions = instance
-        return all(_is_xor3_only(f) for f in list(premises) + list(conclusions))
-    if class_name == "imp_cnf_dnf":
-        premises, conclusions = instance
-        return all(_is_monotone_2clause(f) for f in premises) and all(
-            _is_dnf(f) for f in conclusions
-        )
-    raise ValueError(f"unknown class {class_name!r}; expected one of {CLASS_NAMES}")
+    test = _CLASSES.get(class_name)
+    if test is None:
+        raise ValueError(f"unknown class {class_name!r}; expected one of {CLASS_NAMES}")
+    return test(instance)

@@ -5,6 +5,17 @@ Belief prefixes (``L``) are first-class nodes that behave as opaque atoms for
 evaluation and entailment.  The module also provides the exhaustive
 truth-table oracles that everything else in the toolkit is cross-checked
 against.
+
+Every pass over the subterm set goes through one explicit-stack walk,
+``number_subterms``: subformulas, atoms, the propositional and basis checks,
+the DP's constraint graph and the structure builders' element ids.  The
+parser reads binary connectives in one precedence loop and prefix runs in
+another.  Three parts still recurse, one frame per level of the formula:
+``evaluate``, the truth-table reference, because a fold over the walk made
+``sat_bruteforce`` 25-120 % slower; ``_fmt``, the printer, because the
+structure builders print every element, so an iterative printer would turn a
+too-wide input from a quick resource-limit exit into minutes of printing; and
+the parser's descent through parentheses, at three frames per level.
 """
 from __future__ import annotations
 
@@ -248,22 +259,52 @@ def evaluate(f: Formula, assignment: Mapping[AtomKey, bool]) -> bool:
     return _OP_FUNCS[f.op](*(evaluate(a, assignment) for a in f.args))
 
 
+def number_subterms(
+    roots: Iterable[Formula],
+    *,
+    beliefs: bool = True,
+    ids: Optional[dict[Formula, int]] = None,
+) -> dict[Formula, int]:
+    """The subterm walk.  Numbers every distinct subterm of ``roots`` once,
+    children before parents, in order of first occurrence, counting on from
+    ``len(ids)``; returns ``ids`` (a new dict when None) with the new subterms
+    added.  A subterm already in ``ids`` is not entered, so ``ids`` must hold
+    the subterms of what it holds.  With ``beliefs=False`` an ``L`` node is a
+    leaf: the walk does not descend into its argument."""
+    seen: dict[Formula, int] = {} if ids is None else ids
+    for root in roots:
+        stack: list[tuple[Formula, bool]] = [(root, False)]
+        while stack:
+            f, expanded = stack.pop()
+            if not expanded:
+                if f in seen:
+                    continue
+                if f.__class__ is App:
+                    kids = f.args
+                elif f.__class__ is Believes and beliefs:
+                    kids = (f.arg,)
+                else:
+                    kids = ()
+                if kids:
+                    stack.append((f, True))
+                    stack.extend([(a, False) for a in reversed(kids)])
+                    continue
+            seen[f] = len(seen) + 1
+    return seen
+
+
+def _atom_keys(subterms: Iterable[Formula]) -> list[AtomKey]:
+    return [
+        s.name if isinstance(s, Var) else s
+        for s in subterms
+        if isinstance(s, (Var, Believes))
+    ]
+
+
 def atoms(f: Formula) -> list[AtomKey]:
     """Atoms of ``f`` in first-occurrence order: variable names and maximal
     belief subformulas (the walk does not descend through ``L``)."""
-    seen: dict[AtomKey, None] = {}
-
-    def walk(node: Formula) -> None:
-        if isinstance(node, Var):
-            seen.setdefault(node.name, None)
-        elif isinstance(node, Believes):
-            seen.setdefault(node, None)
-        elif isinstance(node, App):
-            for a in node.args:
-                walk(a)
-
-    walk(f)
-    return list(seen)
+    return _atom_keys(number_subterms([f], beliefs=False))
 
 
 def atom_label(key: AtomKey) -> str:
@@ -272,32 +313,13 @@ def atom_label(key: AtomKey) -> str:
 
 def atoms_of_set(formulas: Iterable[Formula]) -> list[AtomKey]:
     """Union of atoms over a set of formulas, sorted by printed label."""
-    seen: dict[AtomKey, None] = {}
-    for f in formulas:
-        for a in atoms(f):
-            seen.setdefault(a, None)
-    return sorted(seen, key=atom_label)
+    return sorted(_atom_keys(number_subterms(formulas, beliefs=False)), key=atom_label)
 
 
 def subformulae(f: Union[Formula, Iterable[Formula]]) -> list[Formula]:
     """All subtrees, deduplicated by structural equality, in post-order of
     first occurrence.  Accepts a single formula or an iterable."""
-    roots = [f] if isinstance(f, Formula) else list(f)
-    seen: dict[Formula, None] = {}
-
-    def walk(node: Formula) -> None:
-        if node in seen:
-            return
-        if isinstance(node, App):
-            for a in node.args:
-                walk(a)
-        elif isinstance(node, Believes):
-            walk(node.arg)
-        seen[node] = None
-
-    for root in roots:
-        walk(root)
-    return list(seen)
+    return list(number_subterms([f] if isinstance(f, Formula) else f))
 
 
 def believes_subformulae(f: Union[Formula, Iterable[Formula]]) -> list[Believes]:
@@ -360,6 +382,7 @@ def implies_bruteforce(
 _LEVEL = {"iff": 1, "imp": 2, "or": 3, "xor": 4, "and": 5}
 _SYMBOL = {"iff": "<->", "imp": "->", "or": "|", "xor": "^", "and": "&"}
 _UNARY_LEVEL = 6
+_OP_OF_SYMBOL = {symbol: op for op, symbol in _SYMBOL.items()}
 
 
 def format_formula(f: Formula) -> str:
@@ -458,72 +481,48 @@ class _Parser:
         return op
 
     def parse(self) -> Formula:
-        f = self.iff()
+        f = self.binary()
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"unexpected {tok[1]!r}", position=tok[2])
         return f
 
-    def iff(self) -> Formula:
-        f = self.imp()
-        while (tok := self.peek()) and tok[1] == "<->":
-            self.next()
-            self.need("iff", tok[2])
-            f = App("iff", (f, self.imp()))
-        return f
-
-    def imp(self) -> Formula:
-        parts = [self.disj()]
-        positions = []
-        while (tok := self.peek()) and tok[1] == "->":
-            self.next()
-            positions.append(tok[2])
-            parts.append(self.disj())
-        f = parts[-1]
-        for part, pos in zip(reversed(parts[:-1]), reversed(positions)):
-            self.need("imp", pos)
-            f = App("imp", (part, f))
-        return f
-
-    def disj(self) -> Formula:
-        f = self.xor()
-        while (tok := self.peek()) and tok[1] == "|":
-            self.next()
-            self.need("or", tok[2])
-            f = App("or", (f, self.xor()))
-        return f
-
-    def xor(self) -> Formula:
-        f = self.conj()
-        while (tok := self.peek()) and tok[1] == "^":
-            self.next()
-            self.need("xor", tok[2])
-            f = App("xor", (f, self.conj()))
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while (tok := self.peek()) and tok[1] == "&":
-            self.next()
-            self.need("and", tok[2])
-            f = App("and", (f, self.unary()))
+    def binary(self) -> Formula:
+        """Binary connectives by precedence climbing over the printer's
+        ``_LEVEL`` table, with an explicit operator stack: implication groups
+        to the right, the others to the left."""
+        operands = [self.unary()]
+        pending: list[str] = []  # operators still waiting for their right operand
+        while (tok := self.peek()) and tok[1] in _OP_OF_SYMBOL:
+            op = self.need(_OP_OF_SYMBOL[tok[1]], tok[2])
+            self.i += 1
+            # pending operators that bind tighter are applied first, and so
+            # are those of the same level unless it is right-grouped ``->``
+            bind = _LEVEL[op] + (op == "imp")
+            while pending and _LEVEL[pending[-1]] >= bind:
+                right = operands.pop()
+                operands.append(App(pending.pop(), (operands.pop(), right)))
+            pending.append(op)
+            operands.append(self.unary())
+        f = operands.pop()
+        while pending:
+            f = App(pending.pop(), (operands.pop(), f))
         return f
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("syntax error at end of input")
-        kind, value, pos = tok
-        if value == "!":
-            self.next()
-            self.need("not", pos)
-            return App("not", (self.unary(),))
-        if kind == "bel":
-            if self.mode != "ae":
-                raise ParseError("belief operator 'L' is not allowed in prop mode", position=pos)
-            self.next()
-            return Believes(self.unary())
-        return self.atom()
+        """A run of ``!`` and ``L`` prefixes, read in a loop, then an atom."""
+        prefixes = []
+        while (tok := self.peek()) and (tok[1] == "!" or tok[0] == "bel"):
+            if tok[1] == "!":
+                self.need("not", tok[2])
+            elif self.mode != "ae":
+                raise ParseError("belief operator 'L' is not allowed in prop mode", position=tok[2])
+            prefixes.append(tok[1] == "!")
+            self.i += 1
+        f = self.atom()
+        for negation in reversed(prefixes):
+            f = App("not", (f,)) if negation else Believes(f)
+        return f
 
     def atom(self) -> Formula:
         kind, value, pos = self.next()
@@ -536,17 +535,17 @@ class _Parser:
         if kind == "ident":
             return Var(value)
         if value == "(":
-            f = self.iff()
+            f = self.binary()
             self.expect(")")
             return f
         if kind == "x3":
             self.need("xor3", pos)
             self.expect("(")
-            a = self.iff()
+            a = self.binary()
             self.expect(",")
-            b = self.iff()
+            b = self.binary()
             self.expect(",")
-            c = self.iff()
+            c = self.binary()
             self.expect(")")
             return App("xor3", (a, b, c))
         raise ParseError(f"unexpected {value!r}", position=pos)
@@ -615,23 +614,18 @@ def format_implication(premises: Iterable[Formula], conclusions: Iterable[Formul
 
 
 def is_propositional(f: Formula) -> bool:
-    if isinstance(f, Believes):
-        return False
-    if isinstance(f, App):
-        return all(is_propositional(a) for a in f.args)
-    return True
+    return not any(isinstance(s, Believes) for s in number_subterms([f], beliefs=False))
 
 
 def check_basis(f: Formula, basis: Basis) -> None:
-    """Raise ValueError if ``f`` uses a connective outside ``basis``."""
-    if isinstance(f, Const):
-        name = "true" if f.value else "false"
+    """Raise ValueError if ``f`` uses a connective outside ``basis``; of
+    several, the one whose subterm the walk numbers first is named."""
+    for s in number_subterms([f]):
+        if isinstance(s, App):
+            name = s.op
+        elif isinstance(s, Const):
+            name = "true" if s.value else "false"
+        else:
+            continue
         if name not in basis:
             raise ValueError(f"connective {name!r} not in basis")
-    elif isinstance(f, App):
-        if f.op not in basis:
-            raise ValueError(f"connective {f.op!r} not in basis")
-        for a in f.args:
-            check_basis(a, basis)
-    elif isinstance(f, Believes):
-        check_basis(f.arg, basis)

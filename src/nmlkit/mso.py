@@ -201,7 +201,10 @@ def atom_vars(phi: MsoFormula) -> tuple[tuple[str, ...], tuple[str, ...]]:
 # Free variables
 # ---------------------------------------------------------------------------
 
+# keyed by node identity, holding the node so that its id is not reused;
+# cleared when full, so it keeps no more than _FREE_CACHE_MAX nodes alive
 _FREE_CACHE: dict[int, tuple[frozenset[str], frozenset[str], MsoFormula]] = {}
+_FREE_CACHE_MAX = 4096
 
 
 def free_vars(phi: MsoFormula) -> tuple[frozenset[str], frozenset[str]]:
@@ -218,6 +221,8 @@ def free_vars(phi: MsoFormula) -> tuple[frozenset[str], frozenset[str]]:
         fo -= {phi.var}
     elif isinstance(phi, _SO_QUANTIFIERS):
         so -= {phi.svar}
+    if len(_FREE_CACHE) >= _FREE_CACHE_MAX:
+        _FREE_CACHE.clear()
     _FREE_CACHE[id(phi)] = (fo, so, phi)
     return fo, so
 

@@ -8,6 +8,7 @@ construction is reproducible.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -23,7 +24,7 @@ from .formula import (
     format_formula,
     is_propositional,
     lnot,
-    subformulae,
+    number_subterms,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
@@ -123,11 +124,9 @@ class _Builder:
     def intern(self, formulas: Iterable[Formula]) -> None:
         """Assign ids to all subformulas (post-order, first occurrence) and
         record the structural relations of each new element."""
-        for sub in subformulae(list(formulas)):
-            if sub in self.ids:
-                continue
-            eid = len(self.ids) + 1
-            self.ids[sub] = eid
+        start = len(self.ids)
+        number_subterms(formulas, ids=self.ids)
+        for sub, eid in itertools.islice(self.ids.items(), start, None):
             self.meta[eid] = format_formula(sub)
             if isinstance(sub, Var):
                 if self.mark_vars:

@@ -32,6 +32,7 @@ from .formula import (
     Formula,
     apply_connective,
     lnot,
+    number_subterms,
     sat_bruteforce,
 )
 from .limits import Limits, get_limits
@@ -62,29 +63,19 @@ def build_constraint_graph(gamma: Iterable[Formula]) -> ConstraintGraph:
     first occurrence; the walk stops at ``L`` nodes, which are opaque atoms,
     so a subterm that occurs only under ``L`` gets no vertex."""
     roots = list(gamma)
-    vertex_of: dict[Formula, int] = {}
+    vertex_of = number_subterms(roots, beliefs=False)
     edges: set[tuple[int, int]] = set()
     constraints: list[Constraint] = []
-    for root in roots:
-        stack: list[tuple[Formula, bool]] = [(root, False)]
-        while stack:
-            f, expanded = stack.pop()
-            if f in vertex_of:
-                continue
-            if isinstance(f, App) and not expanded:
-                stack.append((f, True))
-                stack.extend((a, False) for a in reversed(f.args))
-                continue
-            v = vertex_of[f] = len(vertex_of) + 1
-            if isinstance(f, App):
-                kids = tuple(vertex_of[a] for a in f.args)
-                constraints.append(("op", v, f.op, kids))
-                scope = sorted({v, *kids})
-                for i, a in enumerate(scope):
-                    for b in scope[i + 1:]:
-                        edges.add((a, b))
-            elif isinstance(f, Const):
-                constraints.append(("unit", v, f.value))
+    for f, v in vertex_of.items():
+        if isinstance(f, App):
+            kids = tuple(vertex_of[a] for a in f.args)
+            constraints.append(("op", v, f.op, kids))
+            scope = sorted({v, *kids})
+            for i, a in enumerate(scope):
+                for b in scope[i + 1:]:
+                    edges.add((a, b))
+        elif isinstance(f, Const):
+            constraints.append(("unit", v, f.value))
     for f in roots:
         constraints.append(("unit", vertex_of[f], True))
     graph = make_graph(len(vertex_of), edges)

@@ -1,10 +1,13 @@
 import copy
 import random
+import sys
 
 import pytest
 
+from nmlkit.dl import DefaultRule
 from nmlkit.errors import ParseError, ResourceLimitError
 from nmlkit.formula import (
+    DEFAULT_BASIS,
     App,
     Basis,
     Believes,
@@ -12,11 +15,15 @@ from nmlkit.formula import (
     FALSE,
     TRUE,
     Var,
+    atom_label,
     atoms,
+    atoms_of_set,
     believes_subformulae,
+    check_basis,
     evaluate,
     format_formula,
     implies_bruteforce,
+    is_propositional,
     land,
     limp,
     lnot,
@@ -28,6 +35,8 @@ from nmlkit.formula import (
 )
 from nmlkit.limits import Limits
 from nmlkit.randgen import random_formula
+from nmlkit.structures import build_ael_structure
+from nmlkit.twdp import build_constraint_graph, dp_sat
 
 
 def test_parse_and_not():
@@ -224,3 +233,126 @@ def test_equality_is_structural():
     for f in pool:
         for g in copies:
             assert (f == g) == (repr(f) == repr(g))
+
+
+# Recursive restatements of the walk-based functions, kept as the reference.
+
+
+def _ref_subterms(roots, beliefs=True, seen=None):
+    seen = {} if seen is None else seen
+
+    def walk(node):
+        if node in seen:
+            return
+        if isinstance(node, App):
+            for a in node.args:
+                walk(a)
+        elif isinstance(node, Believes) and beliefs:
+            walk(node.arg)
+        seen[node] = len(seen) + 1
+
+    for root in roots:
+        walk(root)
+    return seen
+
+
+def _ref_atoms(f):
+    found = {}
+
+    def walk(node):
+        if isinstance(node, Var):
+            found.setdefault(node.name, None)
+        elif isinstance(node, Believes):
+            found.setdefault(node, None)
+        elif isinstance(node, App):
+            for a in node.args:
+                walk(a)
+
+    walk(f)
+    return list(found)
+
+
+def _ref_is_propositional(f):
+    if isinstance(f, Believes):
+        return False
+    return not isinstance(f, App) or all(_ref_is_propositional(a) for a in f.args)
+
+
+def _connective(s):
+    if isinstance(s, App):
+        return s.op
+    if isinstance(s, Const):
+        return "true" if s.value else "false"
+    return None
+
+
+def test_walk_matches_recursive_reference():
+    rng = random.Random(7)
+    bases = [
+        DEFAULT_BASIS,
+        Basis({"and", "not"}),
+        Basis({"or", "imp", "true"}),
+        Basis({"xor3", "iff", "not", "false"}),
+    ]
+    for _ in range(2000):
+        roots = [
+            random_formula(rng, ["p", "q", "r"], max_depth=4, allow_believes=True)
+            for _ in range(rng.randint(1, 3))
+        ]
+        ref = _ref_subterms(roots)
+        assert subformulae(roots) == list(ref)
+        assert believes_subformulae(roots) == [s for s in ref if isinstance(s, Believes)]
+        opaque = _ref_subterms(roots, beliefs=False)
+        assert list(build_constraint_graph(roots).vertex_of.items()) == list(opaque.items())
+        _ref_subterms([lnot(s) for s in ref if isinstance(s, Believes)], seen=ref)
+        elements = build_ael_structure(roots).formula_elements
+        assert list(elements.items()) == list(ref.items())
+        union = dict.fromkeys(a for f in roots for a in _ref_atoms(f))
+        assert atoms_of_set(roots) == sorted(union, key=atom_label)
+        for f in roots:
+            assert atoms(f) == _ref_atoms(f)
+            assert is_propositional(f) == _ref_is_propositional(f)
+            basis = rng.choice(bases)
+            names = [_connective(s) for s in _ref_subterms([f])]
+            outside = [n for n in names if n is not None and n not in basis]
+            if outside:
+                with pytest.raises(ValueError, match=repr(outside[0])):
+                    check_basis(f, basis)
+            else:
+                check_basis(f, basis)
+
+
+def test_parse_reads_connectives_outside_the_basis_left_to_right():
+    with pytest.raises(ParseError, match=r"'imp' not in basis \(at position 2\)"):
+        parse_formula("p -> q -> r", basis=Basis({"and"}))
+
+
+def test_deep_and_wide_inputs_take_no_recursion():
+    n = 10_000
+    deep = Var("x")
+    for _ in range(n):
+        deep = lnot(deep)
+    wide = Var("x0")
+    for i in range(1, n):
+        wide = land(wide, Var(f"x{i}"))
+    arrows = Var(f"x{n}")
+    for i in reversed(range(n)):
+        arrows = limp(Var(f"x{i}"), arrows)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert parse_formula("!" * n + "x") == deep
+        assert parse_formula(" & ".join(f"x{i}" for i in range(n))) == wide
+        assert parse_formula(" -> ".join(f"x{i}" for i in range(n + 1))) == arrows
+        for f, size, names in ((deep, n + 1, ["x"]), (wide, 2 * n - 1, [f"x{i}" for i in range(n)])):
+            assert len(subformulae(f)) == size
+            assert atoms(f) == names
+            assert is_propositional(f)
+            check_basis(f, DEFAULT_BASIS)
+            assert build_constraint_graph([f]).graph.n == size
+            assert dp_sat([f])
+        DefaultRule(deep, wide, deep)
+        assert not dp_sat([wide, lnot(Var("x0"))])
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(saved)

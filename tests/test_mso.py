@@ -152,6 +152,19 @@ def test_free_vars():
     assert fo == {"y"} and so == {"M"}
 
 
+def test_free_vars_cache_stays_bounded():
+    # every call builds a fresh encoding, whose nodes the cache would keep alive
+    from nmlkit import mso
+    from nmlkit.encodings import mso_encoding
+    from nmlkit.families import chain
+    from nmlkit.structures import build_prop_structure
+
+    s = build_prop_structure(chain(3))
+    for _ in range(200):
+        assert eval_mso(s, mso_encoding("sat"))
+    assert len(mso._FREE_CACHE) <= mso._FREE_CACHE_MAX
+
+
 # ---------------------------------------------------------------------------
 # Engine vs brute-force evaluator: randomized equivalence
 # ---------------------------------------------------------------------------
