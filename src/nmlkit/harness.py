@@ -258,16 +258,16 @@ def check_expansion_encoding(seed: int = 1, quick: bool = False) -> CheckResult:
     return _timed("expansion-existence encoding", run)
 
 
-def _gc_free_time(fn: Callable[[], object]) -> tuple[object, float]:
+def _gc_free_time(fn: Callable[[], object]) -> tuple[object, float, float]:
     """Run ``fn`` after a collection, with the garbage collector off, and
-    return its value and its wall time in seconds."""
+    return its value, its wall time and its process CPU time in seconds."""
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         value = fn()
-        return value, time.perf_counter() - t0
+        return value, time.perf_counter() - t0, time.process_time() - c0
     finally:
         if was_enabled:
             gc.enable()
@@ -276,22 +276,24 @@ def _gc_free_time(fn: Callable[[], object]) -> tuple[object, float]:
 def dp_scaling(small: list, large: list) -> tuple[bool, float, float]:
     """Time ``dp_sat`` on ``small`` and ``large`` back to back, five times
     after one warm-up call.  Returns whether every call was
-    satisfiable, the median of the per-pair time ratios large/small, and the
-    best time on ``large`` in seconds.
+    satisfiable, the median of the per-pair CPU-time ratios large/small, and
+    the best wall time on ``large`` in seconds.
 
     Timing the two sizes in alternation keeps a host whose speed drifts from
-    skewing the ratio, and the median drops a pair hit by a stall.
+    skewing the ratio, and the median drops a pair hit by a stall.  The ratio
+    is taken from process CPU time, which does not count the time a shared
+    host gives to other processes.
     """
     dp_sat(small)  # warm-up: interning caches, allocator
     all_sat = True
     ratios = []
     best_large = float("inf")
     for _ in range(5):
-        v_small, t_small = _gc_free_time(lambda: dp_sat(small))
-        v_large, t_large = _gc_free_time(lambda: dp_sat(large))
+        v_small, _, cpu_small = _gc_free_time(lambda: dp_sat(small))
+        v_large, wall_large, cpu_large = _gc_free_time(lambda: dp_sat(large))
         all_sat = all_sat and v_small and v_large
-        ratios.append(t_large / max(t_small, 1e-9))
-        best_large = min(best_large, t_large)
+        ratios.append(cpu_large / max(cpu_small, 1e-9))
+        best_large = min(best_large, wall_large)
     return all_sat, statistics.median(ratios), best_large
 
 

@@ -1,6 +1,11 @@
 """Tree decompositions: validation, width, heuristic and exact computation,
 nice form, pseudo-clique theory, and PACE-style .td I/O.
 
+Pseudo-cliques are handled by undoing subdivisions: a degree-2 vertex is
+replaced by an edge between its two neighbours that remembers the path it
+stands for.  Recognition undoes every non-main; the lower bound undoes
+degree-2 vertices until none is left and searches the rest for a clique.
+
 The exact algorithm is a branch-and-bound over elimination orderings with
 standard safe reductions (simplicial vertices always, almost-simplicial
 vertices up to a certified lower bound) applied first; the vertex cap applies
@@ -42,25 +47,24 @@ class NiceTreeDecomposition(TreeDecomposition):
     children: dict[int, tuple[int, ...]]
     kinds: dict[int, tuple[str, Optional[int]]]
 
-    def node_kind(self, bid: int) -> tuple[str, Optional[int]]:
-        return self.kinds[bid]
-
-    def postorder(self) -> list[int]:
-        order: list[int] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            stack.extend(self.children.get(node, ()))
-        order.reverse()
-        return order
-
 
 def width(td: TreeDecomposition) -> int:
     """Largest bag size minus one."""
     if not td.bags:
         raise ValueError("decomposition has no bags")
     return max(len(b) for b in td.bags.values()) - 1
+
+
+def _reachable(adj: dict[int, set[int]], start: int, within: set[int]) -> set[int]:
+    """Bags reachable from ``start`` through bags of ``within``."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for other in adj[frontier.pop()]:
+            if other in within and other not in seen:
+                seen.add(other)
+                frontier.append(other)
+    return seen
 
 
 def _tree_violations(
@@ -79,16 +83,9 @@ def _tree_violations(
             f"(tree) {len(ids)} bags need {max(len(ids) - 1, 0)} tree edges, found {len(td.edges)}"
         )
     elif ids:
-        seen = {next(iter(sorted(ids)))}
-        frontier = list(seen)
-        while frontier:
-            nxt = frontier.pop()
-            for other in adj[nxt]:
-                if other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
+        seen = _reachable(adj, min(ids), ids)
         if seen != ids:
-            missing = sorted(ids - seen)[0]
+            missing = min(ids - seen)
             problems.append(f"(tree) bag {missing} is disconnected from the rest")
     return problems, adj
 
@@ -96,39 +93,29 @@ def _tree_violations(
 def validate_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
     """Empty list iff ``td`` is a valid tree decomposition of ``g``; otherwise
     one entry per violated condition with a witness."""
+    holding: dict[int, set[int]] = {v: set() for v in g.vertices}
     for bid, bag in td.bags.items():
         for v in bag:
-            if not (1 <= v <= g.n):
+            if v not in holding:
                 raise ValueError(f"bag {bid} references vertex {v} outside the graph")
+            holding[v].add(bid)
     problems, adj = _tree_violations(td)
     if problems:
         return problems
-    covered: set[int] = set()
-    for bag in td.bags.values():
-        covered |= bag
-    for v in g.vertices:
-        if v not in covered:
+    for v, bids in holding.items():
+        if not bids:
             problems.append(f"(i) vertex {v} appears in no bag")
     for u, v in sorted(g.edges):
-        if not any(u in bag and v in bag for bag in td.bags.values()):
+        if not holding[u] & holding[v]:
             problems.append(f"(ii) edge ({u},{v}) is contained in no bag")
-    for v in g.vertices:
-        holding = [b for b, bag in sorted(td.bags.items()) if v in bag]
-        if len(holding) <= 1:
+    for v, bids in holding.items():
+        if len(bids) <= 1:
             continue
-        seen = {holding[0]}
-        frontier = [holding[0]]
-        holding_set = set(holding)
-        while frontier:
-            b = frontier.pop()
-            for other in adj[b]:
-                if other in holding_set and other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
-        if seen != holding_set:
-            stray = sorted(holding_set - seen)[0]
+        first = min(bids)
+        seen = _reachable(adj, first, bids)
+        if seen != bids:
             problems.append(
-                f"(iii) bags {holding[0]} and {stray} both hold vertex {v} but are not connected through it"
+                f"(iii) bags {first} and {min(bids - seen)} both hold vertex {v} but are not connected through it"
             )
     return problems
 
@@ -472,6 +459,26 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
 # ---------------------------------------------------------------------------
 
 
+def _unsubdivide(
+    adj: dict[int, set[int]], route: dict[tuple[int, int], list[int]], v: int
+) -> tuple[int, int, list[int]]:
+    """Remove the degree-2 vertex ``v`` from ``adj``; return its neighbours
+    a < b and the route a-v-b, read from a.  ``route`` maps each edge (u, w),
+    u < w, to the removed vertices it stands for, read from u; the routes of
+    a-v and v-b leave it, and joining a to b is the caller's choice."""
+    a, b = sorted(adj[v])
+    left = route.pop((a, v) if a < v else (v, a))
+    right = route.pop((v, b) if v < b else (b, v))
+    if v < a:
+        left.reverse()
+    if b < v:
+        right.reverse()
+    adj[a].discard(v)
+    adj[b].discard(v)
+    del adj[v]
+    return a, b, left + [v] + right
+
+
 def pseudo_clique_paths(
     g: Graph, mains: set[int]
 ) -> Optional[dict[tuple[int, int], list[int]]]:
@@ -481,83 +488,30 @@ def pseudo_clique_paths(
     Every pair of mains must be joined by exactly one route: a direct edge
     (empty path) or a path of fresh degree-2 edge-nodes; no other edges and
     no other vertices may exist.  Paths of distinct pairs are disjoint.
+    Recognition undoes the subdivisions: every non-main, in id order, must
+    have degree 2 and join two vertices that are not yet adjacent, and what
+    remains must be the clique on the mains.  Each pair's path is read from
+    its smaller main.
     """
     if not mains <= set(g.vertices):
         raise ValueError("mains must be vertices of the graph")
     adj = g.adjacency()
-    others = [v for v in g.vertices if v not in mains]
-    if any(len(adj[v]) != 2 for v in others):
-        return None
-    paths: dict[tuple[int, int], list[int]] = {}
-    assigned: set[int] = set()
-    for v in others:
-        if v in assigned:
+    route: dict[tuple[int, int], list[int]] = {e: [] for e in g.edges}
+    for v in g.vertices:
+        if v in mains:
             continue
-        ends = []
-        segment = [v]
-        for direction in sorted(adj[v]):
-            prev, node = v, direction
-            while node not in mains:
-                if node in mains or len(adj[node]) != 2 or node in segment:
-                    return None
-                segment.append(node)
-                nxt = [w for w in adj[node] if w != prev]
-                if len(nxt) != 1:
-                    return None
-                prev, node = node, nxt[0]
-            ends.append((node, prev))
-        if len(ends) != 2:
+        # undoing keeps every other degree, so a degree read now is final
+        if len(adj[v]) != 2:
             return None
-        (u, _), (w, _) = ends
-        if u == w or u not in mains or w not in mains:
+        a, b, path = _unsubdivide(adj, route, v)
+        if b in adj[a]:
             return None
-        # orient the path from the smaller main to the larger
-        lo, hi = (u, w) if u < w else (w, u)
-        ordered = _trace_path(adj, lo, hi, set(segment))
-        if ordered is None:
-            return None
-        key = (lo, hi)
-        if key in paths:
-            return None
-        paths[key] = ordered
-        assigned |= set(ordered)
-    if assigned != set(others):
+        adj[a].add(b)
+        adj[b].add(a)
+        route[(a, b)] = path
+    if any(len(adj[m]) != len(mains) - 1 for m in mains):
         return None
-    main_list = sorted(mains)
-    direct = set()
-    for u, v in g.edges:
-        if u in mains and v in mains:
-            direct.add((u, v))
-    expected_edges = len(direct)
-    for i, u in enumerate(main_list):
-        for v in main_list[i + 1:]:
-            has_path = (u, v) in paths
-            has_edge = (u, v) in direct
-            if has_path == has_edge:  # exactly one route per pair
-                return None
-            if not has_path:
-                paths[(u, v)] = []
-    expected_edges += sum(len(p) + 1 for p in paths.values() if p)
-    if expected_edges != len(g.edges):
-        return None
-    return paths
-
-
-def _trace_path(adj, start_main, end_main, segment: set[int]) -> Optional[list[int]]:
-    entry = [w for w in adj[start_main] if w in segment]
-    if not entry:
-        return None
-    prev, node = start_main, min(entry)
-    ordered = []
-    while node != end_main:
-        if node not in segment:
-            return None
-        ordered.append(node)
-        nxt = [w for w in adj[node] if w != prev]
-        if len(nxt) != 1:
-            return None
-        prev, node = node, nxt[0]
-    return ordered if set(ordered) == segment else None
+    return route
 
 
 def is_pseudo_clique(g: Graph, mains: set[int]) -> bool:
@@ -636,44 +590,32 @@ def _max_clique(adj: dict[int, set[int]]) -> list[int]:
 
 
 def pseudo_clique_lower_bound(g: Graph, *, limits: Limits | None = None) -> int:
-    """Size of the largest clique obtainable by suppressing degree-2 vertices
-    (so treewidth is at least the result minus one).
+    """Size of the largest clique obtainable by undoing subdivisions (so
+    treewidth is at least the result minus one).
 
-    Suppression replaces a degree-2 vertex by an edge between its neighbors,
-    iterated to a fixpoint with duplicate edges and loops discarded; each
-    surviving edge therefore stands for an internally disjoint path, which is
-    verified before the clique is certified.
+    Undoing a subdivision replaces a degree-2 vertex by an edge between its
+    neighbors, smallest such vertex first, to a fixpoint, with duplicate
+    edges discarded; each surviving edge therefore stands for an internally
+    disjoint path, which is verified before the clique is certified.
     """
     cap = get_limits(limits).clique_vertices
     if g.n > cap:
         raise ResourceLimitError(f"{g.n} vertices exceed the clique-search cap of {cap}")
-    if g.n == 0:
-        return 0
     adj = g.adjacency()
-    route: dict[tuple[int, int], list[int]] = {
-        (u, v): [] for u, v in g.edges
-    }
+    route: dict[tuple[int, int], list[int]] = {e: [] for e in g.edges}
     changed = True
     while changed:
         changed = False
         for v in sorted(adj):
-            if len(adj[v]) != 2:
-                continue
-            a, b = sorted(adj[v])
-            key_a = (min(a, v), max(a, v))
-            key_b = (min(b, v), max(b, v))
-            new_key = (min(a, b), max(a, b))
-            path = route.pop(key_a) + [v] + route.pop(key_b)
-            adj[a].discard(v)
-            adj[b].discard(v)
-            del adj[v]
-            if a != b and b not in adj[a]:
-                adj[a].add(b)
-                adj[b].add(a)
-                route[new_key] = path
-            changed = True
-            break
-    clique = _max_clique(adj) if adj else []
+            if len(adj[v]) == 2:
+                a, b, path = _unsubdivide(adj, route, v)
+                if b not in adj[a]:
+                    adj[a].add(b)
+                    adj[b].add(a)
+                    route[(a, b)] = path
+                changed = True
+                break
+    clique = _max_clique(adj)
     # the paths realizing the clique edges are internally disjoint: every
     # suppressed vertex lies on the route of at most one surviving edge
     used: set[int] = set()

@@ -219,6 +219,19 @@ def test_bench_brute_sat_records_limit_row(capsys):
     assert "resource-limit" in out and ",sat" in out
 
 
+def test_bench_check_follows_the_verdict(capsys, monkeypatch):
+    argv = ["bench", "--family", "chain", "--sizes", "5", "--json"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0 and [c["passed"] for c in payload["checks"]] == [True]
+    code, payload = run_json(capsys, ["bench", "--family", "pseudo-clique", "--sizes", "3", "--json"])
+    assert code == 0 and [c["passed"] for c in payload["checks"]] == [True]
+    # chain(m) is satisfiable by construction, so an unsat row fails its check
+    monkeypatch.setattr("nmlkit.bench.dp_sat", lambda *args, **kwargs: False)
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert payload["checks"] == [{"name": "chain/5", "passed": False, "detail": "unsat"}]
+
+
 def test_verify_paper_quick(capsys):
     code = main(["verify-paper", "--quick"])
     out = capsys.readouterr().out

@@ -19,6 +19,7 @@ from nmlkit.treewidth import (
     normalize_pseudo,
     parse_td,
     pseudo_clique_lower_bound,
+    pseudo_clique_paths,
     validate_decomposition,
     width,
 )
@@ -56,8 +57,9 @@ def test_validate_disconnected_occurrence():
         {1: frozenset({1, 2}), 2: frozenset({2, 3}), 3: frozenset({1, 3})},
         frozenset({(1, 2), (2, 3)}),
     )
-    violations = validate_decomposition(g, td)
-    assert any(v.startswith("(iii)") for v in violations)
+    assert validate_decomposition(g, td) == [
+        "(iii) bags 1 and 3 both hold vertex 1 but are not connected through it"
+    ]
 
 
 def test_validate_missing_vertex():
@@ -213,7 +215,7 @@ def test_exact_upper_hint_prunes_but_stays_exact():
 
 def test_make_nice_single_bag():
     nice = make_nice(TreeDecomposition({1: frozenset({1, 2})}, frozenset()))
-    kinds = [nice.node_kind(b)[0] for b in nice.postorder()]
+    kinds = [nice.kinds[b][0] for b in sorted(nice.bags)]
     assert kinds == ["leaf", "introduce", "introduce"]
     assert nice.bags[nice.root] == frozenset({1, 2})
 
@@ -226,8 +228,8 @@ def test_make_nice_preserves_width_and_niceness():
         nice = make_nice(td)
         assert width(nice) == width(td)
         assert validate_decomposition(g, nice) == []
-        for b in nice.postorder():
-            kind, v = nice.node_kind(b)
+        for b in sorted(nice.bags):
+            kind, v = nice.kinds[b]
             kids = nice.children.get(b, ())
             if kind == "leaf":
                 assert nice.bags[b] == frozenset()
@@ -288,7 +290,7 @@ def test_make_nice_records_kinds_and_numbers_children_first():
             assert sorted(nice.bags) == list(range(1, len(nice.bags) + 1))
             assert nice.root == len(nice.bags)
             for bid in nice.bags:
-                assert nice.node_kind(bid) == _kind_from_bags(nice, bid)
+                assert nice.kinds[bid] == _kind_from_bags(nice, bid)
                 assert all(kid < bid for kid in nice.children[bid])
 
 
@@ -330,10 +332,47 @@ def test_generated_pseudo_cliques_pass_their_own_check():
         assert is_pseudo_clique(g, set(range(1, n + 1)))
 
 
+def test_pseudo_clique_paths_match_the_generator():
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        lengths = {
+            (i, j): rng.randint(0, 3)
+            for i in range(1, n + 1)
+            for j in range(i + 1, n + 1)
+        }
+        g = gen_pseudo_clique(PseudoCliqueSpec(n, lengths))
+        positioned = {pair: [] for pair in lengths}
+        for v, text in g.descriptions.items():
+            if text.startswith("d"):  # d{r}_{i}_{j}: position r on pair (i, j)
+                r, i, j = map(int, text[1:].split("_"))
+                positioned[(i, j)].append((r, v))
+        expected = {pair: [v for _, v in sorted(nodes)] for pair, nodes in positioned.items()}
+        assert pseudo_clique_paths(g, set(range(1, n + 1))) == expected
+    triangle = [(1, 2), (1, 3), (2, 3)]
+    not_pseudo = {
+        "non-main of degree 3": (4, triangle + [(1, 4), (2, 4), (3, 4)]),
+        "cycle of non-mains": (6, triangle + [(4, 5), (5, 6), (4, 6)]),
+        "path from a main back to itself": (5, triangle + [(1, 4), (4, 5), (1, 5)]),
+        "direct edge and a path": (4, triangle + [(1, 4), (2, 4)]),
+        "two paths": (5, [(1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (2, 5)]),
+        "no route": (3, [(1, 2), (2, 3)]),
+    }
+    for case, (n, edges) in not_pseudo.items():
+        assert pseudo_clique_paths(make_graph(n, edges), {1, 2, 3}) is None, case
+
+
 def test_lower_bound_examples():
     assert pseudo_clique_lower_bound(gen_pseudo_clique(PseudoCliqueSpec(4, 1))) == 4
     assert pseudo_clique_lower_bound(clique(4)) == 4
     assert pseudo_clique_lower_bound(path(5)) == 2
+    rng = random.Random(18)
+    for _ in range(300):
+        n = rng.randint(4, 8)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        longest = min(3, (64 - n) // len(pairs))  # at most 64 vertices, the clique cap
+        g = gen_pseudo_clique(PseudoCliqueSpec(n, {p: rng.randint(0, longest) for p in pairs}))
+        assert pseudo_clique_lower_bound(g) == n
 
 
 def test_lower_bound_cap():
