@@ -76,7 +76,8 @@ def expansion_exists(
     limits: Limits | None = None,
 ) -> tuple[bool, list[FullSetCandidate]]:
     """Enumerate all polarity choices (binary counting order, all-negative
-    first) and return the full ones."""
+    first) and return the full ones.  The oracle compiles the theory's
+    universe once: its formulas and every belief atom's argument."""
     oracle = oracle or entailment_oracle("brute")
     atoms = belief_atoms(sigma)
     cap = get_limits(limits).ael_prefixes
@@ -84,6 +85,7 @@ def expansion_exists(
         raise ResourceLimitError(
             f"{len(atoms)} belief atoms exceed the enumeration cap of {cap}"
         )
+    oracle.compile_universe([*sigma.formulas, *(bel.arg for bel in atoms)])
     found = []
     for mask in range(1 << len(atoms)):
         candidate = FullSetCandidate(

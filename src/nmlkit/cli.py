@@ -130,6 +130,7 @@ def _cmd_check_imp(args, report: _Report) -> list[str]:
     premises, conclusions = parse_implication(_read(args.file, report), BASIS)
     t0 = time.perf_counter()
     oracle = entailment_oracle(args.oracle)
+    oracle.compile_universe([*premises, *conclusions])
     holds = all(oracle.entails(premises, c) for c in conclusions)
     report.timings["solve"] = (time.perf_counter() - t0) * 1000
     report.result = {"implies": holds}
@@ -145,9 +146,11 @@ def _cmd_dl(args, report: _Report) -> list[str]:
         report.result = {"exists": verdict, "witnesses": witnesses, "method": "mso"}
         lines = [f"exists: {verdict} (model checking; no witnesses enumerated)"]
     else:
-        exists, found = extension_exists(theory, entailment_oracle(args.oracle))
+        oracle = entailment_oracle(args.oracle)
+        exists, found = extension_exists(theory, oracle)
         witnesses = [sorted(w.generating) for w in found]
         report.result = {"exists": exists, "witnesses": witnesses, "method": "enum"}
+        _report_universe_width(oracle, report)
         lines = [f"exists: {exists}"] + [f"generating defaults: {w}" for w in witnesses]
     report.timings["solve"] = (time.perf_counter() - t0) * 1000
     return lines
@@ -161,7 +164,8 @@ def _cmd_ael(args, report: _Report) -> list[str]:
         report.result = {"exists": verdict, "full_sets": [], "method": "mso"}
         lines = [f"exists: {verdict} (model checking; no full sets enumerated)"]
     else:
-        exists, found = expansion_exists(sigma)
+        oracle = entailment_oracle(args.oracle)
+        exists, found = expansion_exists(sigma, oracle)
         full_sets = [
             [
                 {"Lphi": format_formula(bel), "sign": "+" if positive else "-"}
@@ -170,9 +174,18 @@ def _cmd_ael(args, report: _Report) -> list[str]:
             for candidate in found
         ]
         report.result = {"exists": exists, "full_sets": full_sets, "method": "fullsets"}
+        _report_universe_width(oracle, report)
         lines = [f"exists: {exists}"] + [f"full set: {c}" for c in found]
     report.timings["solve"] = (time.perf_counter() - t0) * 1000
     return lines
+
+
+def _report_universe_width(oracle, report: _Report) -> None:
+    """The width of the theory's compiled universe, the parameter the
+    decomposition oracle's cost depends on; absent for the brute oracle and
+    for a universe over the width cap."""
+    if oracle.universe_width is not None:
+        report.result["width"] = oracle.universe_width
 
 
 def _build_structure(kind: str, text: str):
@@ -368,6 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(group("ael", "autoepistemic logic"), "solve", _cmd_ael)
     p.add_argument("file", help=".ae file")
     p.add_argument("--method", choices=("fullsets", "mso"), default="fullsets")
+    p.add_argument("--oracle", choices=("brute", "twdp"), default="brute")
 
     p = leaf(group("struct", "relational structures"), "build", _cmd_struct, output)
     p.add_argument("file")

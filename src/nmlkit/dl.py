@@ -152,13 +152,18 @@ def extension_exists(
     the IN child keeps its parent's LO, so each child computes one new bound.
     A leaf that survives has LO = UP = IN and is confirmed by
     ``stage_fixpoint``, the one acceptance check, whose queries are all cache
-    hits by then.
+    hits by then.  The oracle compiles the theory's universe once: the
+    knowledge and every rule's prerequisite, justification and conclusion.
     """
     oracle = oracle or entailment_oracle("brute")
     m = len(theory.defaults)
     cap = get_limits(limits).dl_rules
     if m > cap:
         raise ResourceLimitError(f"{m} rules exceed the enumeration cap of {cap}")
+    oracle.compile_universe([
+        *theory.knowledge,
+        *(p for r in theory.defaults for p in (r.prerequisite, r.justification, r.conclusion)),
+    ])
 
     def bound(chosen: frozenset[int]) -> frozenset[int]:
         return _least_fixpoint(theory, _blocked(theory, chosen, oracle), oracle)

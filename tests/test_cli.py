@@ -158,6 +158,46 @@ def test_dl_solve_lower_bound_n5_twdp(tmp_path, capsys):
     assert code == 0
     assert payload["exists"] is True
     assert payload["witnesses"] == [[]]
+    assert payload["width"] == 0  # literal rules: the universe has no operator node
+
+
+def test_dl_solve_reports_the_universe_width(tmp_path, capsys):
+    f = tmp_path / "w.dt"
+    f.write_text("w: p -> q\nd: p & r ; !q ; s\n")
+    code, payload = run_json(capsys, ["dl", "solve", str(f), "--oracle", "twdp", "--json"])
+    assert code == 0 and payload["width"] == 2
+    code, payload = run_json(capsys, ["dl", "solve", str(f), "--json"])
+    assert code == 0 and "width" not in payload
+
+
+def test_ael_solve_oracles_agree(tmp_path, capsys):
+    f = tmp_path / "t.ae"
+    f.write_text("L p -> p\nL (p & L q) | q\n!L q -> r\n")
+    payloads = {}
+    for oracle in ("brute", "twdp"):
+        code, payloads[oracle] = run_json(
+            capsys, ["ael", "solve", str(f), "--oracle", oracle, "--json"]
+        )
+        assert code == 0
+    assert payloads["twdp"]["full_sets"] == payloads["brute"]["full_sets"]
+    assert payloads["brute"]["full_sets"] == [[
+        {"Lphi": "L p", "sign": "-"},
+        {"Lphi": "L q", "sign": "+"},
+        {"Lphi": "L (p & L q)", "sign": "-"},
+    ]]
+    assert payloads["twdp"]["width"] == 2 and "width" not in payloads["brute"]
+
+
+def test_ael_solve_width_absent_when_the_universe_falls_back(tmp_path, capsys, monkeypatch):
+    # four variables pairwise joined under belief atoms: universe width 3,
+    # every query width 2
+    xs = [f"x{i}" for i in range(4)]
+    f = tmp_path / "k4.ae"
+    f.write_text("".join(f"L ({a} ^ {b}) | {a}\n" for i, a in enumerate(xs) for b in xs[i + 1:]))
+    want = run_json(capsys, ["ael", "solve", str(f), "--json"])[1]["full_sets"]
+    monkeypatch.setenv("NMLKIT_LIMITS", "dp_width=2")
+    code, payload = run_json(capsys, ["ael", "solve", str(f), "--oracle", "twdp", "--json"])
+    assert code == 0 and payload["full_sets"] == want and "width" not in payload
 
 
 def test_mso_eval_subcommand(tmp_path, capsys):

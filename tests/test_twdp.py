@@ -3,6 +3,8 @@ import time
 
 import pytest
 
+from nmlkit import twdp
+from nmlkit.ael import AeTheory, belief_atoms, expansion_exists
 from nmlkit.errors import ResourceLimitError
 from nmlkit.families import chain
 from nmlkit.formula import (
@@ -203,3 +205,94 @@ def test_constraint_graph_scopes_are_cliques():
 def test_oracle_kind_validation():
     with pytest.raises(ValueError):
         entailment_oracle("magic")
+
+
+# ---------------------------------------------------------------------------
+# Compiled universes: one decomposition per theory, units per query
+# ---------------------------------------------------------------------------
+
+
+def _no_recompile(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a universe query was compiled on its own")
+
+    monkeypatch.setattr(twdp, "compile_set", fail)
+
+
+def test_universe_queries_match_bruteforce(monkeypatch):
+    rng = random.Random(66)
+    compiled = []
+    for _ in range(500):
+        universe = random_formula_set(rng, max_subformulae=12, allow_believes=True)
+        compiled.append(twdp.compile_set(universe))
+    _no_recompile(monkeypatch)
+    contradictory = 0
+    for cs in compiled:
+        subterms = list(cs.cg.vertex_of)  # belief atoms are opaque leaves
+        query = []
+        for f in rng.sample(subterms, rng.randint(0, min(4, len(subterms)))):
+            roll = rng.random()
+            query += [f] if roll < 0.4 else [lnot(f)] if roll < 0.8 else [f, lnot(f)]
+        contradictory += any(lnot(f) in query for f in query)
+        assert dp_sat(query, universe=cs) == (sat_bruteforce(query) is not None), query
+    assert contradictory >= 50
+
+
+def test_units_see_through_negations(monkeypatch):
+    p, q = Var("p"), Var("q")
+    cs = twdp.compile_set([land(p, q)])
+    _no_recompile(monkeypatch)
+    assert dp_sat([lnot(lnot(land(p, q)))], universe=cs) is True
+    assert dp_sat([lnot(lnot(lnot(p))), land(p, q)], universe=cs) is False
+    assert dp_sat([q, lnot(q)], universe=cs) is False
+
+
+def test_query_outside_the_universe_is_compiled_on_its_own():
+    p, q, r = Var("p"), Var("q"), Var("r")
+    oracle = entailment_oracle("twdp")
+    oracle.compile_universe([land(p, q)])
+    for gamma in ([r, lnot(r)], [lor(r, p), lnot(q)], [land(p, q), lnot(lor(p, r))]):
+        assert oracle.satisfiable(gamma) == (sat_bruteforce(gamma) is not None)
+        assert dp_sat(gamma, universe=oracle._universe) == dp_sat(gamma)
+    assert oracle.entails([land(p, q)], lor(p, r)) is True
+
+
+def test_universe_wider_than_the_cap_falls_back_per_query():
+    # the belief atoms' arguments pairwise join four variables into a K4
+    # (universe width 3); each query holds one argument (width 2)
+    xs = [Var(f"x{i}") for i in range(4)]
+    sigma = AeTheory(tuple(
+        lor(Believes(lxor(a, b)), a) for i, a in enumerate(xs) for b in xs[i + 1:]
+    ))
+    limits = Limits(dp_width=2)
+    oracle = entailment_oracle("twdp", limits)
+    got = expansion_exists(sigma, oracle, limits=limits)
+    assert oracle.universe_width is None
+    assert got == expansion_exists(sigma, entailment_oracle("brute"))
+    wide = entailment_oracle("twdp")
+    assert expansion_exists(sigma, wide) == got and wide.universe_width == 3
+
+
+def test_each_theory_is_compiled_once(monkeypatch):
+    p, q, r = Var("p"), Var("q"), Var("r")
+    lp, lq, lr = Believes(p), Believes(q), Believes(r)
+    sigma = AeTheory((
+        limp(lp, q),
+        lor(Believes(land(p, lq)), lnot(lr)),
+        limp(Believes(lxor(q, r)), p),
+    ))
+    assert len(belief_atoms(sigma)) == 5
+    builders = ("build_constraint_graph", "heuristic_decomposition", "make_nice")
+    calls = dict.fromkeys((*builders, "dp_sat"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(twdp, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(twdp, name, counted)
+    oracle = entailment_oracle("twdp")
+    got = expansion_exists(sigma, oracle)
+    assert got == expansion_exists(sigma, entailment_oracle("brute"))
+    assert [calls[name] for name in builders] == [1, 1, 1]
+    assert calls["dp_sat"] == len(oracle._cache) > 1
+
