@@ -293,6 +293,27 @@ def number_subterms(
     return seen
 
 
+def share_subterms(roots: Iterable[Formula]) -> list[Formula]:
+    """``roots`` rebuilt so that equal subterms are one object: each
+    distinct subterm becomes its first occurrence, over shared children.
+    Dict and set lookups among the shared formulas then succeed by identity,
+    without a structural comparison."""
+    roots = list(roots)
+    own: dict[Formula, Formula] = {}
+    for f in number_subterms(roots):
+        shared = f
+        if f.__class__ is App:
+            args = tuple(map(own.__getitem__, f.args))
+            if any(a is not b for a, b in zip(args, f.args)):
+                shared = App(f.op, args)
+        elif f.__class__ is Believes:
+            arg = own[f.arg]
+            if arg is not f.arg:
+                shared = Believes(arg)
+        own[f] = shared
+    return [own[f] for f in roots]
+
+
 def _atom_keys(subterms: Iterable[Formula]) -> list[AtomKey]:
     return [
         s.name if isinstance(s, Var) else s

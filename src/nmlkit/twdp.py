@@ -10,28 +10,34 @@ node.  Belief subformulas are opaque leaves: the subterm walk stops at ``L``,
 so what occurs only under it gets no vertex.
 
 A formula set is compiled once (``compile_set``): its constraint graph, one
-min-fill decomposition, the nice form and the plan.  A query over it only
-*pins units*: a formula ``f`` pins its vertex to true, a negation ``!g``
-without a vertex of its own pins ``g``'s vertex to false, and contradictory
-pins answer unsat at once.  This is sound for any query over the compiled
-set, however little of it the query mentions: every operator vertex is a
-function of its children, variables and ``L`` atoms are free leaves, and
-constants are pinned, so every assignment of the leaves extends to exactly
-one labeling that meets all local constraints, and the labelings that meet
-the pins are exactly the models of the query.  The entailment oracle
-compiles a theory's *universe* once (``EntailmentOracle.compile_universe``)
-and answers each of its queries by pinning units; ``dp_sat`` on its own
-compiles its set and pins the set's formulas the same way.  A query with a
-formula outside the universe, or a universe wider than ``Limits.dp_width``,
-is compiled on its own.
+min-fill decomposition, the nice form, and from that the DP *program*.  A
+query over it only *pins units*: a formula ``f`` pins its vertex to true, a
+negation ``!g`` pins ``g``'s vertex to false, and contradictory pins answer
+unsat at once.  This is sound for any query over the compiled set, however
+little of it the query mentions: every operator vertex is a function of its
+children, variables and ``L`` atoms are free leaves, and constants are
+pinned, so every assignment of the leaves extends to exactly one labeling
+that meets all local constraints, and the labelings that meet the pins are
+exactly the models of the query.  The entailment oracle compiles a theory's
+*universe* once (``EntailmentOracle.compile_universe``) and answers each of
+its queries by pinning units; ``dp_sat`` on its own compiles its set and
+pins the set's formulas the same way.  A query with a formula outside the
+universe, or a universe wider than ``Limits.dp_width``, is compiled on its
+own.
 
-Before the DP runs, every local constraint is compiled at its introduce node
-into a table over bag positions, ``(scope_mask, allowed)``: a labeling ``m``
-of the bag (bit i = the i-th smallest vertex) satisfies it iff
-``m & scope_mask`` is in ``allowed``.  The DP then walks the nice nodes in id
-order, children first, with one set of bitmasks per pending node (the
-dynamic-programming scheme of Gottlob, Pichler and Wei, AIJ 2010).  A pinned
-vertex takes only its pinned bit at each of its introduce nodes.
+The program is a flat list of instructions, one tuple per nice node in id
+order (children first), built by ``_plan``.  Each holds its opcode (leaf,
+introduce, forget, join) and what that kind needs of: the table slots of its
+children, its vertex, the bit masks that open or close the vertex's bag
+position, and, at an introduce, the local constraints it checks, each
+compiled into a table over bag positions, ``(scope_mask, allowed)``: a
+labeling ``m`` of the bag (bit i = the i-th smallest vertex) satisfies it
+iff ``m & scope_mask`` is in ``allowed``.  The executor, ``_run_dp``, is one
+loop over the program with a list of tables indexed by slot, one
+collection of bitmasks per pending node (the dynamic-programming scheme of
+Gottlob, Pichler and Wei, AIJ 2010).  A consumed table's slot is cleared, a
+pinned vertex takes only its pinned bit at each of its introduces, and an
+empty table answers unsat at once.
 """
 from __future__ import annotations
 
@@ -133,18 +139,33 @@ def _compile(rule: Union[str, bool], positions: tuple[int, ...]) -> tuple[int, f
     return scope_mask, frozenset(allowed)
 
 
-Step = tuple[int, tuple[tuple[int, frozenset[int]], ...]]
+# The instructions of the DP program, one tuple per nice node, each only as
+# long as its kind needs:
+#   (LEAF,)
+#   (INTRODUCE, child, vertex, low, high, bit, checks)
+#   (FORGET, child, low, high)
+#   (JOIN, child, other)
+# ``child`` and ``other`` are the slots of the tables it consumes; ``low`` and
+# ``high`` mask the bag positions below and at-or-above the vertex's position
+# in the bag without the vertex, ``bit`` is the vertex's bit, and ``checks``
+# are the compiled local constraints an introduce checks.  The slots are
+# the nice node ids: the i-th instruction, counting from 1, is node i's and
+# fills slot i (slot 0 stays unused).  Ids run children first and the
+# root's is the largest, so the root's instruction is the last.
+LEAF, INTRODUCE, FORGET, JOIN = range(4)
+Instruction = tuple  # one of the four shapes above
+_LEAF_INSTRUCTION = (LEAF,)
 
 
 @dataclass(frozen=True)
 class CompiledSet:
     """A formula set ready for queries: its constraint graph, the width of
-    its decomposition, the nice form and the DP plan over it."""
+    its decomposition and the DP program compiled from its nice form.  The
+    nice form is not kept: the program holds all that a query reads."""
 
     cg: ConstraintGraph
     width: int
-    nice: NiceTreeDecomposition
-    steps: list[Step]
+    program: list[Instruction]
 
 
 def compile_set(
@@ -154,8 +175,8 @@ def compile_set(
     limits: Limits | None = None,
 ) -> CompiledSet:
     """Constraint graph, decomposition (``td``, or min-fill when None), nice
-    form and plan of a formula set.  Raises ``ResourceLimitError`` when the
-    decomposition is wider than ``Limits.dp_width``."""
+    form and program of a formula set.  Raises ``ResourceLimitError`` when
+    the decomposition is wider than ``Limits.dp_width``."""
     cg = build_constraint_graph(gamma)
     if td is None:
         td = heuristic_decomposition(cg.graph, "min_fill")
@@ -164,24 +185,27 @@ def compile_set(
     if w > cap:
         raise ResourceLimitError(f"decomposition width {w} exceeds the DP cap of {cap}")
     nice = make_nice(td)
-    return CompiledSet(cg, w, nice, _plan(cg, nice))
+    td = None  # the plan reads only the nice form: free a min-fill td first, for peak memory
+    return CompiledSet(cg, w, _plan(cg, nice))
 
 
 def _units(
     vertex_of: dict[Formula, int], gamma: Iterable[Formula]
 ) -> Optional[list[tuple[int, bool]]]:
     """The pins ``(vertex, value)`` that make every formula of ``gamma``
-    true: a formula with a vertex pins it to true, and a negation without
-    one pins its argument to the opposite value (through any number of
-    negations).  None when some formula has no vertex either way."""
+    true: a formula pins its vertex to true, and a negation ``!g`` pins
+    ``g``'s vertex to false instead (through any number of negations), which
+    is the same, since a vertex of ``!g`` is a function of ``g``'s.  None
+    when some formula's negation-free core has no vertex."""
     units = []
     for f in gamma:
         value = True
-        while f not in vertex_of:
-            if f.__class__ is not App or f.op != "not":
-                return None
+        while f.__class__ is App and f.op == "not":
             f, value = f.args[0], not value
-        units.append((vertex_of[f], value))
+        v = vertex_of.get(f)
+        if v is None:
+            return None
+        units.append((v, value))
     return units
 
 
@@ -194,7 +218,8 @@ def dp_sat(
 ) -> bool:
     """Satisfiability of a formula set by DP over a nice decomposition.
     With ``universe``, a compiled set whose vertices cover every formula of
-    ``gamma`` or its negation, the formulas are pinned as units on it;
+    ``gamma`` once its negations are peeled, the formulas are pinned as
+    units on it;
     otherwise ``gamma`` is compiled on its own (over ``td`` when given) and
     its formulas pinned on that."""
     gamma = tuple(gamma)
@@ -203,18 +228,15 @@ def dp_sat(
     if units is None:
         compiled = compile_set(gamma, td, limits=limits)
         units = _units(compiled.cg.vertex_of, gamma)
-    return _run_dp(compiled, units)
+    return _run_dp(compiled.program, units)
 
 
-_NO_STEP = (0, ())
-
-
-def _plan(cg: ConstraintGraph, nice: NiceTreeDecomposition) -> list[Step]:
-    """One step per nice node, in id order (children first): the bit position
-    of its introduced or forgotten vertex, and, at an introduce node, the
-    compiled constraints it checks.  Each constraint goes to the first
-    introduce node of one of its vertices whose bag covers its scope.  A
-    labeling's bit i is the i-th smallest vertex of the bag."""
+def _plan(cg: ConstraintGraph, nice: NiceTreeDecomposition) -> list[Instruction]:
+    """The program of a nice form, one instruction per node in id order.  A
+    labeling's bit i is the i-th smallest vertex of the bag, so an introduce
+    opens its vertex's position and a forget closes it, and the bits above
+    that position move up or down by one.  Each constraint goes to the first
+    introduce of one of its vertices whose bag covers its scope."""
     by_vertex: dict[int, list[int]] = {}
     scopes: list[tuple[int, ...]] = []
     for ci, c in enumerate(cg.constraints):
@@ -226,28 +248,31 @@ def _plan(cg: ConstraintGraph, nice: NiceTreeDecomposition) -> list[Step]:
     done = [False] * len(cg.constraints)
     placed = 0
     order: dict[int, tuple[int, ...]] = {}  # sorted bag of nodes whose parent is pending
-    steps: list[Step] = []
+    program: list[Instruction] = []
     kinds, children, bags = nice.kinds, nice.children, nice.bags
     for node in range(1, len(bags) + 1):
         kind, v = kinds[node]
         kids = children[node]
         if kind == "leaf":
             order[node] = ()
-            steps.append(_NO_STEP)
+            program.append(_LEAF_INSTRUCTION)
             continue
         below = order.pop(kids[0])
         if kind == "join":
             del order[kids[1]]
             order[node] = below
-            steps.append(_NO_STEP)
+            program.append((JOIN, kids[0], kids[1]))
             continue
         if kind == "forget":
             pos = below.index(v)
             order[node] = below[:pos] + below[pos + 1:]
-            steps.append((pos, ()))
+            low = (1 << pos) - 1
+            program.append((FORGET, kids[0], low, ((1 << (len(below) - 1)) - 1) ^ low))
             continue
         pos = bisect.bisect(below, v)
         here = order[node] = below[:pos] + (v,) + below[pos:]
+        low = (1 << pos) - 1
+        high = ((1 << len(below)) - 1) ^ low
         checks = []
         bag = bags[node]
         pos_of = None
@@ -259,55 +284,54 @@ def _plan(cg: ConstraintGraph, nice: NiceTreeDecomposition) -> list[Step]:
                 checks.append(_compile(cg.constraints[ci][2], positions))
                 done[ci] = True
                 placed += 1
-        steps.append((pos, tuple(checks)))
+        program.append((INTRODUCE, kids[0], v, low, high, 1 << pos, tuple(checks)))
     if placed != len(cg.constraints):
         raise AssertionError("some local constraint fits no bag; decomposition invalid")
-    return steps
+    return program
 
 
-# pinned value -> the bits an introduce node may give its vertex
-_CHOICES = {None: (0, 1), True: (1,), False: (0,)}
-
-
-def _run_dp(compiled: CompiledSet, units: list[tuple[int, bool]]) -> bool:
-    """Bottom-up over the plan: a table holds the bag labelings (bitmasks)
-    that extend to a labeling of the subtree meeting every constraint checked
-    there and every pin.  The set is satisfiable iff the root's table is
-    nonempty."""
+def _run_dp(program: list[Instruction], units: list[tuple[int, bool]]) -> bool:
+    """One loop over the program.  Slot i holds the table of instruction i:
+    the bag labelings (bitmasks, no repeats) that extend to a labeling of
+    its subtree meeting every constraint checked there and every pin, until
+    its parent consumes and clears it.  A pinned vertex takes only its
+    pinned bit at each of its introduces.  The set is satisfiable iff the
+    root's table is nonempty, and an empty table stays empty up to the
+    root."""
     pinned: dict[int, bool] = {}
     for v, value in units:
         if pinned.setdefault(v, value) != value:
             return False  # contradictory units
-    tables: dict[int, set[int]] = {}
-    nice = compiled.nice
-    kinds, children = nice.kinds, nice.children
-    for node, (pos, checks) in enumerate(compiled.steps, start=1):
-        kind, v = kinds[node]
-        kids = children[node]
-        if kind == "leaf":
-            table = {0}
-        elif kind == "join":
-            table = tables.pop(kids[0]) & tables.pop(kids[1])
-        elif kind == "forget":
-            low = (1 << pos) - 1
-            table = {(m & low) | ((m >> (pos + 1)) << pos) for m in tables.pop(kids[0])}
+    tables: list = [None] * (len(program) + 1)
+    for slot, instruction in enumerate(program, 1):
+        op = instruction[0]
+        if op == INTRODUCE:
+            _, child, v, low, high, bit, checks = instruction
+            rows = tables[child]
+            tables[child] = None
+            if high:
+                rows = [(m & low) | ((m & high) << 1) for m in rows]
+            value = pinned.get(v)
+            if value is None:
+                rows = [*rows, *[m | bit for m in rows]]
+            elif value:
+                rows = [m | bit for m in rows]
+            for scope_mask, allowed in checks:
+                rows = [m for m in rows if m & scope_mask in allowed]
+        elif op == FORGET:
+            _, child, low, high = instruction
+            rows = {(m & low) | ((m >> 1) & high) for m in tables[child]}
+            tables[child] = None
+        elif op == JOIN:
+            _, child, other = instruction
+            rows = set(tables[child]).intersection(tables[other])
+            tables[child] = tables[other] = None
         else:
-            low = (1 << pos) - 1
-            bits = tuple(choice << pos for choice in _CHOICES[pinned.get(v)])
-            table = set()
-            for m in tables.pop(kids[0]):
-                expanded = (m & low) | ((m >> pos) << (pos + 1))
-                for bit in bits:
-                    cand = expanded | bit
-                    for scope_mask, allowed in checks:
-                        if cand & scope_mask not in allowed:
-                            break
-                    else:
-                        table.add(cand)
-        if not table:
-            return False  # an empty table stays empty up to the root
-        tables[node] = table
-    return bool(tables[nice.root])
+            rows = (0,)
+        if not rows:
+            return False
+        tables[slot] = rows
+    return True
 
 
 def dp_implication(
@@ -341,6 +365,7 @@ class EntailmentOracle:
         self.limits = limits
         self._cache: dict = {}
         self._universe: Optional[CompiledSet] = None
+        self._negations: dict[Formula, Formula] = {}
 
     def compile_universe(self, universe: Iterable[Formula]) -> None:
         """Compile, once, the formulas the coming queries are about: each
@@ -378,8 +403,17 @@ class EntailmentOracle:
         if isinstance(conclusion, App) and conclusion.op == "not":
             negated = conclusion.args[0]
         else:
-            negated = lnot(conclusion)
+            negated = self.negation(conclusion)
         return not self.satisfiable(tuple(premises) + (negated,))
+
+    def negation(self, f: Formula) -> Formula:
+        """``!f``, built once per formula for the oracle's lifetime, so that
+        queries repeating a negation hold one object, which the query sets
+        and the cache compare by identity."""
+        negated = self._negations.get(f)
+        if negated is None:
+            negated = self._negations[f] = lnot(f)
+        return negated
 
     def __repr__(self) -> str:
         return f"EntailmentOracle({self.kind!r})"

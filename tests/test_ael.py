@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nmlkit import formula
 from nmlkit.ael import (
     AeTheory,
     FullSetCandidate,
@@ -126,3 +127,30 @@ def test_parse_ae_error_carries_line():
 def test_format_roundtrip():
     sigma = AeTheory((limp(LP, P), Believes(Believes(Var("q")))))
     assert parse_ae_theory(format_ae_theory(sigma)) == sigma
+
+
+def test_queries_meet_the_theory_by_identity(monkeypatch):
+    # a parsed theory holds a new object for every occurrence of an atom, so
+    # without sharing each query would compare its atoms structurally
+    sigma = parse_ae_theory(
+        "(L L L (p <-> r) | L L (p <-> r) -> L (p | L (p <-> r))) | r\n"
+        "L !q | L (p <-> r) <-> r\n"
+        "L p & L (p ^ L L L (p <-> r)) <-> q\n"
+    )
+    k = len(belief_atoms(sigma))
+    assert k == 7
+    want = expansion_exists(sigma, entailment_oracle("brute"))
+    calls = []
+    original = formula._nodes_equal
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(formula, "_nodes_equal", counted)
+    oracle = entailment_oracle("twdp")
+    got = expansion_exists(sigma, oracle)
+    monkeypatch.undo()
+    assert len(oracle._cache) > 2 ** k
+    assert len(calls) <= 2 * k
+    assert got == want and want[0]

@@ -31,6 +31,7 @@ from nmlkit.formula import (
     lxor3,
     parse_formula,
     sat_bruteforce,
+    share_subterms,
     subformulae,
 )
 from nmlkit.limits import Limits
@@ -356,3 +357,16 @@ def test_deep_and_wide_inputs_take_no_recursion():
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(saved)
+
+
+def test_share_subterms_makes_equal_subterms_one_object():
+    roots = [parse_formula("(L (p & q) | (p & q)) -> L L (p & q)", "ae"), parse_formula("p & q")]
+    shared = share_subterms(roots)
+    assert shared == roots
+    one: dict = {}
+    stack = list(shared)
+    while stack:
+        f = stack.pop()
+        assert one.setdefault(f, f) is f
+        stack.extend(f.args if isinstance(f, App) else [f.arg] if isinstance(f, Believes) else [])
+    assert len(one) == len(subformulae(roots))

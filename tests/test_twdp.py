@@ -5,8 +5,9 @@ import pytest
 
 from nmlkit import twdp
 from nmlkit.ael import AeTheory, belief_atoms, expansion_exists
+from nmlkit.dl import extension_exists
 from nmlkit.errors import ResourceLimitError
-from nmlkit.families import chain
+from nmlkit.families import chain, gen_dl_lower
 from nmlkit.formula import (
     Believes,
     Var,
@@ -296,3 +297,86 @@ def test_each_theory_is_compiled_once(monkeypatch):
     assert [calls[name] for name in builders] == [1, 1, 1]
     assert calls["dp_sat"] == len(oracle._cache) > 1
 
+
+# ---------------------------------------------------------------------------
+# The DP program: one instruction per nice node, run in one loop
+# ---------------------------------------------------------------------------
+
+
+def _introduced_below(program):
+    """For each slot, the vertices introduced in its subtree."""
+    below = [frozenset()]  # slot 0 is unused
+    for op, *args in program:
+        if op == twdp.LEAF:
+            below.append(frozenset())
+        elif op == twdp.JOIN:
+            below.append(below[args[0]] | below[args[1]])
+        elif op == twdp.INTRODUCE:
+            below.append(below[args[0]] | {args[1]})
+        else:
+            below.append(below[args[0]])
+    return below
+
+
+def test_join_instructions_match_bruteforce(monkeypatch):
+    # every query pins a vertex introduced only under a join's first child
+    # and one introduced only under its second
+    rng = random.Random(67)
+    compiled = [
+        twdp.compile_set(random_formula_set(
+            rng, max_formulas=4, max_subformulae=14, allow_believes=True
+        ))
+        for _ in range(300)
+    ]
+    _no_recompile(monkeypatch)
+    verdicts = []
+    for cs in compiled:
+        formula_of = {v: f for f, v in cs.cg.vertex_of.items()}
+        below = _introduced_below(cs.program)
+        for op, *args in cs.program:
+            if op != twdp.JOIN:
+                continue
+            child, other = args
+            left, right = below[child] - below[other], below[other] - below[child]
+            if not (left and right):
+                continue
+            pinned = [formula_of[rng.choice(sorted(side))] for side in (left, right)]
+            query = [f if rng.random() < 0.5 else lnot(f) for f in pinned]
+            query += rng.sample(list(formula_of.values()), rng.randint(0, 2))
+            verdict = dp_sat(query, universe=cs)
+            assert verdict == (sat_bruteforce(query) is not None), query
+            verdicts.append(verdict)
+    assert len(verdicts) >= 50
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
+
+
+def test_program_is_built_once_per_compiled_set(monkeypatch):
+    plans: list[bool] = []  # one entry per _plan call: was a query running?
+    running: list[bool] = []
+
+    def counted_plan(*args, _original=twdp._plan):
+        plans.append(bool(running))
+        return _original(*args)
+
+    def counted_dp_sat(*args, _original=twdp.dp_sat, **kwargs):
+        running.append(True)
+        try:
+            return _original(*args, **kwargs)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(twdp, "_plan", counted_plan)
+    monkeypatch.setattr(twdp, "dp_sat", counted_dp_sat)
+    p, q, r = Var("p"), Var("q"), Var("r")
+    sigma = AeTheory((
+        limp(Believes(p), q),
+        lor(Believes(land(p, Believes(q))), lnot(Believes(r))),
+        limp(Believes(lxor(q, r)), p),
+    ))
+    oracle = entailment_oracle("twdp")
+    expansion_exists(sigma, oracle)
+    assert plans == [False] and len(oracle._cache) > 1
+    plans.clear()
+    oracle = entailment_oracle("twdp")
+    assert extension_exists(gen_dl_lower(3), oracle)[0]
+    assert plans == [False] and len(oracle._cache) > 1
