@@ -8,7 +8,7 @@ opaquely, so the brute-force and decomposition oracles apply unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import ResourceLimitError
 from .formula import (
@@ -21,7 +21,6 @@ from .formula import (
     lnot,
     parse_formula,
     read_lines,
-    share_subterms,
 )
 from .limits import Limits, get_limits
 from .twdp import EntailmentOracle, entailment_oracle
@@ -39,10 +38,9 @@ class FullSetCandidate:
 
     entries: tuple[tuple[Believes, bool], ...]
 
-    def literals(self, negate: Callable[[Formula], Formula] = lnot) -> list[Formula]:
-        """The believed atoms, and the negations (by ``negate``) of the
-        others."""
-        return [bel if positive else negate(bel) for bel, positive in self.entries]
+    def literals(self) -> list[Formula]:
+        """The believed atoms, and the negations of the others."""
+        return [bel if positive else lnot(bel) for bel, positive in self.entries]
 
     def __str__(self) -> str:
         return "{" + ", ".join(
@@ -63,11 +61,9 @@ def is_full(
     oracle: Optional[EntailmentOracle] = None,
 ) -> bool:
     """The candidate is full iff, for each belief atom L-phi, the theory plus
-    the candidate's literals entails phi exactly when the atom is positive.
-    The negative literals are the oracle's negations, so that they are the
-    same objects as the negated conclusions of other queries."""
+    the candidate's literals entails phi exactly when the atom is positive."""
     oracle = oracle or entailment_oracle("brute")
-    premises = list(sigma.formulas) + candidate.literals(oracle.negation)
+    premises = list(sigma.formulas) + candidate.literals()
     for bel, positive in candidate.entries:
         if oracle.entails(premises, bel.arg) != positive:
             return False
@@ -82,11 +78,8 @@ def expansion_exists(
 ) -> tuple[bool, list[FullSetCandidate]]:
     """Enumerate all polarity choices (binary counting order, all-negative
     first) and return the full ones.  The oracle compiles the theory's
-    universe once: its formulas and every belief atom's argument.  Equal
-    subterms of the theory are made one object first, so that its queries
-    meet the universe's vertices and the oracle's cache by identity."""
+    universe once: its formulas and every belief atom's argument."""
     oracle = oracle or entailment_oracle("brute")
-    sigma = AeTheory(tuple(share_subterms(sigma.formulas)))
     atoms = belief_atoms(sigma)
     cap = get_limits(limits).ael_prefixes
     if len(atoms) > cap:

@@ -26,7 +26,6 @@ from .formula import (
     format_formula,
     is_propositional,
     join_lines,
-    lnot,
     parse_formula,
     read_lines,
 )
@@ -75,14 +74,15 @@ def _blocked(
     theory: DefaultTheory, chosen: Iterable[int], oracle: EntailmentOracle
 ) -> frozenset[int]:
     """Rules whose negated justification follows from the knowledge base
-    plus the conclusions of ``chosen``.  Monotone in ``chosen``; if those
-    premises are inconsistent every rule is blocked."""
+    plus the conclusions of ``chosen``, that is, whose justification is
+    inconsistent with them.  Monotone in ``chosen``; if those premises are
+    inconsistent every rule is blocked."""
     rules = theory.defaults
     closure = list(theory.knowledge) + [rules[i - 1].conclusion for i in sorted(chosen)]
     return frozenset(
         i
         for i in range(1, len(rules) + 1)
-        if oracle.entails(closure, lnot(rules[i - 1].justification))
+        if not oracle.satisfiable([*closure, rules[i - 1].justification])
     )
 
 

@@ -480,18 +480,6 @@ def extension_existence(basis: Basis, variant: str = "corrected") -> MsoFormula:
     return And((struc, ExistsSO("G", body)))
 
 
-def _extension_without_groundedness(basis: Basis) -> MsoFormula:
-    """Corrected entailments but verbatim subset-minimality instead of
-    groundedness.  Used in tests to document that minimality admits
-    ungrounded fixpoints."""
-    corrected = extension_existence(basis, "corrected")
-    struc, exists_g = corrected.parts
-    full_body = exists_g.body
-    guard, stable, _grounded = full_body.parts
-    minimal = ForallSO("G1", Imp(_subsetneq("G1", "G"), Not(rename_set(stable, "G", "G1"))))
-    return And((struc, ExistsSO("G", conj([guard, stable, minimal]))))
-
-
 # ---------------------------------------------------------------------------
 # Autoepistemic logic
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ evaluation and entailment.  The module also provides the exhaustive
 truth-table oracles that everything else in the toolkit is cross-checked
 against.
 
+Formula nodes are interned: each constructor returns the live node with its
+kind and fields when there is one, so equal formulas are one object and
+``==`` is ``is``.  The hash stays structural (``hash((op, args))``,
+``hash((arg,))``, ``hash((name,))``, ``hash((value,))``), so set iteration
+orders, and the decompositions built from them, do not depend on identity.
+
 Every pass over the subterm set goes through one explicit-stack walk,
 ``number_subterms``: subformulas, atoms, the propositional and basis checks,
 the DP's constraint graph and the structure builders' element ids.  The
@@ -21,7 +27,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import ParseError, ResourceLimitError
@@ -90,99 +97,81 @@ DEFAULT_BASIS = Basis()
 
 
 class Formula:
-    """Base class for formula nodes; subclasses are frozen dataclasses."""
+    """Base class for formula nodes, which are interned frozen dataclasses.
+    ``__hash__`` returns the structural hash computed when the node was
+    made, and ``__reduce__`` rebuilds through the constructor, so a copy or
+    an unpickled node is the live node."""
 
-    __slots__ = ()
+    __slots__ = ("_hash", "__weakref__")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@dataclass(frozen=True, slots=True)
+# The live nodes: a Var keyed on its name, a Const on its value, a Believes on
+# its argument and an App on ``(op, args)``.  Keys of different kinds never
+# compare equal, and children compare by identity, so one table serves all
+# four.  It holds its nodes weakly: a node no formula uses leaves it.
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _make(cls, key, **fields) -> Formula:
+    """A new node of ``cls`` with ``fields``, hashed as the tuple of their
+    values and entered in the table under ``key``."""
+    node = object.__new__(cls)
+    object.__setattr__(node, "_hash", hash(tuple(fields.values())))
+    for name, value in fields.items():
+        object.__setattr__(node, name, value)
+    _LIVE[key] = node
+    return node
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Var(Formula):
     name: str
 
+    def __new__(cls, name: str) -> Var:
+        return _LIVE.get(name) or _make(cls, name, name=name)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Const(Formula):
     value: bool
 
-
-# Operator and belief nodes compute their hash once, at construction, instead
-# of rehashing the whole subtree on every dict or set lookup.  The value is the
-# one the dataclass would compute, ``hash(fields)``; ``__reduce__`` rebuilds
-# through the constructor, so a pickled node rehashes in its new process.
-# Both share ``_nodes_equal``, which walks with an explicit stack so that deep
-# formulas compare without recursion.
+    def __new__(cls, value: bool) -> Const:
+        return _LIVE.get(value) or _make(cls, value, value=value)
 
 
-def _nodes_equal(a: Formula, b: Formula) -> bool:
-    """Structural equality: identity first, then a cached-hash mismatch
-    rejects, then the children are compared pairwise."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        if x.__class__ is not y.__class__:
-            return False
-        if x.__class__ is App:
-            if x._hash != y._hash or x.op != y.op:
-                return False
-            stack.extend(zip(x.args, y.args))
-        elif x.__class__ is Believes:
-            if x._hash != y._hash:
-                return False
-            stack.append((x.arg, y.arg))
-        elif x != y:
-            return False
-    return True
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class App(Formula):
     op: str
     args: tuple[Formula, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        arity = CONNECTIVE_ARITY.get(self.op)
-        if arity is None:
-            raise ValueError(f"unknown connective {self.op!r}")
-        if arity != len(self.args):
-            raise ValueError(f"{self.op} expects {arity} arguments, got {len(self.args)}")
-        object.__setattr__(self, "_hash", hash((self.op, self.args)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not App:
-            return NotImplemented
-        return _nodes_equal(self, other)
-
-    def __reduce__(self):
-        return App, (self.op, self.args)
+    def __new__(cls, op: str, args: tuple[Formula, ...]) -> App:
+        key = (op, args)
+        node = _LIVE.get(key)
+        if node is None:
+            arity = CONNECTIVE_ARITY.get(op)
+            if arity is None:
+                raise ValueError(f"unknown connective {op!r}")
+            if arity != len(args):
+                raise ValueError(f"{op} expects {arity} arguments, got {len(args)}")
+            node = _make(cls, key, op=op, args=args)
+        return node
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Believes(Formula):
     arg: Formula
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.arg,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Believes:
-            return NotImplemented
-        return _nodes_equal(self, other)
-
-    def __reduce__(self):
-        return Believes, (self.arg,)
+    def __new__(cls, arg: Formula) -> Believes:
+        return _LIVE.get(arg) or _make(cls, arg, arg=arg)
 
 
 TRUE = Const(True)
@@ -291,27 +280,6 @@ def number_subterms(
                     continue
             seen[f] = len(seen) + 1
     return seen
-
-
-def share_subterms(roots: Iterable[Formula]) -> list[Formula]:
-    """``roots`` rebuilt so that equal subterms are one object: each
-    distinct subterm becomes its first occurrence, over shared children.
-    Dict and set lookups among the shared formulas then succeed by identity,
-    without a structural comparison."""
-    roots = list(roots)
-    own: dict[Formula, Formula] = {}
-    for f in number_subterms(roots):
-        shared = f
-        if f.__class__ is App:
-            args = tuple(map(own.__getitem__, f.args))
-            if any(a is not b for a, b in zip(args, f.args)):
-                shared = App(f.op, args)
-        elif f.__class__ is Believes:
-            arg = own[f.arg]
-            if arg is not f.arg:
-                shared = Believes(arg)
-        own[f] = shared
-    return [own[f] for f in roots]
 
 
 def _atom_keys(subterms: Iterable[Formula]) -> list[AtomKey]:

@@ -303,12 +303,11 @@ def _reduce(adj: dict[int, set[int]], lb: int) -> tuple[list[int], int, int]:
 
 
 def exact_treewidth(
-    g: Graph, upper_hint: Optional[int] = None, *, limits: Limits | None = None
+    g: Graph, *, limits: Limits | None = None
 ) -> tuple[int, TreeDecomposition]:
     """Minimum width over all decompositions, with an elimination-ordering
-    witness.  ``upper_hint``, when given, must be a valid upper bound (it
-    prunes the search).  The core left after safe reductions must fit the
-    configured vertex cap."""
+    witness.  The core left after safe reductions must fit the configured
+    vertex cap."""
     if g.n == 0:
         return -1, TreeDecomposition({1: frozenset()}, frozenset())
     adj = g.adjacency()
@@ -323,8 +322,7 @@ def exact_treewidth(
     if adj:
         heur_order, bags = _greedy_elimination({v: set(ns) for v, ns in adj.items()}, "min_fill")
         heur_width = max(len(bag) for bag in bags) - 1
-        prune_cap = (upper_hint + 1) if upper_hint is not None else (1 << 30)
-        best_width, best_order = _branch_and_bound(adj, heur_width, heur_order, prune_cap)
+        best_width, best_order = _branch_and_bound(adj, heur_width, heur_order)
         answer = max(forced, best_width)
         full_order = prefix + best_order
     else:
@@ -335,16 +333,15 @@ def exact_treewidth(
 
 
 def _branch_and_bound(
-    adj: dict[int, set[int]], best_width: int, best_order: list[int], prune_cap: int
+    adj: dict[int, set[int]], best_width: int, best_order: list[int]
 ) -> tuple[int, list[int]]:
     """DFS over elimination orderings of the core with reduction and
     lower-bound pruning.  Deterministic: candidates scanned in vertex order.
-    ``prune_cap`` (a promised upper bound plus one) only prunes; the returned
-    width is always the width of the returned ordering."""
+    The returned width is the width of the returned ordering."""
     best = [best_width, list(best_order)]
 
     def dfs(work: dict[int, set[int]], current: int, order: list[int]) -> None:
-        bound = min(best[0], prune_cap)
+        bound = best[0]
         if current >= bound:
             return
         if not work:
@@ -365,7 +362,7 @@ def _branch_and_bound(
             best[1] = list(order) + reduced
             return
         for v in sorted(work):
-            if len(work[v]) >= min(best[0], prune_cap):
+            if len(work[v]) >= best[0]:
                 continue
             child = {u: set(ns) for u, ns in work.items()}
             d = len(child[v])

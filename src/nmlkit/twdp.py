@@ -365,7 +365,6 @@ class EntailmentOracle:
         self.limits = limits
         self._cache: dict = {}
         self._universe: Optional[CompiledSet] = None
-        self._negations: dict[Formula, Formula] = {}
 
     def compile_universe(self, universe: Iterable[Formula]) -> None:
         """Compile, once, the formulas the coming queries are about: each
@@ -403,17 +402,8 @@ class EntailmentOracle:
         if isinstance(conclusion, App) and conclusion.op == "not":
             negated = conclusion.args[0]
         else:
-            negated = self.negation(conclusion)
+            negated = lnot(conclusion)
         return not self.satisfiable(tuple(premises) + (negated,))
-
-    def negation(self, f: Formula) -> Formula:
-        """``!f``, built once per formula for the oracle's lifetime, so that
-        queries repeating a negation hold one object, which the query sets
-        and the cache compare by identity."""
-        negated = self._negations.get(f)
-        if negated is None:
-            negated = self._negations[f] = lnot(f)
-        return negated
 
     def __repr__(self) -> str:
         return f"EntailmentOracle({self.kind!r})"

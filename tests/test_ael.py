@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from nmlkit import formula
 from nmlkit.ael import (
     AeTheory,
     FullSetCandidate,
@@ -14,7 +13,7 @@ from nmlkit.ael import (
 )
 from nmlkit.encodings import expansion_existence
 from nmlkit.errors import ParseError, ResourceLimitError
-from nmlkit.formula import Basis, Believes, Var, limp, lnot
+from nmlkit.formula import App, Basis, Believes, Var, limp, lnot
 from nmlkit.limits import Limits
 from nmlkit.mso import eval_mso
 from nmlkit.randgen import random_ae_theory
@@ -129,9 +128,9 @@ def test_format_roundtrip():
     assert parse_ae_theory(format_ae_theory(sigma)) == sigma
 
 
-def test_queries_meet_the_theory_by_identity(monkeypatch):
-    # a parsed theory holds a new object for every occurrence of an atom, so
-    # without sharing each query would compare its atoms structurally
+def test_queries_meet_the_theory_by_identity():
+    # every formula of every query, its negations peeled, is itself a vertex
+    # of the compiled universe, so each query only pins units on it
     sigma = parse_ae_theory(
         "(L L L (p <-> r) | L L (p <-> r) -> L (p | L (p <-> r))) | r\n"
         "L !q | L (p <-> r) <-> r\n"
@@ -140,17 +139,13 @@ def test_queries_meet_the_theory_by_identity(monkeypatch):
     k = len(belief_atoms(sigma))
     assert k == 7
     want = expansion_exists(sigma, entailment_oracle("brute"))
-    calls = []
-    original = formula._nodes_equal
-
-    def counted(a, b):
-        calls.append((a, b))
-        return original(a, b)
-
-    monkeypatch.setattr(formula, "_nodes_equal", counted)
     oracle = entailment_oracle("twdp")
     got = expansion_exists(sigma, oracle)
-    monkeypatch.undo()
+    vertices = {id(f) for f in oracle._universe.cg.vertex_of}
     assert len(oracle._cache) > 2 ** k
-    assert len(calls) <= 2 * k
+    for _, query in oracle._cache:
+        for f in query:
+            while isinstance(f, App) and f.op == "not":
+                f = f.args[0]
+            assert id(f) in vertices
     assert got == want and want[0]

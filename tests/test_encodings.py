@@ -7,7 +7,7 @@ import pytest
 from nmlkit.ael import AeTheory, expansion_exists
 from nmlkit.dl import DefaultRule, DefaultTheory, extension_exists
 from nmlkit.encodings import (
-    _extension_without_groundedness,
+    _subsetneq,
     expansion_existence,
     extension_existence,
     implication,
@@ -26,7 +26,7 @@ from nmlkit.formula import (
     sat_bruteforce,
     subformulae,
 )
-from nmlkit.mso import eval_mso, to_text
+from nmlkit.mso import And, ExistsSO, ForallSO, Imp, Not, conj, eval_mso, rename_set, to_text
 from nmlkit.randgen import (
     random_ae_theory,
     random_formula_set,
@@ -40,6 +40,16 @@ from nmlkit.structures import (
 )
 
 BASIS = Basis()
+
+
+def _extension_without_groundedness(basis: Basis):
+    """Corrected entailments but verbatim subset-minimality instead of
+    groundedness, to document that minimality admits ungrounded fixpoints."""
+    corrected = extension_existence(basis, "corrected")
+    struc, exists_g = corrected.parts
+    guard, stable, _grounded = exists_g.body.parts
+    minimal = ForallSO("G1", Imp(_subsetneq("G1", "G"), Not(rename_set(stable, "G", "G1"))))
+    return And((struc, ExistsSO("G", conj([guard, stable, minimal]))))
 
 
 def test_sat_encoding_fixtures():

@@ -1,9 +1,12 @@
 import copy
+import gc
+import pickle
 import random
 import sys
 
 import pytest
 
+from nmlkit import formula
 from nmlkit.dl import DefaultRule
 from nmlkit.errors import ParseError, ResourceLimitError
 from nmlkit.formula import (
@@ -25,13 +28,14 @@ from nmlkit.formula import (
     implies_bruteforce,
     is_propositional,
     land,
+    liff,
     limp,
     lnot,
     lor,
+    lxor,
     lxor3,
     parse_formula,
     sat_bruteforce,
-    share_subterms,
     subformulae,
 )
 from nmlkit.limits import Limits
@@ -203,6 +207,10 @@ def test_cached_hash_equals_field_hash():
                 assert hash(s) == hash((s.op, s.args))
             elif isinstance(s, Believes):
                 assert hash(s) == hash((s.arg,))
+            elif isinstance(s, Var):
+                assert hash(s) == hash((s.name,))
+            else:
+                assert hash(s) == hash((s.value,))
 
 
 def _conjunct_chain(n):
@@ -214,7 +222,7 @@ def _conjunct_chain(n):
 
 def test_deep_formulas_compare_without_recursion():
     a, b = _conjunct_chain(2000), _conjunct_chain(2000)
-    assert a is not b and a == b and hash(a) == hash(b)
+    assert a is b and a == b and hash(a) == hash(b)
     assert a != land(_conjunct_chain(1999), Var("y"))
     assert a != _conjunct_chain(1999)
     x, y = Var("p"), Var("p")
@@ -224,8 +232,8 @@ def test_deep_formulas_compare_without_recursion():
 
 
 def test_equality_is_structural():
-    # deep copies rebuild every node, so equal trees are never identical;
-    # repr spells out the whole tree
+    # deep copies rebuild through the constructors, so a copy is the node it
+    # copies; repr spells out the whole tree
     rng = random.Random(32)
     pool = [
         random_formula(rng, ["p", "q"], max_depth=3, allow_believes=True) for _ in range(60)
@@ -234,6 +242,64 @@ def test_equality_is_structural():
     for f in pool:
         for g in copies:
             assert (f == g) == (repr(f) == repr(g))
+
+
+def _rebuilt(f):
+    if isinstance(f, App):
+        return App(f.op, tuple(_rebuilt(a) for a in f.args))
+    if isinstance(f, Believes):
+        return Believes(_rebuilt(f.arg))
+    if isinstance(f, Var):
+        return Var("".join(list(f.name)))  # an equal name, not the same str
+    return Const(f.value)
+
+
+def test_every_construction_path_yields_one_object_per_structure():
+    rng = random.Random(33)
+    for _ in range(300):
+        f = random_formula(rng, ["p", "q", "r"], max_depth=4, allow_believes=True)
+        copies = (
+            _rebuilt(f),
+            parse_formula(format_formula(f), "ae"),
+            copy.copy(f),
+            copy.deepcopy(f),
+            pickle.loads(pickle.dumps(f)),
+        )
+        assert all(g is f for g in copies)
+    p, q, r = Var("p"), Var("q"), Var("r")
+    built = []
+    for build, op, symbol in (
+        (land, "and", "&"),
+        (lor, "or", "|"),
+        (limp, "imp", "->"),
+        (liff, "iff", "<->"),
+        (lxor, "xor", "^"),
+    ):
+        f = build(p, q)
+        assert f is App(op, (p, q)) is parse_formula(f"p {symbol} q")
+        assert (f.op, f.args) == (op, (p, q)) and f is not build(q, p)
+        built.append(f)
+    assert len({id(f) for f in built}) == len(built)
+    assert lxor3(p, q, r) is App("xor3", (p, q, r)) is parse_formula("X3(p, q, r)")
+    assert lnot(p) is App("not", (p,)) is parse_formula("!p")
+    assert Believes(lnot(p)) is parse_formula("L !p", "ae") and Believes(p) is not p
+    assert Const(1) is TRUE is parse_formula("T") and Const(0) is FALSE is parse_formula("F")
+    with pytest.raises(ValueError):
+        App("and", (p,))
+    with pytest.raises(ValueError):
+        App("nand", (p, q))
+
+
+def test_the_table_keeps_no_formula_alive():
+    gc.collect()
+    before = len(formula._LIVE)
+    f = Var("kept0")
+    for i in range(1, 5001):
+        f = land(f, Var(f"kept{i}"))
+    assert len(formula._LIVE) == before + 10_001
+    del f
+    gc.collect()
+    assert len(formula._LIVE) == before
 
 
 # Recursive restatements of the walk-based functions, kept as the reference.
@@ -361,10 +427,8 @@ def test_deep_and_wide_inputs_take_no_recursion():
 
 def test_share_subterms_makes_equal_subterms_one_object():
     roots = [parse_formula("(L (p & q) | (p & q)) -> L L (p & q)", "ae"), parse_formula("p & q")]
-    shared = share_subterms(roots)
-    assert shared == roots
     one: dict = {}
-    stack = list(shared)
+    stack = list(roots)
     while stack:
         f = stack.pop()
         assert one.setdefault(f, f) is f

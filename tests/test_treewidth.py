@@ -203,11 +203,6 @@ def test_exact_core_cap():
         exact_treewidth(g, limits=Limits(exact_tw_core=10))
 
 
-def test_exact_upper_hint_prunes_but_stays_exact():
-    g = gen_pseudo_clique(PseudoCliqueSpec(4, 1))
-    assert exact_treewidth(g, upper_hint=3)[0] == 3
-
-
 # ---------------------------------------------------------------------------
 # nice decompositions
 # ---------------------------------------------------------------------------
