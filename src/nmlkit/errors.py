@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer reader of the
+line-based formats."""
 
 
 class NmlkitError(Exception):
@@ -21,3 +22,11 @@ class ParseError(NmlkitError):
 
 class ResourceLimitError(NmlkitError):
     """Raised when an operation would exceed a configured cap."""
+
+
+def parse_ints(fields: list[str], line: int) -> list[int]:
+    """``fields`` read as integers; a ParseError naming ``line`` otherwise."""
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise ParseError(f"expected integers, got {' '.join(fields)!r}", line=line) from None

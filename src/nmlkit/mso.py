@@ -2,11 +2,14 @@
 
 Two evaluators share the same semantics:
 
-* ``eval_mso`` is the production model checker.  It grounds first-order
-  quantifier blocks through the structure's relation tuples and decides
-  second-order quantifiers by branching on set membership lazily under
-  three-valued (Kleene) logic, so only memberships that actually influence
-  the verdict are ever split on.  A step budget guards against blow-ups.
+* ``eval_mso`` is the production model checker.  It runs a compiled form
+  of each sentence, built once and kept for later calls: bound variables
+  renamed apart, quantifiers miniscoped, and every first-order quantifier
+  block replaced by a plan that grounds it through the structure's relation
+  tuples.  It decides second-order quantifiers by branching on set
+  membership lazily under three-valued (Kleene) logic, so only memberships
+  that actually influence the verdict are ever split on.  It keeps no memo
+  of subformula values.  A step budget guards against blow-ups.
 * ``eval_mso_bruteforce`` enumerates everything.  It is the independent
   oracle the production evaluator is swept against in the tests.
 
@@ -262,11 +265,8 @@ def _paren(phi: MsoFormula) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Preprocessing (semantics-preserving; applied once per formula)
+# Compilation (semantics-preserving; done once per sentence)
 # ---------------------------------------------------------------------------
-
-_MINISCOPE_CACHE: dict[MsoFormula, MsoFormula] = {}
-
 
 def _collect_names(phi: MsoFormula, out: set[str]) -> None:
     out.update(*atom_vars(phi))
@@ -277,11 +277,12 @@ def _collect_names(phi: MsoFormula, out: set[str]) -> None:
 
 
 def _standardize(phi: MsoFormula) -> MsoFormula:
-    """Alpha-rename bound variables apart (free variables keep their names).
-    Evaluation assumes no shadowing; builders are free to reuse names."""
+    """Alpha-rename bound variables apart from each other and from the free
+    variables, which keep their names.  Evaluation assumes no shadowing;
+    builders are free to reuse names."""
     used: set[str] = set()
     _collect_names(phi, used)
-    counter: dict[str, int] = {}
+    counter = dict.fromkeys(set().union(*free_vars(phi)), 1)
 
     def fresh(name: str) -> str:
         if name not in counter:
@@ -399,57 +400,41 @@ def _miniscope(phi: MsoFormula) -> MsoFormula:
     return phi
 
 
-def _miniscoped(phi: MsoFormula) -> MsoFormula:
-    cached = _MINISCOPE_CACHE.get(phi)
-    if cached is None:
-        cached = _miniscope(_standardize(phi))
-        if len(_MINISCOPE_CACHE) > 4096:
-            _MINISCOPE_CACHE.clear()
-        _MINISCOPE_CACHE[phi] = cached
-    return cached
-
-
 # ---------------------------------------------------------------------------
 # Production evaluator
 # ---------------------------------------------------------------------------
 
-_EMPTY: frozenset = frozenset()
 
-
+@dataclass(frozen=True, slots=True)
 class _Generator:
     """One relational conjunct used to enumerate bindings: ``key`` positions
     are bound before the atom runs, ``bind`` positions introduce variables,
     ``match`` positions repeat a freshly bound position within the atom."""
 
-    __slots__ = ("rel", "key_positions", "key_vars", "bind", "match")
-
-    def __init__(self, rel, key_positions, key_vars, bind, match):
-        self.rel = rel
-        self.key_positions = key_positions
-        self.key_vars = key_vars
-        self.bind = bind
-        self.match = match
+    rel: str
+    key_positions: tuple[int, ...]
+    key_vars: tuple[str, ...]
+    bind: tuple[tuple[int, str], ...]
+    match: tuple[tuple[int, int], ...]
 
 
+@dataclass(frozen=True, slots=True)
 class _Plan:
-    """Execution plan for a block of same-kind first-order quantifiers.
+    """Execution plan for a block of same-kind first-order quantifiers; it
+    stands in the compiled tree where the block's outermost quantifier was.
 
     ``generators`` enumerate candidate bindings from relation tuples;
     ``loops`` are block variables with no generator, enumerated over the
     whole universe; ``residual`` is what remains of the guard/conjunct list;
-    ``payload`` is the matrix (for universal blocks).  Assumes bound
-    variables have been renamed apart.
+    ``payload`` is the matrix (for universal blocks).  Both are compiled.
+    Assumes bound variables have been renamed apart.
     """
 
-    __slots__ = ("exists", "block", "generators", "loops", "residual", "payload")
-
-    def __init__(self, exists, block, generators, loops, residual, payload):
-        self.exists = exists
-        self.block = block
-        self.generators = generators
-        self.loops = loops
-        self.residual = residual
-        self.payload = payload
+    exists: bool
+    generators: tuple[_Generator, ...]
+    loops: tuple[str, ...]
+    residual: tuple[object, ...]
+    payload: object
 
 
 def _flatten_and(phi: MsoFormula) -> list[MsoFormula]:
@@ -474,10 +459,10 @@ def _make_plan(node: Union[ExistsFO, ForallFO]) -> _Plan:
         payload = None
     elif isinstance(body, Imp):
         conjuncts = _flatten_and(body.left)
-        payload = body.right
+        payload = _compile(body.right)
     else:
         conjuncts = []
-        payload = body
+        payload = _compile(body)
 
     blockset = set(block)
     pool = [c for c in conjuncts if isinstance(c, RelAtom) and set(c.args) & blockset]
@@ -518,9 +503,33 @@ def _make_plan(node: Union[ExistsFO, ForallFO]) -> _Plan:
         chosen.append(best)
         covered |= set(best.args) & blockset
         pool.remove(best)
-    loops = [v for v in block if v not in covered]
-    residual = [c for c in conjuncts if not any(c is g for g in chosen)]
-    return _Plan(exists, block, generators, loops, residual, payload)
+    loops = tuple(v for v in block if v not in covered)
+    residual = tuple(_compile(c) for c in conjuncts if not any(c is g for g in chosen))
+    return _Plan(exists, tuple(generators), loops, residual, payload)
+
+
+def _compile(phi: MsoFormula):
+    """``phi`` with every first-order quantifier block replaced by its plan."""
+    if isinstance(phi, _FO_QUANTIFIERS):
+        return _make_plan(phi)
+    return with_subformulas(phi, [_compile(p) for p in subformulas(phi)])
+
+
+# keyed by sentence; cleared when full
+_COMPILED: dict[MsoFormula, object] = {}
+_COMPILED_MAX = 4096
+
+
+def _compiled(phi: MsoFormula):
+    """The form ``eval_mso`` runs: ``phi`` standardized apart, miniscoped and
+    compiled, built once per sentence."""
+    out = _COMPILED.get(phi)
+    if out is None:
+        out = _compile(_miniscope(_standardize(phi)))
+        if len(_COMPILED) >= _COMPILED_MAX:
+            _COMPILED.clear()
+        _COMPILED[phi] = out
+    return out
 
 
 class _Evaluator:
@@ -533,21 +542,18 @@ class _Evaluator:
     ):
         self.structure = structure
         self.universe = structure.universe
-        self.usize = len(structure.universe)
         self.fo = fo_env
         self.so = so_env
         self.budget = budget
         self.steps = 0
         self.branch_counts: dict[str, int] = {}
         self.watch: Optional[tuple[str, int]] = None
-        self.memo: dict = {}
-        self._plans: dict[int, tuple[MsoFormula, _Plan]] = {}
         self._indexes: dict = {}
 
     # -- bookkeeping --------------------------------------------------------
 
-    def _tick(self, n: int = 1) -> None:
-        self.steps += n
+    def _tick(self) -> None:
+        self.steps += 1
         if self.steps > self.budget:
             if self.branch_counts:
                 worst = max(self.branch_counts, key=self.branch_counts.get)
@@ -618,40 +624,11 @@ class _Evaluator:
                 return None
             same = va == vb
             return same if cls is Iff else not same
-        if cls is ExistsFO or cls is ForallFO:
-            return self._eval_fo_block(phi)
+        if cls is _Plan:
+            return self._run_plan(phi, 0)
         if cls is ExistsSO or cls is ForallSO:
             return self._eval_so(phi, cls is ExistsSO)
         raise TypeError(f"unknown node {phi!r}")  # pragma: no cover
-
-    # -- memoized entry for quantifier nodes --------------------------------
-
-    def _memo_key(self, phi: MsoFormula):
-        fo_free, so_free = free_vars(phi)
-        fo_part = tuple(sorted((v, self.fo[v]) for v in fo_free))
-        so_part = []
-        for sv in sorted(so_free):
-            d = self.so[sv]
-            if len(d) != self.usize:
-                return None  # partially determined set: not safely memoizable
-            so_part.append((sv, frozenset(e for e, b in d.items() if b)))
-        return (id(phi), fo_part, tuple(so_part))
-
-    def _eval_fo_block(self, phi: MsoFormula) -> Optional[bool]:
-        key = self._memo_key(phi)
-        if key is not None:
-            hit = self.memo.get(key)
-            if hit is not None:
-                return hit
-        cached = self._plans.get(id(phi))
-        if cached is None or cached[0] is not phi:
-            cached = (phi, _make_plan(phi))
-            self._plans[id(phi)] = cached
-        plan = cached[1]
-        result = self._run_plan(plan, 0)
-        if key is not None and result is not None:
-            self.memo[key] = result
-        return result
 
     def _run_plan(self, plan: _Plan, gi: int) -> Optional[bool]:
         """Returns the quantifier-block value under current bindings.
@@ -720,24 +697,11 @@ class _Evaluator:
     # -- set quantifiers -----------------------------------------------------
 
     def _eval_so(self, phi: Union[ExistsSO, ForallSO], exists: bool) -> Optional[bool]:
-        key = self._memo_key(phi)
-        if key is not None:
-            hit = self.memo.get(key)
-            if hit is not None:
-                return hit
-        svar = phi.svar
-        saved = self.so.get(svar)
-        self.so[svar] = {}
+        self.so[phi.svar] = {}  # bound names are apart from every other name
         try:
-            result = self._so_dfs(svar, phi.body, exists)
+            return self._so_dfs(phi.svar, phi.body, exists)
         finally:
-            if saved is None:
-                del self.so[svar]
-            else:
-                self.so[svar] = saved
-        if key is not None and result is not None:
-            self.memo[key] = result
-        return result
+            del self.so[phi.svar]
 
     def _so_dfs(self, svar: str, body: MsoFormula, exists: bool) -> Optional[bool]:
         """Depth-first search over the memberships of ``svar`` that the body
@@ -801,12 +765,15 @@ def eval_mso(
     """Decide structure satisfaction of ``phi`` under ``env`` bindings.
 
     ``env`` maps first-order variables to element ids and set variables to
-    sets of element ids; it must cover all free variables.
+    sets of element ids; it must cover all free variables.  The compiled
+    form of ``phi`` is built on its first call and reused by every later
+    call, on any structure and bindings; nothing else outlives the call,
+    and no subformula value is memoized.
     """
     fo, so = _prepare_env(structure, env)
     _check_bound(phi, fo, so)
     ev = _Evaluator(structure, fo, so, get_limits(limits).mso_steps)
-    result = ev.eval(_miniscoped(phi))
+    result = ev.eval(_compiled(phi))
     assert result is not None, "evaluation of a closed formula cannot stay undetermined"
     return result
 

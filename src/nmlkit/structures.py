@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from .errors import ParseError
+from .errors import ParseError, parse_ints
 from .formula import (
     App,
     Basis,
@@ -363,14 +363,14 @@ def parse_gr(text: str) -> Graph:
                 raise ParseError(f"malformed header: {line!r}", line=lineno)
             if n is not None:
                 raise ParseError("duplicate header", line=lineno)
-            n = int(parts[2])
+            n = parse_ints(parts[2:], lineno)[0]
             continue
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"malformed edge line: {line!r}", line=lineno)
         if n is None:
             raise ParseError("edge line before header", line=lineno)
-        u, v = int(parts[0]), int(parts[1])
+        u, v = parse_ints(parts, lineno)
         edges.append((u, v))
     if n is None:
         raise ParseError("missing 'p tw' header")
@@ -399,7 +399,7 @@ def parse_labels(text: str) -> tuple[dict[int, str], dict[int, str]]:
         parts = line.split(maxsplit=2)
         if len(parts) < 2 or parts[1] not in ("main", "edge", "none"):
             raise ParseError(f"malformed label line: {line!r}", line=lineno)
-        v = int(parts[0])
+        v = parse_ints(parts[:1], lineno)[0]
         labels[v] = parts[1]
         descriptions[v] = parts[2] if len(parts) == 3 else "-"
     return labels, descriptions

@@ -17,7 +17,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .errors import ParseError, ResourceLimitError
+from .errors import ParseError, ResourceLimitError, parse_ints
 from .limits import Limits, get_limits
 from .structures import Graph, adjacency_sets
 
@@ -529,8 +529,11 @@ def normalize_pseudo(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
     pair's edge-nodes is replaced by j, then a chain of bags {i,d1,j},
     {d1,d2,j}, ..., {d(k-1),dk,j} is attached to the first bag (smallest id)
     that contains both i and j after replacement; anchoring on j as well
-    keeps the bags holding j connected.  The result is valid, never wider
-    than the input, and keeps edge-nodes in bags of size at most 3.  The
+    keeps the bags holding j connected.  The result is valid and keeps
+    edge-nodes in bags of size at most 3.  It is never wider than the input
+    when the input has width at least 2, as every decomposition of a
+    pseudo-clique with three or more mains has; with two mains and edge-nodes
+    the graph is a path, and a width-1 input becomes width 2.  The
     last edge-node dk lies in exactly one bag, so a pair's only edge-node
     does too; every other edge-node lies in exactly two.
     """
@@ -656,20 +659,22 @@ def parse_td(text: str) -> tuple[TreeDecomposition, int]:
                 raise ParseError(f"malformed solution line: {line!r}", line=lineno)
             if declared_n is not None:
                 raise ParseError("duplicate solution line", line=lineno)
-            declared_n = int(parts[4])
+            declared_n = parse_ints(parts[2:], lineno)[2]
         elif parts[0] == "b":
             if declared_n is None:
                 raise ParseError("bag line before solution line", line=lineno)
-            bid = int(parts[1])
+            if len(parts) < 2:
+                raise ParseError(f"malformed bag line: {line!r}", line=lineno)
+            bid, *verts = parse_ints(parts[1:], lineno)
             if bid in bags:
                 raise ParseError(f"duplicate bag id {bid}", line=lineno)
-            bags[bid] = frozenset(int(v) for v in parts[2:])
+            bags[bid] = frozenset(verts)
         else:
             if declared_n is None:
                 raise ParseError("edge line before solution line", line=lineno)
             if len(parts) != 2:
                 raise ParseError(f"malformed tree-edge line: {line!r}", line=lineno)
-            u, v = int(parts[0]), int(parts[1])
+            u, v = parse_ints(parts, lineno)
             edges.add((min(u, v), max(u, v)))
     if declared_n is None:
         raise ParseError("missing 's td' line")

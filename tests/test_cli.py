@@ -300,13 +300,24 @@ def test_nmlkit_limits_env_rejects_unknown_keys(monkeypatch):
         (["fmt", "check-imp"], "bad.imp", "p: p\nc: q |\n"),
         (["dl", "solve"], "bad.dt", "w: p\nd: q | ; p ; p\n"),
         (["ael", "solve"], "bad.ae", "L p\nq |\n"),
+        (["tw", "compute"], "bad.gr", "p tw 3 2\ntd #\n"),
+        (["tw", "compute"], "header.gr", "c one\np tw 3 two\n"),
+        (["tw", "verify", "{gr}"], "header.td", "c one\ns td x 3 3\n"),
+        (["tw", "verify", "{gr}"], "bare.td", "s td 1 3 3\nb\n"),
+        (["tw", "verify", "{gr}"], "bad.td", "s td 1 3 3\nb c 1\n"),
+        (["tw", "normalize", "{gr}", "{td}", "--labels-file"], "bad.labels", "1 main -\nx main\n"),
     ],
 )
 def test_parse_error_names_its_line(tmp_path, capsys, command, name, text):
+    # a well-formed graph and decomposition for the other file arguments
+    (tmp_path / "g.gr").write_text("p tw 3 2\n1 2\n2 3\n")
+    (tmp_path / "g.td").write_text("s td 1 3 3\nb 1 1 2 3\n")
     f = tmp_path / name
     f.write_text(text)
-    assert main(command + [str(f)]) == 2
-    assert capsys.readouterr().err.rstrip().endswith("(line 2)")
+    args = [a.format(gr=tmp_path / "g.gr", td=tmp_path / "g.td") for a in command]
+    assert main(args + [str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith("(line 2)") and "Traceback" not in err
 
 
 @pytest.fixture

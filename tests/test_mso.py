@@ -239,6 +239,67 @@ def test_engine_matches_bruteforce_on_random_instances():
     assert checked > 300
 
 
+def test_compiled_sentence_is_reused_soundly():
+    # each open sentence is compiled on its first call; the next two run the
+    # same compiled form on other structures under other bindings
+    rng = random.Random(515151)
+    checked = 0
+    for _ in range(150):
+        phi = random_mso(rng, rng.randint(2, 5), ["v0"], ["V0"])
+        for _ in range(3):
+            n = rng.randint(1, 5)
+            s = random_structure(rng, n)
+            env = {
+                "v0": rng.randint(1, n),
+                "V0": frozenset(e for e in range(1, n + 1) if rng.random() < 0.5),
+            }
+            try:
+                expected = eval_mso_bruteforce(s, phi, env)
+            except ResourceLimitError:
+                continue
+            assert eval_mso(s, phi, env) == expected, to_text(phi)
+            checked += 1
+    assert checked > 300
+
+
+def test_binder_reusing_a_free_name_keeps_the_free_binding():
+    s = tiny_structure(3, ((1, 2),))
+    phi = And(
+        (
+            ExistsFO("x", RelAtom("E", ("x", "y"))),
+            RelAtom("U", ("x",)),
+            ExistsSO("M", SetAtom("M", "y")),
+            SetAtom("M", "x"),
+        )
+    )
+    env = {"x": 1, "y": 2, "M": {1}}
+    assert eval_mso(s, phi, env) is eval_mso_bruteforce(s, phi, env) is True
+
+
+def test_sentence_is_compiled_once(monkeypatch):
+    from nmlkit import mso
+    from nmlkit.encodings import mso_encoding
+    from nmlkit.families import chain
+    from nmlkit.structures import build_prop_structure
+
+    calls = dict.fromkeys(("_make_plan", "_miniscope"), 0)
+    for name in calls:
+
+        def counted(phi, _original=getattr(mso, name), _name=name):
+            calls[_name] += 1
+            return _original(phi)
+
+        monkeypatch.setattr(mso, name, counted)
+    monkeypatch.setattr(mso, "_COMPILED", {})
+    phi = mso_encoding("sat")
+    after = []
+    for m in range(1, 6):
+        assert eval_mso(build_prop_structure(chain(m)), phi)
+        after.append(dict(calls))
+    assert after[0]["_make_plan"] > 0 and after[0]["_miniscope"] > 0
+    assert after[-1] == after[0]
+
+
 def test_isomorphism_invariance():
     from nmlkit.encodings import satisfiability
     from nmlkit.formula import Basis

@@ -401,6 +401,18 @@ def test_normalize_cardinality_zero_is_identity():
     assert sorted(out.bags.values(), key=sorted) == sorted(td.bags.values(), key=sorted)
 
 
+def test_normalize_two_mains_widens_only_with_edge_nodes():
+    # two mains joined by a path: width 1, and the chain bag {1, d1, 2} is 3
+    g = gen_pseudo_clique(PseudoCliqueSpec(2, 1))
+    td = heuristic_decomposition(g, "min_fill")
+    out = normalize_pseudo(g, td)
+    assert width(td) == 1
+    assert validate_decomposition(g, out) == [] and width(out) == 2
+    g = gen_pseudo_clique(PseudoCliqueSpec(2, 0))
+    td = heuristic_decomposition(g, "min_fill")
+    assert normalize_pseudo(g, td) == td and width(td) == 1
+
+
 def test_normalize_random_sweep():
     rng = random.Random(16)
     for _ in range(100):
