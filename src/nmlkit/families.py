@@ -144,6 +144,8 @@ def gen_imp_lower(kind: str, n: int) -> tuple[list[Formula], list[Formula]]:
 def chain(m: int) -> list[Formula]:
     """The satisfiable implication chain x1, x1 -> x2, ..., x(m-1) -> xm:
     its constraint graph keeps the same treewidth as m grows."""
+    if m < 1:
+        raise ValueError("m must be positive")
     return [Var("x1")] + [limp(Var(f"x{i}"), Var(f"x{i+1}")) for i in range(1, m)]
 
 

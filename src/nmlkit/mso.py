@@ -2,23 +2,25 @@
 
 Two evaluators share the same semantics:
 
-* ``eval_mso`` is the production model checker.  It runs a compiled form
-  of each sentence, built once and kept for later calls: bound variables
-  renamed apart, quantifiers miniscoped, and every first-order quantifier
-  block replaced by a plan that grounds it through the structure's relation
-  tuples.  It decides second-order quantifiers by branching on set
-  membership lazily under three-valued (Kleene) logic, so only memberships
-  that actually influence the verdict are ever split on.  It keeps no memo
-  of subformula values.  A step budget guards against blow-ups.
+* ``eval_mso`` is the production model checker.  It compiles each
+  sentence once, on its first call, into a function per node and keeps it
+  for later calls: bound variables renamed apart, quantifiers miniscoped,
+  and every first-order quantifier block one function with a candidate
+  loop per variable-binding generator, grounded through the structure's
+  relation tuples or, for a variable no relation binds, its universe.  It
+  decides second-order quantifiers by branching on set membership lazily
+  under three-valued (Kleene) logic, so only memberships that actually
+  influence the verdict are ever split on.  It keeps no memo of subformula
+  values.  A step budget guards against blow-ups.
 * ``eval_mso_bruteforce`` enumerates everything.  It is the independent
   oracle the production evaluator is swept against in the tests.
 
 The syntax walkers (free variables, renaming, miniscoping, printing, the
 reference's cost estimate) share one part/binder view of the node classes:
-``subformulas``, ``with_subformulas``, ``binder`` and ``atom_vars``.  The two
-evaluators keep their own dispatch on the node class: the production one
-because it is the hot path, the reference so that the cross-check stays
-independent.
+``subformulas``, ``with_subformulas``, ``binder`` and ``atom_vars``.  The
+production evaluator dispatches on the node class once, when it compiles a
+sentence; the reference dispatches on every visit, so that the cross-check
+stays independent.
 
 First-order variables are lowercase identifiers bound to universe elements;
 set variables are uppercase identifiers bound to subsets.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import ResourceLimitError
 from .limits import Limits, get_limits
@@ -404,37 +406,100 @@ def _miniscope(phi: MsoFormula) -> MsoFormula:
 # Production evaluator
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True, slots=True)
-class _Generator:
-    """One relational conjunct used to enumerate bindings: ``key`` positions
-    are bound before the atom runs, ``bind`` positions introduce variables,
-    ``match`` positions repeat a freshly bound position within the atom."""
-
-    rel: str
-    key_positions: tuple[int, ...]
-    key_vars: tuple[str, ...]
-    bind: tuple[tuple[int, str], ...]
-    match: tuple[tuple[int, int], ...]
+_Run = Callable[["_Evaluator"], Optional[bool]]
 
 
-@dataclass(frozen=True, slots=True)
-class _Plan:
-    """Execution plan for a block of same-kind first-order quantifiers; it
-    stands in the compiled tree where the block's outermost quantifier was.
+def _compile(phi: MsoFormula) -> _Run:
+    """``phi`` as a function of the evaluator, one per node.  Each ticks the
+    step counter once on entry and returns True, False or None: None when a
+    set membership it needs is unassigned, which it names in ``watch``.  A
+    first-order quantifier block is one function, built by ``_make_plan``.
+    Assumes bound variables have been renamed apart."""
+    if isinstance(phi, _FO_QUANTIFIERS):
+        return _make_plan(phi)
+    cls = type(phi)
+    if cls is RelAtom:
+        rel, args = phi.rel, phi.args
 
-    ``generators`` enumerate candidate bindings from relation tuples;
-    ``loops`` are block variables with no generator, enumerated over the
-    whole universe; ``residual`` is what remains of the guard/conjunct list;
-    ``payload`` is the matrix (for universal blocks).  Both are compiled.
-    Assumes bound variables have been renamed apart.
-    """
+        def run(ev):
+            ev.tick()
+            return tuple(map(ev.fo.__getitem__, args)) in ev.structure.tuples(rel)
+    elif cls is SetAtom:
+        svar, var = phi.svar, phi.var
 
-    exists: bool
-    generators: tuple[_Generator, ...]
-    loops: tuple[str, ...]
-    residual: tuple[object, ...]
-    payload: object
+        def run(ev):
+            ev.tick()
+            elem = ev.fo[var]
+            val = ev.so[svar].get(elem)
+            if val is None:
+                ev.watch = (svar, elem)
+            return val
+    elif cls is Eq:
+        left, right = phi.left, phi.right
+
+        def run(ev):
+            ev.tick()
+            return ev.fo[left] == ev.fo[right]
+    elif cls is Truth:
+        value = phi.value
+
+        def run(ev):
+            ev.tick()
+            return value
+    elif cls is Not:
+        body = _compile(phi.body)
+
+        def run(ev):
+            ev.tick()
+            v = body(ev)
+            return None if v is None else not v
+    elif cls is And or cls is Or:
+        parts = tuple(map(_compile, phi.parts))
+        unit = cls is And
+
+        def run(ev):
+            # Stops at the first part that is not the unit (True for And,
+            # False for Or).  Returning None where a later part would decide
+            # is sound: unknowns are resolved by branching.
+            ev.tick()
+            for p in parts:
+                v = p(ev)
+                if v is not unit:
+                    return v
+            return unit
+    elif cls is Imp:
+        left, right = _compile(phi.left), _compile(phi.right)
+
+        def run(ev):
+            ev.tick()
+            va = left(ev)
+            if va is False:
+                return True
+            if va is None:
+                return None
+            return right(ev)
+    elif cls is Iff or cls is Xor:
+        left, right = _compile(phi.left), _compile(phi.right)
+        xor = cls is Xor
+
+        def run(ev):
+            ev.tick()
+            va = left(ev)
+            if va is None:
+                return None
+            vb = right(ev)
+            if vb is None:
+                return None
+            return (va == vb) is not xor
+    elif cls is ExistsSO or cls is ForallSO:
+        svar, body, exists = phi.svar, _compile(phi.body), cls is ExistsSO
+
+        def run(ev):
+            ev.tick()
+            return ev.search_set(svar, body, exists)
+    else:
+        raise TypeError(f"unknown node {phi!r}")
+    return run
 
 
 def _flatten_and(phi: MsoFormula) -> list[MsoFormula]:
@@ -446,12 +511,19 @@ def _flatten_and(phi: MsoFormula) -> list[MsoFormula]:
     return [phi]
 
 
-def _make_plan(node: Union[ExistsFO, ForallFO]) -> _Plan:
+def _make_plan(node: Union[ExistsFO, ForallFO]) -> _Run:
+    """A block of same-kind first-order quantifiers as one function: one
+    candidate loop per generator, then the conjuncts no generator consumed
+    and, for a universal block, its matrix.
+
+    A generator is a relational conjunct that binds block variables, chosen
+    greedily (most positions already bound first).  A block variable that no
+    conjunct binds gets a generator over the universe.
+    """
     exists = isinstance(node, ExistsFO)
-    cls = ExistsFO if exists else ForallFO
     block: list[str] = []
     body: MsoFormula = node
-    while isinstance(body, cls):
+    while isinstance(body, type(node)):
         block.append(body.var)
         body = body.body
     if exists:
@@ -465,64 +537,105 @@ def _make_plan(node: Union[ExistsFO, ForallFO]) -> _Plan:
         payload = _compile(body)
 
     blockset = set(block)
-    pool = [c for c in conjuncts if isinstance(c, RelAtom) and set(c.args) & blockset]
     chosen: list[RelAtom] = []
-    generators: list[_Generator] = []
+    generators: list[tuple] = []
     covered: set[str] = set()
     while True:
-        best = None
-        best_key = None
-        for atom in pool:
-            new = set(atom.args) & blockset - covered
-            if not new:
-                continue
-            n_bound = sum(1 for a in atom.args if a not in blockset or a in covered)
-            key = (n_bound, -len(new))
-            if best is None or key > best_key:
-                best, best_key = atom, key
-        if best is None:
+        fresh = [c for c in conjuncts
+                 if isinstance(c, RelAtom) and set(c.args) & blockset - covered]
+        if not fresh:
             break
-        key_positions = []
-        key_vars = []
-        bind = []
-        match = []
-        first_pos: dict[str, int] = {}
+        best = max(fresh, key=lambda atom: (
+            sum(1 for a in atom.args if a not in blockset or a in covered),
+            -len(set(atom.args) & blockset - covered),
+        ))
+        key_positions: list[int] = []
+        bind: dict[str, int] = {}  # new variable -> its first position
+        match: list[tuple[int, int]] = []  # a repeated new variable's position -> its first
         for pos, a in enumerate(best.args):
-            if a in blockset and a not in covered:
-                if a in first_pos:
-                    match.append((pos, first_pos[a]))
-                else:
-                    first_pos[a] = pos
-                    bind.append((pos, a))
-            else:
+            if a not in blockset or a in covered:
                 key_positions.append(pos)
-                key_vars.append(a)
-        generators.append(
-            _Generator(best.rel, tuple(key_positions), tuple(key_vars), tuple(bind), tuple(match))
-        )
+            elif a in bind:
+                match.append((pos, bind[a]))
+            else:
+                bind[a] = pos
+        key_vars = tuple(best.args[pos] for pos in key_positions)
+        generators.append((best.rel, tuple(key_positions), key_vars,
+                           tuple((pos, a) for a, pos in bind.items()), tuple(match)))
         chosen.append(best)
-        covered |= set(best.args) & blockset
-        pool.remove(best)
-    loops = tuple(v for v in block if v not in covered)
+        covered |= bind.keys()
+    generators += [(None, (), (), ((0, v),), ()) for v in block if v not in covered]
     residual = tuple(_compile(c) for c in conjuncts if not any(c is g for g in chosen))
-    return _Plan(exists, tuple(generators), loops, residual, payload)
+    run = _bound_block(exists, residual, payload)
+    for depth in reversed(range(len(generators))):
+        run = _candidate_loop(exists, generators[depth], run, depth == 0)
+    return run
 
 
-def _compile(phi: MsoFormula):
-    """``phi`` with every first-order quantifier block replaced by its plan."""
-    if isinstance(phi, _FO_QUANTIFIERS):
-        return _make_plan(phi)
-    return with_subformulas(phi, [_compile(p) for p in subformulas(phi)])
+def _candidate_loop(exists: bool, generator: tuple, inner: _Run, entry: bool) -> _Run:
+    """Runs ``inner`` once for each tuple of ``generator``'s relation that
+    agrees with the bindings so far, with that tuple's new variables bound.
+    The outermost loop of a block (``entry``) ticks once on entry.
+
+    For an existential block: True if some candidate satisfies the body,
+    None if no definite witness but some candidate was unknown, else False.
+    Universal blocks are dual.
+    """
+    rel, key_positions, key_vars, bind, match = generator
+
+    def run(ev):
+        if entry:
+            ev.tick()
+        fo = ev.fo
+        unknown = False
+        for t in ev.index(rel, key_positions).get(tuple(map(fo.__getitem__, key_vars)), ()):
+            ev.tick()
+            if match and any(t[p] != t[q] for p, q in match):
+                continue
+            for pos, a in bind:  # bound names are apart: the next candidate overwrites
+                fo[a] = t[pos]
+            v = inner(ev)
+            if v is None:
+                unknown = True
+            elif v is exists:
+                return v
+        return None if unknown else not exists
+
+    return run
+
+
+def _bound_block(exists: bool, residual: tuple[_Run, ...], payload: Optional[_Run]) -> _Run:
+    """A block's value once all its variables are bound: the residual
+    conjuncts (the guard, for a universal block), then the payload."""
+
+    def run(ev):
+        unknown = None
+        for c in residual:
+            v = c(ev)
+            if v is False:
+                return not exists  # guard refuted -> instance vacuous
+            if v is None and unknown is None:
+                unknown = ev.watch
+        if not exists:
+            v = payload(ev)
+            if v is True or unknown is None:
+                return v
+        elif unknown is None:
+            return True
+        ev.watch = unknown  # under an undetermined guard it may still be vacuous
+        return None
+
+    return run
 
 
 # keyed by sentence; cleared when full
-_COMPILED: dict[MsoFormula, object] = {}
+_COMPILED: dict[MsoFormula, _Run] = {}
 _COMPILED_MAX = 4096
 
 
-def _compiled(phi: MsoFormula):
-    """The form ``eval_mso`` runs: ``phi`` standardized apart, miniscoped and
-    compiled, built once per sentence."""
+def _compiled(phi: MsoFormula) -> _Run:
+    """The function ``eval_mso`` runs for ``phi``: standardized apart,
+    miniscoped and compiled, built once per sentence."""
     out = _COMPILED.get(phi)
     if out is None:
         out = _compile(_miniscope(_standardize(phi)))
@@ -533,6 +646,10 @@ def _compiled(phi: MsoFormula):
 
 
 class _Evaluator:
+    """The state of one ``eval_mso`` call, which the compiled functions read
+    and update: bindings, steps, branch points, the watched membership and
+    the relation indexes."""
+
     def __init__(
         self,
         structure: RelationalStructure,
@@ -541,7 +658,6 @@ class _Evaluator:
         budget: int,
     ):
         self.structure = structure
-        self.universe = structure.universe
         self.fo = fo_env
         self.so = so_env
         self.budget = budget
@@ -550,9 +666,7 @@ class _Evaluator:
         self.watch: Optional[tuple[str, int]] = None
         self._indexes: dict = {}
 
-    # -- bookkeeping --------------------------------------------------------
-
-    def _tick(self) -> None:
+    def tick(self) -> None:
         self.steps += 1
         if self.steps > self.budget:
             if self.branch_counts:
@@ -562,155 +676,27 @@ class _Evaluator:
                 detail = "dominated by first-order enumeration"
             raise ResourceLimitError(f"mso evaluation exceeded its step budget ({detail})")
 
-    def _index(self, rel: str, mask: tuple[int, ...]):
+    def index(self, rel: Optional[str], mask: tuple[int, ...]):
+        """The tuples of ``rel`` grouped by their values at ``mask``; ``rel``
+        None stands for the universe as 1-tuples, in universe order."""
         key = (rel, mask)
         idx = self._indexes.get(key)
         if idx is None:
             idx = {}
-            for t in self.structure.tuples(rel):
-                k = tuple(t[i] for i in mask)
-                idx.setdefault(k, []).append(t)
+            s = self.structure
+            for t in s.tuples(rel) if rel is not None else [(e,) for e in s.universe]:
+                idx.setdefault(tuple(t[i] for i in mask), []).append(t)
             self._indexes[key] = idx
         return idx
 
-    # -- evaluation ---------------------------------------------------------
-
-    def eval(self, phi: MsoFormula) -> Optional[bool]:
-        self._tick()
-        cls = type(phi)
-        if cls is RelAtom:
-            t = tuple(self.fo[a] for a in phi.args)
-            return t in self.structure.tuples(phi.rel)
-        if cls is SetAtom:
-            elem = self.fo[phi.var]
-            val = self.so[phi.svar].get(elem)
-            if val is None:
-                self.watch = (phi.svar, elem)
-            return val
-        if cls is Eq:
-            return self.fo[phi.left] == self.fo[phi.right]
-        if cls is Truth:
-            return phi.value
-        if cls is Not:
-            v = self.eval(phi.body)
-            return None if v is None else not v
-        if cls is And:
-            # Stops at the first non-True part.  Returning None where a later
-            # part would be False is sound: unknowns are resolved by branching.
-            for p in phi.parts:
-                v = self.eval(p)
-                if v is not True:
-                    return v
-            return True
-        if cls is Or:
-            for p in phi.parts:
-                v = self.eval(p)
-                if v is not False:
-                    return v
-            return False
-        if cls is Imp:
-            va = self.eval(phi.left)
-            if va is False:
-                return True
-            if va is None:
-                return None
-            return self.eval(phi.right)
-        if cls is Iff or cls is Xor:
-            va = self.eval(phi.left)
-            if va is None:
-                return None
-            vb = self.eval(phi.right)
-            if vb is None:
-                return None
-            same = va == vb
-            return same if cls is Iff else not same
-        if cls is _Plan:
-            return self._run_plan(phi, 0)
-        if cls is ExistsSO or cls is ForallSO:
-            return self._eval_so(phi, cls is ExistsSO)
-        raise TypeError(f"unknown node {phi!r}")  # pragma: no cover
-
-    def _run_plan(self, plan: _Plan, gi: int) -> Optional[bool]:
-        """Returns the quantifier-block value under current bindings.
-
-        For an existential block: True if some candidate satisfies the body,
-        None if no definite witness but some candidate was unknown, else
-        False.  Universal blocks are dual.
-        """
-        if gi < len(plan.generators):
-            gen = plan.generators[gi]
-            idx = self._index(gen.rel, gen.key_positions)
-            key = tuple(self.fo[a] for a in gen.key_vars)
-            unknown = False
-            for t in idx.get(key, ()):
-                self._tick()
-                if any(t[p] != t[q] for p, q in gen.match):
-                    continue
-                for pos, a in gen.bind:
-                    self.fo[a] = t[pos]
-                v = self._run_plan(plan, gi + 1)
-                for _, a in gen.bind:
-                    del self.fo[a]
-                if v is None:
-                    unknown = True
-                elif v is plan.exists:
-                    return v
-            return None if unknown else (not plan.exists)
-
-        li = gi - len(plan.generators)
-        if li < len(plan.loops):
-            var = plan.loops[li]
-            unknown = False
-            for elem in self.universe:
-                self._tick()
-                self.fo[var] = elem
-                v = self._run_plan(plan, gi + 1)
-                del self.fo[var]
-                if v is None:
-                    unknown = True
-                elif v is plan.exists:
-                    return v
-            return None if unknown else (not plan.exists)
-
-        # all block variables bound: evaluate residual conjuncts and payload
-        unknown = None
-        for c in plan.residual:
-            v = self.eval(c)
-            if v is False:
-                return False if plan.exists else True  # guard refuted -> instance vacuous
-            if v is None and unknown is None:
-                unknown = self.watch
-        if plan.exists:
-            if unknown is not None:
-                self.watch = unknown
-                return None
-            return True
-        v = self.eval(plan.payload)
-        if v is True:
-            return True
-        if unknown is not None:
-            # guard undetermined: instance could still be vacuously true
-            self.watch = unknown
-            return None
-        return v
-
-    # -- set quantifiers -----------------------------------------------------
-
-    def _eval_so(self, phi: Union[ExistsSO, ForallSO], exists: bool) -> Optional[bool]:
-        self.so[phi.svar] = {}  # bound names are apart from every other name
-        try:
-            return self._so_dfs(phi.svar, phi.body, exists)
-        finally:
-            del self.so[phi.svar]
-
-    def _so_dfs(self, svar: str, body: MsoFormula, exists: bool) -> Optional[bool]:
-        """Depth-first search over the memberships of ``svar`` that the body
-        asks for, False before True.  ``path`` lists the branched elements,
-        outermost first; the caller discards their assignments."""
-        d = self.so[svar]
+    def search_set(self, svar: str, body: _Run, exists: bool) -> Optional[bool]:
+        """Decides a set quantifier over ``svar`` by depth-first search over
+        the memberships that ``body`` asks for, False before True.  ``path``
+        lists the branched elements, outermost first."""
+        d = self.so[svar] = {}  # bound names are apart: nothing reads it after
         path: list[int] = []
         while True:
-            v = self.eval(body)
+            v = body(self)
             if v is None:
                 wsvar, welem = self.watch
                 if wsvar != svar:
@@ -765,15 +751,15 @@ def eval_mso(
     """Decide structure satisfaction of ``phi`` under ``env`` bindings.
 
     ``env`` maps first-order variables to element ids and set variables to
-    sets of element ids; it must cover all free variables.  The compiled
-    form of ``phi`` is built on its first call and reused by every later
-    call, on any structure and bindings; nothing else outlives the call,
-    and no subformula value is memoized.
+    sets of element ids; it must cover all free variables.  ``phi`` is
+    compiled on its first call into a function per node, which every later
+    call reuses on any structure and bindings; nothing else outlives the
+    call, and no subformula value is memoized.
     """
     fo, so = _prepare_env(structure, env)
     _check_bound(phi, fo, so)
     ev = _Evaluator(structure, fo, so, get_limits(limits).mso_steps)
-    result = ev.eval(_compiled(phi))
+    result = _compiled(phi)(ev)
     assert result is not None, "evaluation of a closed formula cannot stay undetermined"
     return result
 

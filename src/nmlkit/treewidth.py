@@ -675,7 +675,10 @@ def parse_td(text: str) -> tuple[TreeDecomposition, int]:
             if len(parts) != 2:
                 raise ParseError(f"malformed tree-edge line: {line!r}", line=lineno)
             u, v = parse_ints(parts, lineno)
-            edges.add((min(u, v), max(u, v)))
+            edge = (min(u, v), max(u, v))
+            if edge in edges:
+                raise ParseError(f"repeated tree edge {u} {v}", line=lineno)
+            edges.add(edge)
     if declared_n is None:
         raise ParseError("missing 's td' line")
     return TreeDecomposition(bags, frozenset(edges)), declared_n

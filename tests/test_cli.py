@@ -252,6 +252,13 @@ def test_bench_chain_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_bench_chain_rejects_a_nonpositive_size(capsys, size):
+    assert main(["bench", "--family", "chain", "--sizes", size]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "m must be positive" in captured.err
+
+
 def test_bench_brute_sat_records_limit_row(capsys):
     code = main(["bench", "--family", "brute-sat", "--sizes", "26,4"])
     out = capsys.readouterr().out
@@ -318,6 +325,17 @@ def test_parse_error_names_its_line(tmp_path, capsys, command, name, text):
     assert main(args + [str(f)]) == 2
     err = capsys.readouterr().err
     assert err.rstrip().endswith("(line 2)") and "Traceback" not in err
+
+
+def test_td_repeated_tree_edge_is_a_parse_error(tmp_path, capsys):
+    # the copy would otherwise vanish from the edge set and pass validation
+    gr, td = tmp_path / "g.gr", tmp_path / "twice.td"
+    gr.write_text("p tw 3 2\n1 2\n2 3\n")
+    td.write_text("s td 2 2 3\nb 1 1 2\nb 2 3\n1 2\n1 2\n")
+    assert main(["tw", "verify", str(gr), str(td)]) == 2
+    err = capsys.readouterr().err
+    assert "repeated tree edge 1 2" in err and err.rstrip().endswith("(line 5)")
+    assert "Traceback" not in err
 
 
 @pytest.fixture

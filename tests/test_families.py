@@ -4,6 +4,7 @@ from nmlkit.ael import AeTheory
 from nmlkit.dl import DefaultTheory
 from nmlkit.families import (
     PseudoCliqueSpec,
+    chain,
     check_class,
     gen_ael_lower,
     gen_dl_lower,
@@ -55,6 +56,13 @@ def test_pseudo_clique_spec_validation():
         PseudoCliqueSpec(3, {(1, 2): 1})  # missing pairs
     spec = PseudoCliqueSpec(3, {(1, 2): 1, (1, 3): 0, (2, 3): 2})
     assert gen_pseudo_clique(spec).n == 6
+
+
+def test_chain_needs_a_positive_length():
+    assert chain(1) == [Var("x1")]
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="m must be positive"):
+            chain(m)
 
 
 def test_gen_dl_lower_printed_n2():

@@ -239,6 +239,22 @@ def test_engine_matches_bruteforce_on_random_instances():
     assert checked > 300
 
 
+def test_nothing_outlives_a_call():
+    import gc
+    import weakref
+
+    from nmlkit.encodings import mso_encoding
+    from nmlkit.families import gen_dl_lower
+    from nmlkit.structures import build_dl_structure
+
+    s = build_dl_structure(gen_dl_lower(2))
+    ref = weakref.ref(s)
+    assert eval_mso(s, mso_encoding("extension"))
+    del s
+    gc.collect()
+    assert ref() is None
+
+
 def test_compiled_sentence_is_reused_soundly():
     # each open sentence is compiled on its first call; the next two run the
     # same compiled form on other structures under other bindings
