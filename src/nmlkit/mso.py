@@ -587,7 +587,7 @@ def _candidate_loop(exists: bool, generator: tuple, inner: _Run, entry: bool) ->
         if entry:
             ev.tick()
         fo = ev.fo
-        unknown = False
+        unknown = None
         for t in ev.index(rel, key_positions).get(tuple(map(fo.__getitem__, key_vars)), ()):
             ev.tick()
             if match and any(t[p] != t[q] for p, q in match):
@@ -596,10 +596,13 @@ def _candidate_loop(exists: bool, generator: tuple, inner: _Run, entry: bool) ->
                 fo[a] = t[pos]
             v = inner(ev)
             if v is None:
-                unknown = True
+                unknown = ev.watch
             elif v is exists:
                 return v
-        return None if unknown else not exists
+        if unknown is None:
+            return not exists
+        ev.watch = unknown  # a later candidate may have left it on an ended search
+        return None
 
     return run
 

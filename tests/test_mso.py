@@ -19,6 +19,7 @@ from nmlkit.mso import (
     RelAtom,
     SetAtom,
     Truth,
+    Xor,
     eval_mso,
     eval_mso_bruteforce,
     free_vars,
@@ -239,6 +240,69 @@ def test_engine_matches_bruteforce_on_random_instances():
     assert checked > 300
 
 
+def random_shaped_mso(rng, depth, fo, so):
+    """Shapes ``random_mso`` never builds: Xor, three-part And/Or, blocks of
+    two same-kind quantifiers whose guard may bind no variable through a
+    relation, and atoms that repeat a variable."""
+    if depth <= 0 or rng.random() < 0.2:
+        if not fo:
+            return Truth(rng.random() < 0.5)
+        v, w = rng.choice(fo), rng.choice(fo)
+        roll = rng.random()
+        if roll < 0.25:
+            return RelAtom(rng.choice(["R", "S"]), (v, v))
+        if roll < 0.45:
+            return RelAtom(rng.choice(["R", "S"]), (v, w))
+        if roll < 0.55:
+            return RelAtom("U", (v,))
+        if roll < 0.85 and so:
+            return SetAtom(rng.choice(so), v)
+        return Eq(v, w)
+
+    def sub(fo=fo):
+        return random_shaped_mso(rng, depth - 1, fo, so)
+
+    roll = rng.random()
+    if roll < 0.15:
+        return Xor(sub(), sub())
+    if roll < 0.3:
+        return And((sub(), sub(), sub()))
+    if roll < 0.45:
+        return Or((sub(), sub(), sub()))
+    if roll < 0.5:
+        return Not(sub())
+    if roll < 0.85:
+        a, b = f"v{len(fo)}", f"v{len(fo) + 1}"
+        guards = [Eq(a, b), Not(RelAtom("S", (a, b))), RelAtom("R", (a, a))]
+        guards += [SetAtom(V, a) for V in so]
+        guards += [RelAtom("R", (b, u)) for u in fo]
+        guard = And(tuple(rng.sample(guards, rng.randint(1, 2))))
+        body = sub(fo + [a, b])
+        if rng.random() < 0.5:
+            return ExistsFO(a, ExistsFO(b, And((guard, body))))
+        return ForallFO(a, ForallFO(b, Imp(guard, body)))
+    V = f"V{len(so)}"
+    cls = ExistsSO if rng.random() < 0.5 else ForallSO
+    return cls(V, random_shaped_mso(rng, depth - 1, fo, so + [V]))
+
+
+def test_engine_matches_bruteforce_on_unusual_shapes():
+    rng = random.Random(737373)
+    checked = 0
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        s = random_structure(rng, n)
+        cls = ExistsSO if rng.random() < 0.5 else ForallSO
+        phi = cls("V0", random_shaped_mso(rng, rng.randint(2, 4), [], ["V0"]))
+        try:
+            expected = eval_mso_bruteforce(s, phi)
+        except ResourceLimitError:
+            continue
+        assert eval_mso(s, phi) == expected, to_text(phi)
+        checked += 1
+    assert checked >= 300
+
+
 def test_nothing_outlives_a_call():
     import gc
     import weakref
@@ -290,6 +354,15 @@ def test_binder_reusing_a_free_name_keeps_the_free_binding():
     )
     env = {"x": 1, "y": 2, "M": {1}}
     assert eval_mso(s, phi, env) is eval_mso_bruteforce(s, phi, env) is True
+
+
+def test_block_with_an_unknown_candidate_names_its_membership():
+    # x = 1 needs 1 in V0; x = 2 is then decided by a search over V1, which
+    # must not leave the block's unknown naming V1 once that search ends
+    s = tiny_structure(2, ())
+    member = And((RelAtom("U", ("x",)), SetAtom("V0", "x")))
+    phi = ExistsSO("V0", ForallFO("x", Or((member, ExistsSO("V1", SetAtom("V1", "x"))))))
+    assert eval_mso(s, phi) is eval_mso_bruteforce(s, phi) is True
 
 
 def test_sentence_is_compiled_once(monkeypatch):
