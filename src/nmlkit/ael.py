@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ResourceLimitError
 from .formula import (
     Basis,
     Believes,
@@ -22,7 +21,7 @@ from .formula import (
     parse_formula,
     read_lines,
 )
-from .limits import Limits, get_limits
+from .limits import Limits, check
 from .twdp import EntailmentOracle, entailment_oracle
 
 
@@ -77,15 +76,13 @@ def expansion_exists(
     limits: Limits | None = None,
 ) -> tuple[bool, list[FullSetCandidate]]:
     """Enumerate all polarity choices (binary counting order, all-negative
-    first) and return the full ones.  The oracle compiles the theory's
-    universe once: its formulas and every belief atom's argument."""
+    first) and return the full ones, charging ``Limits.search_nodes`` up
+    front for all 2^(k+1) - 1 nodes of the decision tree over k belief atoms.
+    The oracle compiles the theory's universe once: its formulas and every
+    belief atom's argument."""
     oracle = oracle or entailment_oracle("brute")
     atoms = belief_atoms(sigma)
-    cap = get_limits(limits).ael_prefixes
-    if len(atoms) > cap:
-        raise ResourceLimitError(
-            f"{len(atoms)} belief atoms exceed the enumeration cap of {cap}"
-        )
+    check(limits, "search_nodes", (2 << len(atoms)) - 1, "AEL expansion search: node count")
     oracle.compile_universe([*sigma.formulas, *(bel.arg for bel in atoms)])
     found = []
     for mask in range(1 << len(atoms)):

@@ -32,6 +32,7 @@ from .formula import (
     sat_bruteforce,
 )
 from .harness import run_all
+from .limits import get_limits
 from .mso import eval_mso
 from .structures import (
     Graph,
@@ -444,6 +445,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     report = _Report(argv)
     try:
+        # a bad NMLKIT_LIMITS entry is a usage error even where no limit is read
+        get_limits()
         lines = args.handler(args, report)
     except (ResourceLimitError, RecursionError) as exc:
         # the printer, the truth-table evaluator and the parser's descent

@@ -10,9 +10,10 @@ The stage construction has two steps, shared by the acceptance check and the
 search: the *blocked set* of a rule set C (rules whose negated justification
 follows from knowledge plus C's conclusions) and the *least fixpoint* of
 rules applied under a given blocked set.  ``extension_exists`` searches the
-generating sets depth first and bounds the fixpoint of every completion of a
-partial choice from below and above, which prunes whole subtrees instead of
-running the stage construction on all 2^m candidates.
+generating sets depth first on an explicit stack, within a budget of search
+nodes, and bounds the fixpoint of every completion of a partial choice from
+below and above, which prunes whole subtrees instead of running the stage
+construction on all 2^m candidates.
 """
 from __future__ import annotations
 
@@ -148,18 +149,19 @@ def extension_exists(
         LO = fix(blocked(IN | OPEN))  <=  applied(C)  <=  UP = fix(blocked(IN)).
 
     A witness has applied(C) = C, so the node is pruned when IN is not
-    within UP or when LO meets OUT.  The OUT child keeps its parent's UP and
-    the IN child keeps its parent's LO, so each child computes one new bound.
-    A leaf that survives has LO = UP = IN and is confirmed by
-    ``stage_fixpoint``, the one acceptance check, whose queries are all cache
-    hits by then.  The oracle compiles the theory's universe once: the
-    knowledge and every rule's prerequisite, justification and conclusion.
+    within UP or when LO meets OUT.  Nodes ``(k, IN, OUT, LO, UP)`` wait on
+    an explicit stack.  The OUT child keeps its parent's UP and the IN child
+    its parent's LO; the other bound is None until the child is popped, so
+    the oracle sees the queries in depth-first order.  A surviving leaf has
+    LO = UP = IN and is confirmed by ``stage_fixpoint``, whose queries are
+    all cache hits by then.  Each popped node counts against
+    ``Limits.search_nodes``; m rules give at most 2^(m+1) - 1 nodes.  The
+    oracle compiles the theory's universe once: the knowledge and every
+    rule's prerequisite, justification and conclusion.
     """
     oracle = oracle or entailment_oracle("brute")
     m = len(theory.defaults)
-    cap = get_limits(limits).dl_rules
-    if m > cap:
-        raise ResourceLimitError(f"{m} rules exceed the enumeration cap of {cap}")
+    budget = get_limits(limits).search_nodes
     oracle.compile_universe([
         *theory.knowledge,
         *(p for r in theory.defaults for p in (r.prerequisite, r.justification, r.conclusion)),
@@ -169,30 +171,36 @@ def extension_exists(
         return _least_fixpoint(theory, _blocked(theory, chosen, oracle), oracle)
 
     witnesses: list[ExtensionWitness] = []
-
-    def search(
-        k: int,
-        chosen: frozenset[int],
-        out: frozenset[int],
-        lo: frozenset[int],
-        up: frozenset[int],
-    ) -> None:
+    nodes = 0
+    stack = [(m, frozenset(), frozenset(), None, None)]
+    while stack:
+        k, chosen, out, lo, up = stack.pop()
+        nodes += 1
+        if nodes > budget:
+            where = f"deciding rule {k}" if k else "confirming a leaf"
+            raise ResourceLimitError(
+                f"DL extension search: node {nodes} exceeds NMLKIT_LIMITS "
+                f"search_nodes={budget} while {where}"
+            )
+        if lo is None:
+            lo = bound(chosen | frozenset(range(1, k + 1)))
+        if up is None:
+            up = bound(chosen)
         if not chosen <= up or lo & out:
-            return
+            continue
         if k == 0:
             # stage_fixpoint is looked up at call time, so a wrapper
             # installed on this module sees every leaf
             if stage_fixpoint(theory, chosen, oracle)[0]:
                 witnesses.append(ExtensionWitness(chosen))
-            return
+            continue
         # the children's bounds nest inside the parent's, so rule k in LO
-        # already prunes the OUT child and rule k outside UP the IN child
-        if k not in lo:
-            search(k - 1, chosen, out | {k}, bound(chosen | frozenset(range(1, k))), up)
+        # already prunes the OUT child and rule k outside UP the IN child;
+        # the OUT child is pushed last, so its subtree is searched first
         if k in up:
-            search(k - 1, chosen | {k}, out, lo, bound(chosen | {k}))
-
-    search(m, frozenset(), frozenset(), bound(frozenset(range(1, m + 1))), bound(frozenset()))
+            stack.append((k - 1, chosen | {k}, out, lo, None))
+        if k not in lo:
+            stack.append((k - 1, chosen, out | {k}, None, up))
     return bool(witnesses), witnesses
 
 

@@ -31,8 +31,8 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
-from .errors import ParseError, ResourceLimitError
-from .limits import Limits, get_limits
+from .errors import ParseError
+from .limits import Limits, check
 
 # name -> arity for every connective the toolkit knows about
 CONNECTIVE_ARITY = {
@@ -331,11 +331,7 @@ def sat_bruteforce(
     """
     formulas = list(gamma)
     keys = atoms_of_set(formulas)
-    cap = get_limits(limits).brute_atoms
-    if len(keys) > cap:
-        raise ResourceLimitError(
-            f"truth-table enumeration over {len(keys)} atoms exceeds the cap of {cap}"
-        )
+    check(limits, "brute_atoms", len(keys), "truth-table enumeration: atom count")
     for assignment in _assignments(keys):
         if all(evaluate(f, assignment) for f in formulas):
             return assignment
@@ -350,11 +346,7 @@ def implies_bruteforce(
     premises = list(f)
     conclusions = list(g)
     keys = atoms_of_set(premises + conclusions)
-    cap = get_limits(limits).brute_atoms
-    if len(keys) > cap:
-        raise ResourceLimitError(
-            f"truth-table enumeration over {len(keys)} atoms exceeds the cap of {cap}"
-        )
+    check(limits, "brute_atoms", len(keys), "truth-table enumeration: atom count")
     for assignment in _assignments(keys):
         if all(evaluate(p, assignment) for p in premises):
             if not all(evaluate(c, assignment) for c in conclusions):

@@ -1,27 +1,40 @@
-"""Resource caps, overridable through the NMLKIT_LIMITS environment variable.
+"""Resource limits, overridable through the NMLKIT_LIMITS environment variable.
 
-NMLKIT_LIMITS is a comma-separated ``key=value`` list, e.g.
-``NMLKIT_LIMITS="brute_atoms=26,dp_width=16"``.  Unknown keys are rejected so
-typos do not silently leave a cap at its default.
+Each key bounds one layer, in one unit:
+
+    brute_atoms      truth-table enumeration (sat/implies_bruteforce): atoms
+    mso_steps        eval_mso: evaluation steps per call
+    mso_brute_cost   eval_mso_bruteforce: estimated enumeration steps
+    exact_tw_core    exact_treewidth: core vertices left by safe reductions
+    clique_vertices  pseudo_clique_lower_bound: graph vertices
+    dp_width         the treewidth DP (compile_set): decomposition width
+    search_nodes     extension_exists, expansion_exists: nodes of the binary
+                     decision tree over rules or belief atoms
+
+NMLKIT_LIMITS is a comma-separated ``key=value`` list of non-negative
+integers, e.g. ``NMLKIT_LIMITS="brute_atoms=26,dp_width=16"``.  Unknown keys
+are rejected so typos do not silently leave a limit at its default.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields, replace
 
+from .errors import ResourceLimitError
+
 _ENV_VAR = "NMLKIT_LIMITS"
 
 
 @dataclass(frozen=True)
 class Limits:
-    brute_atoms: int = 24        # atom cap for truth-table enumeration
-    mso_steps: int = 5_000_000   # evaluation-step budget per MSO model-checking call
-    mso_brute_cost: int = 2_000_000  # a-priori cost cap for the reference MSO evaluator
-    exact_tw_core: int = 24      # vertex cap for the branch-and-bound core (after reductions)
-    clique_vertices: int = 64    # vertex cap for max-clique based lower bounds
-    dp_width: int = 14           # decomposition-width cap for the treewidth DP
-    dl_rules: int = 20           # default-rule cap for the generating-set search
-    ael_prefixes: int = 20       # belief-atom cap for full-set enumeration
+    brute_atoms: int = 24
+    mso_steps: int = 5_000_000
+    mso_brute_cost: int = 2_000_000
+    exact_tw_core: int = 24
+    clique_vertices: int = 64
+    dp_width: int = 14
+    # the 2^21 - 1 nodes of any search over 20 rules or belief atoms
+    search_nodes: int = 1 << 21
 
 
 DEFAULT_LIMITS = Limits()
@@ -36,13 +49,18 @@ def get_limits(overrides: Limits | None = None) -> Limits:
     if not raw:
         return DEFAULT_LIMITS
     parsed = {}
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, sep, value = item.partition("=")
-        key = key.strip()
+    for item in filter(None, map(str.strip, raw.split(","))):
+        key, sep, value = map(str.strip, item.partition("="))
         if not sep or key not in _VALID_KEYS:
             raise ValueError(f"unknown {_ENV_VAR} entry: {item!r}")
+        if not value.isdecimal():
+            raise ValueError(f"{_ENV_VAR} entry {item!r}: the value must be a non-negative integer")
         parsed[key] = int(value)
     return replace(DEFAULT_LIMITS, **parsed)
+
+
+def check(limits: Limits | None, key: str, needed: int, what: str) -> None:
+    """Refuse ``needed`` above the limit ``key``, naming the layer ``what``."""
+    cap = getattr(get_limits(limits), key)
+    if needed > cap:
+        raise ResourceLimitError(f"{what} {needed} exceeds {_ENV_VAR} {key}={cap}")

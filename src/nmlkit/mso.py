@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import ResourceLimitError
-from .limits import Limits, get_limits
+from .limits import Limits, check, get_limits
 from .structures import RelationalStructure
 
 
@@ -677,7 +677,9 @@ class _Evaluator:
                 detail = f"dominating quantifier: {worst} ({self.branch_counts[worst]} branch points)"
             else:
                 detail = "dominated by first-order enumeration"
-            raise ResourceLimitError(f"mso evaluation exceeded its step budget ({detail})")
+            raise ResourceLimitError(
+                f"mso evaluation exceeded its step budget NMLKIT_LIMITS mso_steps={self.budget} ({detail})"
+            )
 
     def index(self, rel: Optional[str], mask: tuple[int, ...]):
         """The tuples of ``rel`` grouped by their values at ``mask``; ``rel``
@@ -798,13 +800,8 @@ def eval_mso_bruteforce(
     Refuses inputs whose estimated cost (universe^#FO-quantifiers times
     2^(universe * #nested-SO-quantifiers)) exceeds the configured budget.
     """
-    cap = get_limits(limits).mso_brute_cost
     cost = _estimate_cost(phi, len(structure.universe))
-    if cost > cap:
-        raise ResourceLimitError(
-            f"estimated enumeration cost {cost} exceeds the cap of {cap} "
-            "(dominating quantifier: the outermost set quantifier)"
-        )
+    check(limits, "mso_brute_cost", cost, "reference MSO evaluator: estimated cost")
     fo: dict[str, int] = {}
     so: dict[str, frozenset[int]] = {}
     for name, value in (env or {}).items():
@@ -837,41 +834,16 @@ def _brute(s: RelationalStructure, phi: MsoFormula, fo: dict, so: dict) -> bool:
         return _brute(s, phi.left, fo, so) == _brute(s, phi.right, fo, so)
     if isinstance(phi, Xor):
         return _brute(s, phi.left, fo, so) != _brute(s, phi.right, fo, so)
+    # a quantifier is any() or all() over its values, each bound in a copy
+    # of the environment, so nothing needs restoring
     if isinstance(phi, (ExistsFO, ForallFO)):
-        exists = isinstance(phi, ExistsFO)
-        saved = fo.get(phi.var)
-        had = phi.var in fo
-        for elem in s.universe:
-            fo[phi.var] = elem
-            v = _brute(s, phi.body, fo, so)
-            if v is exists:
-                if had:
-                    fo[phi.var] = saved
-                else:
-                    del fo[phi.var]
-                return exists
-        if had:
-            fo[phi.var] = saved
-        elif phi.var in fo:
-            del fo[phi.var]
-        return not exists
+        quantify = any if isinstance(phi, ExistsFO) else all
+        return quantify(_brute(s, phi.body, {**fo, phi.var: e}, so) for e in s.universe)
     if isinstance(phi, (ExistsSO, ForallSO)):
-        exists = isinstance(phi, ExistsSO)
-        saved = so.get(phi.svar)
-        had = phi.svar in so
-        for size in range(len(s.universe) + 1):
-            for subset in itertools.combinations(s.universe, size):
-                so[phi.svar] = frozenset(subset)
-                v = _brute(s, phi.body, fo, so)
-                if v is exists:
-                    if had:
-                        so[phi.svar] = saved
-                    else:
-                        del so[phi.svar]
-                    return exists
-        if had:
-            so[phi.svar] = saved
-        elif phi.svar in so:
-            del so[phi.svar]
-        return not exists
+        quantify = any if isinstance(phi, ExistsSO) else all
+        subsets = (
+            frozenset(c) for size in range(len(s.universe) + 1)
+            for c in itertools.combinations(s.universe, size)
+        )
+        return quantify(_brute(s, phi.body, fo, {**so, phi.svar: c}) for c in subsets)
     raise TypeError(f"unknown node {phi!r}")  # pragma: no cover

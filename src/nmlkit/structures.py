@@ -351,8 +351,10 @@ def emit_gr(g: Graph) -> str:
 
 
 def parse_gr(text: str) -> Graph:
+    """Parse .gr text: distinct edges between distinct vertices in 1..n, as
+    many as the header says."""
     n = None
-    edges = []
+    edges = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -363,7 +365,8 @@ def parse_gr(text: str) -> Graph:
                 raise ParseError(f"malformed header: {line!r}", line=lineno)
             if n is not None:
                 raise ParseError("duplicate header", line=lineno)
-            n = parse_ints(parts[2:], lineno)[0]
+            n, m = parse_ints(parts[2:], lineno)
+            header = lineno
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -371,10 +374,19 @@ def parse_gr(text: str) -> Graph:
         if n is None:
             raise ParseError("edge line before header", line=lineno)
         u, v = parse_ints(parts, lineno)
-        edges.append((u, v))
+        if u == v or not (1 <= u <= n and 1 <= v <= n):
+            raise ParseError(f"edge {u} {v} is a self-loop or leaves 1..{n}", line=lineno)
+        edge = (min(u, v), max(u, v))
+        if edge in edges:
+            raise ParseError(f"repeated edge {u} {v}", line=lineno)
+        if len(edges) == m:
+            raise ParseError(f"more edge lines than the header's {m}", line=lineno)
+        edges.add(edge)
     if n is None:
         raise ParseError("missing 'p tw' header")
-    return make_graph(n, edges)
+    if len(edges) != m:
+        raise ParseError(f"the header says {m} edges, the file has {len(edges)}", line=header)
+    return Graph(n, frozenset(edges))
 
 
 def emit_labels(g: Graph) -> str:

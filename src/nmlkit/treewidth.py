@@ -17,8 +17,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .errors import ParseError, ResourceLimitError, parse_ints
-from .limits import Limits, get_limits
+from .errors import ParseError, parse_ints
+from .limits import Limits, check
 from .structures import Graph, adjacency_sets
 
 
@@ -313,11 +313,7 @@ def exact_treewidth(
     adj = g.adjacency()
     lb = _mmd_lower_bound(adj)
     prefix, forced, lb = _reduce(adj, lb)
-    cap = get_limits(limits).exact_tw_core
-    if len(adj) > cap:
-        raise ResourceLimitError(
-            f"exact treewidth core has {len(adj)} vertices, cap is {cap}"
-        )
+    check(limits, "exact_tw_core", len(adj), "exact treewidth: core vertex count")
 
     if adj:
         heur_order, bags = _greedy_elimination({v: set(ns) for v, ns in adj.items()}, "min_fill")
@@ -598,9 +594,7 @@ def pseudo_clique_lower_bound(g: Graph, *, limits: Limits | None = None) -> int:
     edges discarded; each surviving edge therefore stands for an internally
     disjoint path, which is verified before the clique is certified.
     """
-    cap = get_limits(limits).clique_vertices
-    if g.n > cap:
-        raise ResourceLimitError(f"{g.n} vertices exceed the clique-search cap of {cap}")
+    check(limits, "clique_vertices", g.n, "pseudo-clique lower bound: vertex count")
     adj = g.adjacency()
     route: dict[tuple[int, int], list[int]] = {e: [] for e in g.edges}
     changed = True

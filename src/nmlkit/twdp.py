@@ -58,7 +58,7 @@ from .formula import (
     number_subterms,
     sat_bruteforce,
 )
-from .limits import Limits, get_limits
+from .limits import Limits, check
 from .structures import Graph, make_graph
 from .treewidth import (
     NiceTreeDecomposition,
@@ -180,10 +180,8 @@ def compile_set(
     cg = build_constraint_graph(gamma)
     if td is None:
         td = heuristic_decomposition(cg.graph, "min_fill")
-    cap = get_limits(limits).dp_width
     w = width(td)
-    if w > cap:
-        raise ResourceLimitError(f"decomposition width {w} exceeds the DP cap of {cap}")
+    check(limits, "dp_width", w, "treewidth DP: decomposition width")
     nice = make_nice(td)
     td = None  # the plan reads only the nice form: free a min-fill td first, for peak memory
     return CompiledSet(cg, w, _plan(cg, nice))

@@ -91,7 +91,21 @@ def test_polarity_total_over_belief_atoms():
 def test_prefix_cap():
     sigma = AeTheory((Believes(Believes(P)),))
     with pytest.raises(ResourceLimitError):
-        expansion_exists(sigma, limits=Limits(ael_prefixes=1))
+        expansion_exists(sigma, limits=Limits(search_nodes=6))
+
+
+def test_search_node_budget_is_charged_before_any_candidate(monkeypatch):
+    # k belief atoms cost 2^(k+1) - 1 nodes: 7 for two, 15 for three
+    tried = []
+    monkeypatch.setattr("nmlkit.ael.is_full", lambda *args: tried.append(args) or False)
+    two = AeTheory((Believes(Believes(P)),))
+    assert expansion_exists(two, limits=Limits(search_nodes=7)) == (False, [])
+    assert len(tried) == 4
+    tried.clear()
+    three = AeTheory((Believes(Believes(Believes(P))),))
+    with pytest.raises(ResourceLimitError, match="search_nodes=7"):
+        expansion_exists(three, limits=Limits(search_nodes=7))
+    assert tried == []
 
 
 def test_oracle_independence():

@@ -313,6 +313,8 @@ def test_nmlkit_limits_env_rejects_unknown_keys(monkeypatch):
         (["tw", "verify", "{gr}"], "bare.td", "s td 1 3 3\nb\n"),
         (["tw", "verify", "{gr}"], "bad.td", "s td 1 3 3\nb c 1\n"),
         (["tw", "normalize", "{gr}", "{td}", "--labels-file"], "bad.labels", "1 main -\nx main\n"),
+        (["tw", "compute"], "loop.gr", "p tw 3 1\n2 2\n"),
+        (["tw", "compute"], "range.gr", "p tw 3 1\n1 5\n"),
     ],
 )
 def test_parse_error_names_its_line(tmp_path, capsys, command, name, text):
@@ -336,6 +338,59 @@ def test_td_repeated_tree_edge_is_a_parse_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "repeated tree edge 1 2" in err and err.rstrip().endswith("(line 5)")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("p tw 3 5\n1 2\n1 2\n2 1\n", "repeated edge 1 2", 3),
+        ("p tw 3 2\n1 2\n2 1\n", "repeated edge 2 1", 3),
+        ("p tw 3 1\n1 2\n2 3\n", "more edge lines than the header's 1", 3),
+        ("c short\np tw 3 5\n1 2\n", "the header says 5 edges, the file has 1", 2),
+    ],
+)
+def test_gr_edges_must_match_the_header(tmp_path, capsys, text, message, line):
+    # a repeat would otherwise vanish from the edge set, and a count the
+    # header contradicts would go unnoticed
+    gr = tmp_path / "bad.gr"
+    gr.write_text(text)
+    assert main(["tw", "compute", str(gr)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.rstrip().endswith(f"(line {line})")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("bogus=1", "unknown NMLKIT_LIMITS entry: 'bogus=1'"),
+        ("dl_rules=40", "unknown NMLKIT_LIMITS entry: 'dl_rules=40'"),
+        ("ael_prefixes=40", "unknown NMLKIT_LIMITS entry: 'ael_prefixes=40'"),
+        ("dp_width=abc", "entry 'dp_width=abc': the value must be a non-negative integer"),
+        ("dp_width=-1", "entry 'dp_width=-1': the value must be a non-negative integer"),
+    ],
+)
+def test_bad_nmlkit_limits_is_a_usage_error(tmp_path, capsys, monkeypatch, entry, message):
+    # tw compute reads no limit, yet the entry is rejected
+    gr = tmp_path / "g.gr"
+    gr.write_text("p tw 2 1\n1 2\n")
+    monkeypatch.setenv("NMLKIT_LIMITS", entry)
+    assert main(["tw", "compute", str(gr)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_dl_solve_lower_bound_family_past_twenty_rules(tmp_path, capsys, monkeypatch):
+    # n = 6 has 21 rules; the search visits a few nodes per rule
+    dt = tmp_path / "dl6.dt"
+    assert main(["gen", "dl-lower", "-n", "6", "-o", str(dt)]) == 0
+    capsys.readouterr()
+    assert main(["dl", "solve", str(dt)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["exists: True", "generating defaults: []"]
+    monkeypatch.setenv("NMLKIT_LIMITS", "search_nodes=3")
+    assert main(["dl", "solve", str(dt)]) == 3
+    err = capsys.readouterr().err
+    assert "search_nodes=3" in err and "Traceback" not in err
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -78,7 +79,31 @@ def test_extension_exists_rule_cap():
     rules = tuple(DefaultRule(TRUE, P, Q) for _ in range(3))
     theory = DefaultTheory((), rules)
     with pytest.raises(ResourceLimitError):
-        extension_exists(theory, limits=Limits(dl_rules=2))
+        extension_exists(theory, limits=Limits(search_nodes=3))
+
+
+def test_search_node_budget_fires_mid_search():
+    # gen_dl_lower(17) has 153 rules and the search visits 154 nodes, one per
+    # rule decided from 153 down plus the leaf
+    theory = gen_dl_lower(17)
+    with pytest.raises(ResourceLimitError) as info:
+        extension_exists(theory, limits=Limits(search_nodes=100))
+    assert str(info.value).endswith("search_nodes=100 while deciding rule 53")
+    exists, _ = extension_exists(theory, limits=Limits(search_nodes=154))
+    assert exists
+
+
+def test_search_does_not_recurse_per_rule():
+    # 153 rules at a recursion limit below 153: a search that took one frame
+    # per decided rule raises RecursionError here
+    theory = gen_dl_lower(17)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        exists, witnesses = extension_exists(theory, entailment_oracle("twdp"))
+    finally:
+        sys.setrecursionlimit(saved)
+    assert exists and [w.generating for w in witnesses] == [frozenset()]
 
 
 def test_witnesses_list_in_binary_counting_order():
@@ -159,7 +184,7 @@ class _CountingOracle(EntailmentOracle):
 
 def test_search_work_grows_polynomially_on_lower_bound_family():
     calls = {}
-    for n in (4, 5):
+    for n in (4, 5, 6, 8):
         oracle = _CountingOracle("twdp")
         exists, witnesses = extension_exists(gen_dl_lower(n), oracle)
         assert exists and [w.generating for w in witnesses] == [frozenset()]
@@ -168,6 +193,11 @@ def test_search_work_grows_polynomially_on_lower_bound_family():
     assert calls[5] <= 1000
     # quadratic growth in n gives 2.25x; enumeration gives 48x
     assert calls[5] <= 2.5 * calls[4]
+    # past 20 rules (21 and 36): the calls stay within quadratic growth in
+    # the number of rules n(n+1)/2, where enumeration would need 2^36 leaves
+    rules = {n: n * (n + 1) // 2 for n in calls}
+    for a, b in ((5, 6), (6, 8)):
+        assert calls[b] <= (rules[b] / rules[a]) ** 2 * calls[a]
 
 
 def test_mso_agreement_small_theories():
