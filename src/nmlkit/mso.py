@@ -28,6 +28,7 @@ set variables are uppercase identifiers bound to subsets.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Union
 
@@ -37,87 +38,111 @@ from .structures import RelationalStructure
 
 
 class MsoFormula:
-    __slots__ = ()
+    """Base class for MSO nodes, which are frozen slot dataclasses made by
+    ``_node``.  ``__hash__`` returns the structural hash stored when the
+    node was made, from its fields, whose own hashes are stored, so hashing
+    a sentence does not walk its tree."""
+
+    __slots__ = ("_hash",)
+    _fields: Callable[[MsoFormula], object]  # the node's fields, set by _node
+
+    def __post_init__(self) -> None:
+        _set_hash(self, hash((self._fields(self),)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return to_text(self)
 
 
-@dataclass(frozen=True, slots=True)
+_set_hash = MsoFormula._hash.__set__  # type: ignore[attr-defined]
+
+
+def _node(cls: type) -> type:
+    """A frozen slot dataclass that keeps its base's stored hash in place of
+    the generated one."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls._fields = operator.attrgetter(*cls.__match_args__)
+    cls.__hash__ = MsoFormula.__hash__
+    return cls
+
+
+@_node
 class RelAtom(MsoFormula):
     rel: str
     args: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Eq(MsoFormula):
     left: str
     right: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class SetAtom(MsoFormula):
     svar: str
     var: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Truth(MsoFormula):
     value: bool
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Not(MsoFormula):
     body: MsoFormula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class And(MsoFormula):
     parts: tuple[MsoFormula, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Or(MsoFormula):
     parts: tuple[MsoFormula, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Imp(MsoFormula):
     left: MsoFormula
     right: MsoFormula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Iff(MsoFormula):
     left: MsoFormula
     right: MsoFormula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Xor(MsoFormula):
     left: MsoFormula
     right: MsoFormula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ExistsFO(MsoFormula):
     var: str
     body: MsoFormula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ForallFO(MsoFormula):
     var: str
     body: MsoFormula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ExistsSO(MsoFormula):
     svar: str
     body: MsoFormula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ForallSO(MsoFormula):
     svar: str
     body: MsoFormula

@@ -1,47 +1,45 @@
-"""Dynamic programming over nice tree decompositions for satisfiability and
+"""Dynamic programming over tree decompositions for satisfiability and
 implication, plus the pluggable entailment oracle used by the default-logic
 and autoepistemic solvers.
 
 The DP runs on the *constraint graph* of a formula set: one vertex per
 distinct subterm, with a clique over every operator node and its arguments.
 Each clique carries the local truth-functional constraint, so it sits inside
-some bag of any valid decomposition and can be checked at a single introduce
-node.  Belief subformulas are opaque leaves: the subterm walk stops at ``L``,
-so what occurs only under it gets no vertex.
+some bag of any valid decomposition and can be checked there.  Belief
+subformulas are opaque leaves: the subterm walk stops at ``L``, so what
+occurs only under it gets no vertex.
 
 A formula set is compiled once (``compile_set``): its constraint graph, one
-min-fill decomposition, the nice form, and from that the DP *program*.  A
-query over it only *pins units*: a formula ``f`` pins its vertex to true, a
-negation ``!g`` pins ``g``'s vertex to false, and contradictory pins answer
-unsat at once.  This is sound for any query over the compiled set, however
-little of it the query mentions: every operator vertex is a function of its
-children, variables and ``L`` atoms are free leaves, and constants are
-pinned, so every assignment of the leaves extends to exactly one labeling
-that meets all local constraints, and the labelings that meet the pins are
-exactly the models of the query.  The entailment oracle compiles a theory's
-*universe* once (``EntailmentOracle.compile_universe``) and answers each of
-its queries by pinning units; ``dp_sat`` on its own compiles its set and
-pins the set's formulas the same way.  A query with a formula outside the
+min-fill decomposition, and from that the DP *program*.  A query over it
+only *pins units*: a formula ``f`` pins its vertex to true, a negation
+``!g`` pins ``g``'s vertex to false, and contradictory pins answer unsat at
+once.  This is sound for any query over the compiled set, however little of
+it the query mentions: every operator vertex is a function of its children,
+variables and ``L`` atoms are free leaves, and constants are pinned, so
+every assignment of the leaves extends to exactly one labeling that meets
+all local constraints, and the labelings that meet the pins are exactly the
+models of the query.  The entailment oracle compiles a theory's *universe*
+once (``EntailmentOracle.compile_universe``) and answers each of its
+queries by pinning units; ``dp_sat`` on its own compiles its set and pins
+the set's formulas the same way.  A query with a formula outside the
 universe, or a universe wider than ``Limits.dp_width``, is compiled on its
 own.
 
-The program is a flat list of instructions, one tuple per nice node in id
-order (children first), built by ``_plan``.  Each holds its opcode (leaf,
-introduce, forget, join) and what that kind needs of: the table slots of its
-children, its vertex, the bit masks that open or close the vertex's bag
-position, and, at an introduce, the local constraints it checks, each
-compiled into a table over bag positions, ``(scope_mask, allowed)``: a
-labeling ``m`` of the bag (bit i = the i-th smallest vertex) satisfies it
-iff ``m & scope_mask`` is in ``allowed``.  The executor, ``_run_dp``, is one
-loop over the program with a list of tables indexed by slot, one
-collection of bitmasks per pending node (the dynamic-programming scheme of
-Gottlob, Pichler and Wei, AIJ 2010).  A consumed table's slot is cleared, a
-pinned vertex takes only its pinned bit at each of its introduces, and an
-empty table answers unsat at once.
+The program, built by ``_plan``, is one instruction per bag of the rooted
+decomposition, children first, after each tree edge between a bag and a
+superset of it has been contracted.  An instruction holds its bag's
+*rows*, every labeling of the bag that meets each local constraint whose
+scope it covers, enumerated once at compile time (a labeling ``m`` is a
+bitmask, bit i = the i-th smallest vertex of the bag), and one *link* per
+child bag that shares vertices with it.  The executor, ``_run_dp``, is one
+loop over the program: each bag keeps the rows that meet the pins homed
+there and, for each link, agree on the shared vertices with some row of the
+child's table, a bottom-up semijoin pass (Yannakakis, VLDB 1981; the scheme
+of Gottlob, Pichler and Wei, AIJ 2010).  The set is satisfiable iff the
+root's table is nonempty, and an empty table answers unsat at once.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 from dataclasses import dataclass
@@ -61,12 +59,13 @@ from .formula import (
 from .limits import Limits, check
 from .structures import Graph, make_graph
 from .treewidth import (
-    NiceTreeDecomposition,
     TreeDecomposition,
+    _tree_violations,
     heuristic_decomposition,
-    make_nice,
     width,
 )
+# not called here: perfbench/layers.py wraps twdp.make_nice by name
+from .treewidth import make_nice  # noqa: F401
 
 # ("op", vertex, connective, child vertices), or ("unit", vertex, value) for a constant
 Constraint = Union[tuple[str, int, str, tuple[int, ...]], tuple[str, int, bool]]
@@ -139,33 +138,55 @@ def _compile(rule: Union[str, bool], positions: tuple[int, ...]) -> tuple[int, f
     return scope_mask, frozenset(allowed)
 
 
-# The instructions of the DP program, one tuple per nice node, each only as
-# long as its kind needs:
-#   (LEAF,)
-#   (INTRODUCE, child, vertex, low, high, bit, checks)
-#   (FORGET, child, low, high)
-#   (JOIN, child, other)
-# ``child`` and ``other`` are the slots of the tables it consumes; ``low`` and
-# ``high`` mask the bag positions below and at-or-above the vertex's position
-# in the bag without the vertex, ``bit`` is the vertex's bit, and ``checks``
-# are the compiled local constraints an introduce checks.  The slots are
-# the nice node ids: the i-th instruction, counting from 1, is node i's and
-# fills slot i (slot 0 stays unused).  Ids run children first and the
-# root's is the largest, so the root's instruction is the last.
-LEAF, INTRODUCE, FORGET, JOIN = range(4)
-Instruction = tuple  # one of the four shapes above
-_LEAF_INSTRUCTION = (LEAF,)
+@functools.lru_cache(maxsize=4096)
+def _rows(size: int, checks: tuple[tuple[int, frozenset[int]], ...]) -> tuple[int, ...]:
+    """Every labeling of a bag of ``size`` vertices that meets the compiled
+    constraints ``checks``.  The positions are opened one at a time, and a
+    check filters as soon as the highest position of its scope is open, so a
+    labeling that breaks it is not extended further."""
+    due: dict[int, list[tuple[int, frozenset[int]]]] = {}
+    for scope_mask, allowed in checks:
+        due.setdefault(scope_mask.bit_length() - 1, []).append((scope_mask, allowed))
+    rows = [0]
+    for i in range(size):
+        bit = 1 << i
+        rows += [m | bit for m in rows]
+        for scope_mask, allowed in due.get(i, ()):
+            rows = [m for m in rows if m & scope_mask in allowed]
+    return tuple(rows)
+
+
+@functools.lru_cache(maxsize=4096)
+def _remap(targets: tuple[int, ...]) -> tuple[int, ...]:
+    """The table from a child's labelings to the shared bits in its parent:
+    child position i moves to the parent bit ``targets[i]``, or is dropped
+    when that is 0."""
+    remap = [0]
+    for bit in targets:
+        remap += [m | bit for m in remap] if bit else remap
+    return tuple(remap)
 
 
 @dataclass(frozen=True)
 class CompiledSet:
     """A formula set ready for queries: its constraint graph, the width of
-    its decomposition and the DP program compiled from its nice form.  The
-    nice form is not kept: the program holds all that a query reads."""
+    its decomposition, the bag program and the home of each vertex.
+
+    The program has one instruction ``(rows, links)`` per bag, children
+    first, so the root's is the last.  ``rows`` are the bag's labelings
+    that meet every constraint whose scope it covers, as bitmasks (bit i =
+    the i-th smallest vertex of the bag).  ``links`` has one ``(child, remap,
+    shared_mask)`` per child bag that shares vertices with this one:
+    ``child`` is the child's slot (its index in the program), ``remap[m]``
+    is the part of a child labeling ``m`` on the shared vertices, in this
+    bag's positions, and ``shared_mask`` covers those positions here.
+    ``home[v]`` is ``(slot, bit)`` of the bag where a pin on vertex ``v``
+    is checked: the top bag that holds ``v``."""
 
     cg: ConstraintGraph
     width: int
-    program: list[Instruction]
+    program: list[tuple]
+    home: dict[int, tuple[int, int]]
 
 
 def compile_set(
@@ -174,17 +195,17 @@ def compile_set(
     *,
     limits: Limits | None = None,
 ) -> CompiledSet:
-    """Constraint graph, decomposition (``td``, or min-fill when None), nice
-    form and program of a formula set.  Raises ``ResourceLimitError`` when
-    the decomposition is wider than ``Limits.dp_width``."""
+    """Constraint graph, decomposition (``td``, or min-fill when None) and
+    bag program of a formula set.  Raises ``ResourceLimitError`` when the
+    decomposition is wider than ``Limits.dp_width``, and ``ValueError``
+    when it is not a tree, leaves a vertex out of every bag, or holds a
+    vertex in bags not connected through it."""
     cg = build_constraint_graph(gamma)
     if td is None:
         td = heuristic_decomposition(cg.graph, "min_fill")
     w = width(td)
     check(limits, "dp_width", w, "treewidth DP: decomposition width")
-    nice = make_nice(td)
-    td = None  # the plan reads only the nice form: free a min-fill td first, for peak memory
-    return CompiledSet(cg, w, _plan(cg, nice))
+    return CompiledSet(cg, w, *_plan(cg, td))
 
 
 def _units(
@@ -214,7 +235,7 @@ def dp_sat(
     limits: Limits | None = None,
     universe: Optional[CompiledSet] = None,
 ) -> bool:
-    """Satisfiability of a formula set by DP over a nice decomposition.
+    """Satisfiability of a formula set by DP over a tree decomposition.
     With ``universe``, a compiled set whose vertices cover every formula of
     ``gamma`` once its negations are peeled, the formulas are pinned as
     units on it;
@@ -226,106 +247,116 @@ def dp_sat(
     if units is None:
         compiled = compile_set(gamma, td, limits=limits)
         units = _units(compiled.cg.vertex_of, gamma)
-    return _run_dp(compiled.program, units)
+    return _run_dp(compiled.program, compiled.home, units)
 
 
-def _plan(cg: ConstraintGraph, nice: NiceTreeDecomposition) -> list[Instruction]:
-    """The program of a nice form, one instruction per node in id order.  A
-    labeling's bit i is the i-th smallest vertex of the bag, so an introduce
-    opens its vertex's position and a forget closes it, and the bits above
-    that position move up or down by one.  Each constraint goes to the first
-    introduce of one of its vertices whose bag covers its scope."""
-    by_vertex: dict[int, list[int]] = {}
-    scopes: list[tuple[int, ...]] = []
-    for ci, c in enumerate(cg.constraints):
-        scope = (c[1], *c[3]) if c[0] == "op" else (c[1],)
-        scopes.append(scope)
-        for v in set(scope):
-            by_vertex.setdefault(v, []).append(ci)
+def _plan(
+    cg: ConstraintGraph, td: TreeDecomposition
+) -> tuple[list[tuple], dict[int, tuple[int, int]]]:
+    """The bag program and vertex homes of a decomposition (see
+    ``CompiledSet``), rooted at its smallest bag id.  A bag that is a subset
+    of its parent's, or whose parent's is a subset of it, is contracted into
+    its parent, which then holds the larger of the two: the decomposition
+    stays valid and no wider, and the program gets one instruction per bag
+    left.  Each constraint is checked in every bag that covers its scope,
+    which keeps the rows of a wide bag few.  A vertex's home is its top
+    bag, the one whose parent does not hold it; a vertex with no top bag is
+    in no bag, and one with two is in bags that are not connected through
+    it, and either raises ``ValueError``."""
+    problems, adj = _tree_violations(td)
+    if problems:
+        raise ValueError("invalid decomposition: " + problems[0])
+    bags = dict(td.bags)  # a parent's bag grows when it takes in a superset child
+    root = min(bags)
+    parent: dict[int, Optional[int]] = {root: None}
+    order, stack = [], [root]
+    while stack:
+        b = stack.pop()
+        order.append(b)
+        for c in adj[b]:
+            if c != parent[b]:
+                parent[c] = b
+                stack.append(c)
+    order.reverse()  # children first
 
-    done = [False] * len(cg.constraints)
-    placed = 0
-    order: dict[int, tuple[int, ...]] = {}  # sorted bag of nodes whose parent is pending
-    program: list[Instruction] = []
-    kinds, children, bags = nice.kinds, nice.children, nice.bags
-    for node in range(1, len(bags) + 1):
-        kind, v = kinds[node]
-        kids = children[node]
-        if kind == "leaf":
-            order[node] = ()
-            program.append(_LEAF_INSTRUCTION)
+    scope_of: dict[int, tuple[tuple[int, ...], Union[str, bool]]] = {}
+    for c in cg.constraints:  # at most one per vertex, the one it heads
+        scope_of[c[1]] = ((c[1], *c[3]), c[2]) if c[0] == "op" else ((c[1],), c[2])
+    unplaced = set(scope_of)
+    program: list[tuple] = []
+    home: dict[int, tuple[int, int]] = {}
+    emitted: list[int] = []  # the bag id of each slot
+    below: dict[int, list[tuple[int, list[int]]]] = {}  # bag -> (slot, sorted bag) of children
+    for b in order:
+        bag = bags[b]
+        above = parent[b]
+        above_bag = bags[above] if above is not None else frozenset()
+        if above is not None and (bag <= above_bag or above_bag <= bag):
+            if not bag <= above_bag:
+                bags[above] = bag
+            below.setdefault(above, []).extend(below.pop(b, ()))
             continue
-        below = order.pop(kids[0])
-        if kind == "join":
-            del order[kids[1]]
-            order[node] = below
-            program.append((JOIN, kids[0], kids[1]))
-            continue
-        if kind == "forget":
-            pos = below.index(v)
-            order[node] = below[:pos] + below[pos + 1:]
-            low = (1 << pos) - 1
-            program.append((FORGET, kids[0], low, ((1 << (len(below) - 1)) - 1) ^ low))
-            continue
-        pos = bisect.bisect(below, v)
-        here = order[node] = below[:pos] + (v,) + below[pos:]
-        low = (1 << pos) - 1
-        high = ((1 << len(below)) - 1) ^ low
+        slot = len(emitted)
+        emitted.append(b)
+        here = sorted(bag)
+        pos_of = {v: i for i, v in enumerate(here)}
         checks = []
-        bag = bags[node]
-        pos_of = None
-        for ci in by_vertex.get(v, ()):
-            if not done[ci] and bag.issuperset(scopes[ci]):
-                if pos_of is None:
-                    pos_of = {u: i for i, u in enumerate(here)}
-                positions = tuple(map(pos_of.__getitem__, scopes[ci]))
-                checks.append(_compile(cg.constraints[ci][2], positions))
-                done[ci] = True
-                placed += 1
-        program.append((INTRODUCE, kids[0], v, low, high, 1 << pos, tuple(checks)))
-    if placed != len(cg.constraints):
+        for i, v in enumerate(here):
+            if v not in above_bag:
+                if v in home:
+                    raise ValueError(
+                        f"invalid decomposition: (iii) bags {emitted[home[v][0]]} and {b} "
+                        f"both hold vertex {v} but are not connected through it"
+                    )
+                home[v] = (slot, 1 << i)
+            placed = scope_of.get(v)
+            if placed is not None and bag.issuperset(placed[0]):
+                unplaced.discard(v)
+                checks.append(_compile(placed[1], tuple(map(pos_of.__getitem__, placed[0]))))
+        links = []
+        for child, child_here in below.pop(b, ()):
+            targets = tuple([1 << pos_of[v] if v in bag else 0 for v in child_here])
+            shared_mask = sum(targets)
+            if shared_mask:
+                links.append((child, _remap(targets), shared_mask))
+        program.append((_rows(len(here), tuple(checks)), tuple(links)))
+        if above is not None:
+            below.setdefault(above, []).append((slot, here))
+    for v in cg.graph.vertices:
+        if v not in home:
+            raise ValueError(f"invalid decomposition: (i) vertex {v} appears in no bag")
+    if unplaced:
         raise AssertionError("some local constraint fits no bag; decomposition invalid")
-    return program
+    return program, home
 
 
-def _run_dp(program: list[Instruction], units: list[tuple[int, bool]]) -> bool:
-    """One loop over the program.  Slot i holds the table of instruction i:
-    the bag labelings (bitmasks, no repeats) that extend to a labeling of
-    its subtree meeting every constraint checked there and every pin, until
-    its parent consumes and clears it.  A pinned vertex takes only its
-    pinned bit at each of its introduces.  The set is satisfiable iff the
-    root's table is nonempty, and an empty table stays empty up to the
-    root."""
-    pinned: dict[int, bool] = {}
+def _run_dp(
+    program: list[tuple], home: dict[int, tuple[int, int]], units: list[tuple[int, bool]]
+) -> bool:
+    """One loop over the bag program.  Slot i holds the table of instruction
+    i: the rows of its bag that meet the pins homed there and agree, on the
+    shared vertices, with some row of each linked child's table, until its
+    parent consumes and clears it.  Each table thus holds the bag labelings
+    that extend to its subtree, and the set is satisfiable iff the root's
+    table is nonempty; an empty table answers unsat at once."""
+    pins: dict[int, tuple[int, int]] = {}  # slot -> (pinned bits, their values)
     for v, value in units:
-        if pinned.setdefault(v, value) != value:
+        slot, bit = home[v]
+        mask, want = pins.get(slot, (0, 0))
+        got = bit if value else 0
+        if mask & bit and want & bit != got:
             return False  # contradictory units
-    tables: list = [None] * (len(program) + 1)
-    for slot, instruction in enumerate(program, 1):
-        op = instruction[0]
-        if op == INTRODUCE:
-            _, child, v, low, high, bit, checks = instruction
-            rows = tables[child]
+        pins[slot] = (mask | bit, want | got)
+    tables: list = [None] * len(program)
+    for slot, (rows, links) in enumerate(program):
+        pin = pins.get(slot)
+        if pin is not None:
+            mask, want = pin
+            rows = [m for m in rows if m & mask == want]
+        for child, remap, shared_mask in links:
+            msg = {remap[m] for m in tables[child]}
             tables[child] = None
-            if high:
-                rows = [(m & low) | ((m & high) << 1) for m in rows]
-            value = pinned.get(v)
-            if value is None:
-                rows = [*rows, *[m | bit for m in rows]]
-            elif value:
-                rows = [m | bit for m in rows]
-            for scope_mask, allowed in checks:
-                rows = [m for m in rows if m & scope_mask in allowed]
-        elif op == FORGET:
-            _, child, low, high = instruction
-            rows = {(m & low) | ((m >> 1) & high) for m in tables[child]}
-            tables[child] = None
-        elif op == JOIN:
-            _, child, other = instruction
-            rows = set(tables[child]).intersection(tables[other])
-            tables[child] = tables[other] = None
-        else:
-            rows = (0,)
+            rows = [m for m in rows if m & shared_mask in msg]
         if not rows:
             return False
         tables[slot] = rows

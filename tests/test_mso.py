@@ -389,6 +389,21 @@ def test_sentence_is_compiled_once(monkeypatch):
     assert after[-1] == after[0]
 
 
+def test_sentence_hash_is_computed_once():
+    # hashing a node reads the hash its constructor stored, so a sentence
+    # far deeper than the recursion limit hashes at once; equal sentences
+    # built apart hash alike and find each other in a dict
+    def deep():
+        phi = SetAtom("X", "x")
+        for i in range(3 * sys.getrecursionlimit()):
+            phi = Not(phi) if i % 2 else And((phi, RelAtom("U", ("x",))))
+        return ExistsSO("X", ForallFO("x", phi))
+
+    a, b = deep(), deep()
+    assert a is not b and hash(a) == hash(b)
+    assert {Imp(Truth(True), Eq("x", "y")): 1}[Imp(Truth(True), Eq("x", "y"))] == 1
+
+
 def test_isomorphism_invariance():
     from nmlkit.encodings import satisfiability
     from nmlkit.formula import Basis

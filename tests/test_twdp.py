@@ -24,7 +24,7 @@ from nmlkit.formula import (
 from nmlkit.harness import dp_scaling
 from nmlkit.limits import Limits
 from nmlkit.randgen import random_entailment_query, random_formula_set
-from nmlkit.treewidth import heuristic_decomposition, make_nice, width
+from nmlkit.treewidth import TreeDecomposition, heuristic_decomposition, make_nice, width
 from nmlkit.twdp import (
     build_constraint_graph,
     dp_implication,
@@ -283,7 +283,7 @@ def test_each_theory_is_compiled_once(monkeypatch):
         limp(Believes(lxor(q, r)), p),
     ))
     assert len(belief_atoms(sigma)) == 5
-    builders = ("build_constraint_graph", "heuristic_decomposition", "make_nice")
+    builders = ("build_constraint_graph", "heuristic_decomposition", "_plan")
     calls = dict.fromkeys((*builders, "dp_sat"), 0)
     for name in calls:
         def counted(*args, _name=name, _original=getattr(twdp, name), **kwargs):
@@ -299,28 +299,25 @@ def test_each_theory_is_compiled_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The DP program: one instruction per nice node, run in one loop
+# The bag program: one instruction per bag, run in one loop
 # ---------------------------------------------------------------------------
 
 
-def _introduced_below(program):
-    """For each slot, the vertices introduced in its subtree."""
-    below = [frozenset()]  # slot 0 is unused
-    for op, *args in program:
-        if op == twdp.LEAF:
-            below.append(frozenset())
-        elif op == twdp.JOIN:
-            below.append(below[args[0]] | below[args[1]])
-        elif op == twdp.INTRODUCE:
-            below.append(below[args[0]] | {args[1]})
-        else:
-            below.append(below[args[0]])
-    return below
+def _homed_below(cs):
+    """For each slot, the vertices whose home (top) bag lies in its subtree
+    of linked bags: a vertex found only under that slot's bag."""
+    homed = [set() for _ in cs.program]
+    for v, (slot, _) in cs.home.items():
+        homed[slot].add(v)
+    for slot, (_, links) in enumerate(cs.program):  # children first
+        for child, _, _ in links:
+            homed[slot] |= homed[child]
+    return homed
 
 
 def test_join_instructions_match_bruteforce(monkeypatch):
-    # every query pins a vertex introduced only under a join's first child
-    # and one introduced only under its second
+    # at every bag that joins two or more linked children, each query pins
+    # a vertex found only under one child and one found only under another
     rng = random.Random(67)
     compiled = [
         twdp.compile_set(random_formula_set(
@@ -332,15 +329,12 @@ def test_join_instructions_match_bruteforce(monkeypatch):
     verdicts = []
     for cs in compiled:
         formula_of = {v: f for f, v in cs.cg.vertex_of.items()}
-        below = _introduced_below(cs.program)
-        for op, *args in cs.program:
-            if op != twdp.JOIN:
+        homed = _homed_below(cs)
+        for _, links in cs.program:
+            sides = [homed[child] for child, _, _ in links if homed[child]]
+            if len(sides) < 2:
                 continue
-            child, other = args
-            left, right = below[child] - below[other], below[other] - below[child]
-            if not (left and right):
-                continue
-            pinned = [formula_of[rng.choice(sorted(side))] for side in (left, right)]
+            pinned = [formula_of[rng.choice(sorted(side))] for side in rng.sample(sides, 2)]
             query = [f if rng.random() < 0.5 else lnot(f) for f in pinned]
             query += rng.sample(list(formula_of.values()), rng.randint(0, 2))
             verdict = dp_sat(query, universe=cs)
@@ -348,6 +342,43 @@ def test_join_instructions_match_bruteforce(monkeypatch):
             verdicts.append(verdict)
     assert len(verdicts) >= 50
     assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
+
+
+def test_program_work_linear_at_fixed_width():
+    def work(m):
+        program = twdp.compile_set(chain(m)).program
+        return len(program) + sum(len(links) for _, links in program)
+
+    assert work(2000) <= 2.05 * work(1000)
+
+
+def test_decomposition_missing_a_vertex_is_rejected():
+    p, q = Var("p"), Var("q")
+    td = TreeDecomposition({1: frozenset({2})}, frozenset())
+    with pytest.raises(ValueError, match=r"invalid decomposition: .*vertex 1 appears in no bag"):
+        dp_sat([p, q], td)
+
+
+@pytest.mark.parametrize("bags, edges, problem", [
+    ({1: {1}, 2: {2}}, set(), "2 bags need 1 tree edges, found 0"),
+    ({1: {1}, 2: {2}, 3: {1, 2}}, {(1, 2), (2, 1)}, "bag 3 is disconnected from the rest"),
+])
+def test_disconnected_decomposition_is_rejected(bags, edges, problem):
+    td = TreeDecomposition({b: frozenset(bag) for b, bag in bags.items()}, frozenset(edges))
+    with pytest.raises(ValueError, match=rf"invalid decomposition: \(tree\) {problem}"):
+        dp_sat([Var("p"), Var("q")], td)
+
+
+def test_vertex_in_unconnected_bags_is_rejected():
+    # vertex 1 (p) sits in bags 1 and 3, but bag 2 between them lacks it
+    p, q = Var("p"), Var("q")
+    td = TreeDecomposition(
+        {1: frozenset({1}), 2: frozenset({2}), 3: frozenset({1})},
+        frozenset({(1, 2), (2, 3)}),
+    )
+    problem = r"\(iii\) bags 3 and 1 both hold vertex 1 but are not connected"
+    with pytest.raises(ValueError, match="invalid decomposition: " + problem):
+        dp_sat([p, lnot(p), q], td)
 
 
 def test_program_is_built_once_per_compiled_set(monkeypatch):
