@@ -41,7 +41,8 @@ class MsoFormula:
     """Base class for MSO nodes, which are frozen slot dataclasses made by
     ``_node``.  ``__hash__`` returns the structural hash stored when the
     node was made, from its fields, whose own hashes are stored, so hashing
-    a sentence does not walk its tree."""
+    a sentence does not walk its tree, and ``__eq__`` walks two trees with
+    an explicit stack, so comparing deep sentences does not recurse."""
 
     __slots__ = ("_hash",)
     _fields: Callable[[MsoFormula], object]  # the node's fields, set by _node
@@ -52,6 +53,31 @@ class MsoFormula:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other: object) -> bool:
+        """Structural equality.  Identical nodes are equal, nodes of another
+        class or stored hash are not, and otherwise the fields are compared
+        pairwise, child nodes through the stack."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or a._hash != b._hash:
+                return False
+            for name in a.__match_args__:
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, MsoFormula):
+                    stack.append((x, y))
+                elif x.__class__ is tuple and x and isinstance(x[0], MsoFormula):
+                    if len(x) != len(y):
+                        return False
+                    stack.extend(zip(x, y))
+                elif x != y:
+                    return False
+        return True
+
     def __str__(self) -> str:
         return to_text(self)
 
@@ -60,11 +86,10 @@ _set_hash = MsoFormula._hash.__set__  # type: ignore[attr-defined]
 
 
 def _node(cls: type) -> type:
-    """A frozen slot dataclass that keeps its base's stored hash in place of
-    the generated one."""
-    cls = dataclass(frozen=True, slots=True)(cls)
+    """A frozen slot dataclass that keeps its base's stored hash and
+    equality: with ``eq=False`` it generates neither."""
+    cls = dataclass(frozen=True, slots=True, eq=False)(cls)
     cls._fields = operator.attrgetter(*cls.__match_args__)
-    cls.__hash__ = MsoFormula.__hash__
     return cls
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .errors import ParseError, parse_ints
 from .limits import Limits, check
@@ -240,65 +240,107 @@ def heuristic_decomposition(g: Graph, method: str = "min_fill") -> TreeDecomposi
 
 
 def _mmd_lower_bound(adj: dict[int, set[int]]) -> int:
-    """Minor-min-width: repeatedly merge a minimum-degree vertex into its
-    least-connected neighbor; the largest minimum degree seen is a lower
-    bound on treewidth."""
+    """Minor-min-width (Gogate and Dechter, UAI 2004): repeatedly merge a
+    minimum-degree vertex, smallest id first, into its least-connected
+    neighbor, smallest id first; the largest minimum degree seen is a lower
+    bound on treewidth.  The minimum comes from a lazy heap of ``(degree,
+    vertex)`` entries: a merge pushes each neighbor whose degree it changes
+    again, and a popped entry whose degree is no longer current is skipped,
+    so a step costs the merge, not a scan of the graph."""
     adj = {v: set(ns) for v, ns in adj.items()}
+    heap = [(len(ns), v) for v, ns in adj.items()]
+    heapq.heapify(heap)
     best = 0
-    while adj:
-        v = min(adj, key=lambda u: (len(adj[u]), u))
-        d = len(adj[v])
-        best = max(best, d)
-        if d == 0:
-            del adj[v]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v not in adj or len(adj[v]) != d:
             continue
-        u = min(adj[v], key=lambda w: (len(adj[w] & adj[v]), w))
-        for w in adj[v]:
-            if w != u:
-                adj[u].add(w)
-                adj[w].add(u)
-            adj[w].discard(v)
-        adj[u].discard(u)
-        del adj[v]
+        best = max(best, d)
+        nbrs = adj.pop(v)
+        if d == 0:
+            continue
+        u = min(nbrs, key=lambda w: (len(adj[w] & nbrs), w))
+        into = adj[u]
+        before = len(into)
+        into.discard(v)
+        for w in nbrs:
+            if w == u:
+                continue
+            ns = adj[w]
+            ns.discard(v)
+            if u in ns:
+                heapq.heappush(heap, (len(ns), w))
+            else:
+                ns.add(u)
+                into.add(w)
+        if len(into) != before:
+            heapq.heappush(heap, (len(into), u))
     return best
 
 
-def _is_clique(adj: dict[int, set[int]], verts: Iterable[int]) -> bool:
-    vs = list(verts)
-    for i, a in enumerate(vs):
-        adj_a = adj[a]
-        for b in vs[i + 1:]:
-            if b not in adj_a:
-                return False
-    return True
+_SIMPLICIAL, _ALMOST_SIMPLICIAL = 1, 2
+
+
+def _reducibility(adj: dict[int, set[int]], v: int, lb: int) -> int:
+    """Which safe rule eliminates v: ``_SIMPLICIAL`` when its neighbors form
+    a clique, ``_ALMOST_SIMPLICIAL`` when all but one of them do and its
+    degree is at most ``lb``, else 0.  The neighborhood's missing pairs are
+    found in O(d^2): all but u form a clique iff u lies in every missing
+    pair, so u is an end of the first one found."""
+    nbrs = adj[v]
+    for a in nbrs:
+        gap = nbrs - adj[a]  # a itself and a's missing partners
+        if len(gap) > 1:
+            break
+    else:
+        return _SIMPLICIAL
+    if len(nbrs) > lb:
+        return 0
+    gap.discard(a)
+    for u in (a, next(iter(gap))):
+        rest = nbrs - {u}
+        if all(len(rest - adj[w]) == 1 for w in rest):
+            return _ALMOST_SIMPLICIAL
+    return 0
 
 
 def _reduce(adj: dict[int, set[int]], lb: int) -> tuple[list[int], int, int]:
-    """Apply simplicial / almost-simplicial eliminations until none apply.
-    Returns (eliminated order, width forced so far, updated lower bound)."""
+    """Apply simplicial / almost-simplicial eliminations (Bodlaender, Koster
+    and van den Eijkhof, 2005) until none apply, always eliminating the
+    smallest reducible vertex.  Returns (eliminated order, width forced so
+    far, updated lower bound).
+
+    A min-heap holds every vertex that may be reducible, and a popped
+    vertex is checked again before it is eliminated, so the order is the
+    one a rescan from the smallest vertex after each elimination finds.
+    Eliminating v changes the status only of its neighbors, whose
+    neighborhoods change, and of the common neighbors of each pair it
+    joins, whose neighborhoods gain that edge: those are pushed again.  A
+    simplicial elimination that raises ``lb`` pushes the vertices whose
+    degree the new bound admits to the almost-simplicial rule, found by one
+    scan of the graph per rise."""
     order: list[int] = []
     forced = 0
-    changed = True
-    while changed and adj:
-        changed = False
-        for v in sorted(adj):
-            nbrs = adj[v]
-            d = len(nbrs)
-            if _is_clique(adj, nbrs):
-                forced = max(forced, d)
-                lb = max(lb, d)
-                _eliminate(adj, v)
-                order.append(v)
-                changed = True
-                break
-            if d <= lb and any(
-                _is_clique(adj, nbrs - {u}) for u in sorted(nbrs)
-            ):
-                forced = max(forced, d)
-                _eliminate(adj, v)
-                order.append(v)
-                changed = True
-                break
+    heap = sorted(adj)
+    queued = set(heap)
+    while heap:
+        v = heapq.heappop(heap)
+        queued.discard(v)
+        rule = _reducibility(adj, v, lb)
+        if not rule:
+            continue
+        d = len(adj[v])
+        forced = max(forced, d)
+        touched = set(adj[v])
+        for a, b in _eliminate(adj, v):
+            touched |= adj[a] & adj[b]
+        order.append(v)
+        if rule == _SIMPLICIAL and d > lb:
+            touched.update(w for w, ns in adj.items() if lb < len(ns) <= d)
+            lb = d
+        for w in touched - queued:
+            heapq.heappush(heap, w)
+            queued.add(w)
     return order, forced, lb
 
 
@@ -307,7 +349,11 @@ def exact_treewidth(
 ) -> tuple[int, TreeDecomposition]:
     """Minimum width over all decompositions, with an elimination-ordering
     witness.  The core left after safe reductions must fit the configured
-    vertex cap."""
+    vertex cap.  The minor-min-width bound and the reductions each run on a
+    heap that an elimination updates only where it changes the graph (see
+    ``_mmd_lower_bound`` and ``_reduce``), so when the reductions empty the
+    graph, as they do on pseudo-cliques and chain structures, the cost is
+    near-linear in the graph rather than quadratic."""
     if g.n == 0:
         return -1, TreeDecomposition({1: frozenset()}, frozenset())
     adj = g.adjacency()

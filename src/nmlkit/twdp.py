@@ -199,13 +199,19 @@ def compile_set(
     bag program of a formula set.  Raises ``ResourceLimitError`` when the
     decomposition is wider than ``Limits.dp_width``, and ``ValueError``
     when it is not a tree, leaves a vertex out of every bag, or holds a
-    vertex in bags not connected through it."""
+    vertex in bags not connected through it.  Only a caller's ``td`` is
+    checked for being a tree: min-fill builds one."""
     cg = build_constraint_graph(gamma)
     if td is None:
         td = heuristic_decomposition(cg.graph, "min_fill")
+        problems, adj = [], td.neighbors()
+    else:
+        problems, adj = _tree_violations(td)
     w = width(td)
     check(limits, "dp_width", w, "treewidth DP: decomposition width")
-    return CompiledSet(cg, w, *_plan(cg, td))
+    if problems:
+        raise ValueError("invalid decomposition: " + problems[0])
+    return CompiledSet(cg, w, *_plan(cg, td, adj))
 
 
 def _units(
@@ -251,21 +257,19 @@ def dp_sat(
 
 
 def _plan(
-    cg: ConstraintGraph, td: TreeDecomposition
+    cg: ConstraintGraph, td: TreeDecomposition, adj: dict[int, set[int]]
 ) -> tuple[list[tuple], dict[int, tuple[int, int]]]:
     """The bag program and vertex homes of a decomposition (see
-    ``CompiledSet``), rooted at its smallest bag id.  A bag that is a subset
-    of its parent's, or whose parent's is a subset of it, is contracted into
-    its parent, which then holds the larger of the two: the decomposition
-    stays valid and no wider, and the program gets one instruction per bag
-    left.  Each constraint is checked in every bag that covers its scope,
-    which keeps the rows of a wide bag few.  A vertex's home is its top
+    ``CompiledSet``) that is a tree with bag adjacency ``adj``, rooted at
+    its smallest bag id.  A bag that is a subset of its parent's, or whose
+    parent's is a subset of it, is contracted into its parent, which then
+    holds the larger of the two: the decomposition stays valid and no
+    wider, and the program gets one instruction per bag left.  Each
+    constraint is checked in every bag that covers its scope, which keeps
+    the rows of a wide bag few.  A vertex's home is its top
     bag, the one whose parent does not hold it; a vertex with no top bag is
     in no bag, and one with two is in bags that are not connected through
     it, and either raises ``ValueError``."""
-    problems, adj = _tree_violations(td)
-    if problems:
-        raise ValueError("invalid decomposition: " + problems[0])
     bags = dict(td.bags)  # a parent's bag grows when it takes in a superset child
     root = min(bags)
     parent: dict[int, Optional[int]] = {root: None}

@@ -1,5 +1,7 @@
 import argparse
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,9 +12,8 @@ from nmlkit.cli import build_parser, main
 from nmlkit.families import gen_imp_lower
 from nmlkit.formula import implies_bruteforce, parse_implication
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parents[1] / "src" / "nmlkit" / "report_schema.json").read_text()
-)
+SRC = Path(__file__).resolve().parents[1] / "src"
+SCHEMA = json.loads((SRC / "nmlkit" / "report_schema.json").read_text())
 
 
 def run_json(capsys, argv):
@@ -471,3 +472,14 @@ def test_every_leaf_command_takes_json_and_resolves_to_a_handler():
         assert callable(args.handler) and args.handler is leaf.get_default("handler"), path
         handlers.add(args.handler)
     assert len(handlers) == len(leaves)
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {k: v for k, v in os.environ.items() if k != "NMLKIT_LIMITS"}
+    env["PYTHONPATH"] = str(SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", "nmlkit", "gen", "dl-lower", "-n", "2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "d: x1 ; y1 ; F"

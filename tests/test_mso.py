@@ -404,6 +404,28 @@ def test_sentence_hash_is_computed_once():
     assert {Imp(Truth(True), Eq("x", "y")): 1}[Imp(Truth(True), Eq("x", "y"))] == 1
 
 
+def test_deep_sentences_compare_without_recursion():
+    # equality walks both trees with an explicit stack, so Not chains three
+    # times the default recursion limit deep compare, and a dict finds one
+    # by an equal copy built apart
+    def chain(leaf):
+        phi = leaf
+        for _ in range(3000):
+            phi = Not(phi)
+        return phi
+
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # a fresh interpreter's
+    try:
+        a, b = chain(RelAtom("E", ("x", "y"))), chain(RelAtom("E", ("x", "y")))
+        c = chain(RelAtom("E", ("y", "x")))
+        assert a is not b and a == b and not a != b
+        assert a != c and not a == c
+        assert {a: 1}[b] == 1
+    finally:
+        sys.setrecursionlimit(saved)
+
+
 def test_isomorphism_invariance():
     from nmlkit.encodings import satisfiability
     from nmlkit.formula import Basis

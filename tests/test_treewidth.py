@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from nmlkit import treewidth
 from nmlkit.errors import ParseError, ResourceLimitError
-from nmlkit.families import PseudoCliqueSpec, gen_pseudo_clique
+from nmlkit.families import PseudoCliqueSpec, chain, gen_pseudo_clique
 from nmlkit.limits import Limits
 from nmlkit.randgen import random_graph
-from nmlkit.structures import make_graph
+from nmlkit.structures import build_prop_structure, gaifman_graph, make_graph
 from nmlkit.treewidth import (
     TreeDecomposition,
     decomposition_from_order,
@@ -201,6 +202,109 @@ def test_exact_core_cap():
     g = torus(5, 5)
     with pytest.raises(ResourceLimitError):
         exact_treewidth(g, limits=Limits(exact_tw_core=10))
+
+
+def _rescan_reduce(adj, lb, checks=None):
+    """The reductions as a rescan: after every elimination, test every vertex
+    again from the smallest, and eliminate the first that a rule admits.
+    ``checks`` counts the vertices tested."""
+    def is_clique(verts):
+        vs = sorted(verts)
+        return all(b in adj[a] for i, a in enumerate(vs) for b in vs[i + 1:])
+
+    order, forced, changed = [], 0, True
+    while changed and adj:
+        changed = False
+        for v in sorted(adj):
+            if checks is not None:
+                checks[0] += 1
+            nbrs, d = adj[v], len(adj[v])
+            simplicial = is_clique(nbrs)
+            if simplicial or (d <= lb and any(is_clique(nbrs - {u}) for u in nbrs)):
+                forced = max(forced, d)
+                if simplicial:
+                    lb = max(lb, d)
+                treewidth._eliminate(adj, v)
+                order.append(v)
+                changed = True
+                break
+    return order, forced, lb
+
+
+def _scan_mmd(adj):
+    """Minor-min-width with a scan of every vertex for the minimum degree."""
+    adj = {v: set(ns) for v, ns in adj.items()}
+    best = 0
+    while adj:
+        v = min(adj, key=lambda u: (len(adj[u]), u))
+        best = max(best, len(adj[v]))
+        if adj[v]:
+            u = min(adj[v], key=lambda w: (len(adj[w] & adj[v]), w))
+            for w in adj[v]:
+                if w != u:
+                    adj[u].add(w)
+                    adj[w].add(u)
+                adj[w].discard(v)
+        del adj[v]
+    return best
+
+
+def _reductions_agree(g, lb):
+    assert treewidth._mmd_lower_bound(g.adjacency()) == _scan_mmd(g.adjacency())
+    got, want = g.adjacency(), g.adjacency()
+    assert treewidth._reduce(got, lb) == _rescan_reduce(want, lb)
+    assert got == want  # the same graph is left over
+
+
+def test_worklist_reductions_match_the_rescan():
+    rng = random.Random(41)
+    for _ in range(2000):
+        n = rng.randint(0, 30)
+        g = random_graph(rng, n, rng.random() * rng.choice((0.2, 0.5, 1.0)))
+        _reductions_agree(g, rng.randint(0, n))
+    for _ in range(100):
+        n = rng.randint(2, 7)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        g = gen_pseudo_clique(PseudoCliqueSpec(n, {p: rng.randint(0, 3) for p in pairs}))
+        _reductions_agree(g, rng.randint(0, n))
+
+
+def _count_reducibility_checks(monkeypatch):
+    calls = [0]
+
+    def counted(*args, _original=treewidth._reducibility):
+        calls[0] += 1
+        return _original(*args)
+
+    monkeypatch.setattr(treewidth, "_reducibility", counted)
+    return calls
+
+
+def test_reduction_work_linear_on_chain_structures(monkeypatch):
+    # the reductions empty a chain structure's Gaifman graph; each
+    # elimination rechecks only the vertices it can change, so the checks
+    # grow with the graph, where a rescan after every elimination grows
+    # with its square
+    calls = _count_reducibility_checks(monkeypatch)
+    work = []
+    for m in (400, 800, 1600):
+        calls[0] = 0
+        assert exact_treewidth(gaifman_graph(build_prop_structure(chain(m))))[0] == 1
+        work.append(calls[0])
+    assert work[1] <= 2.2 * work[0] and work[2] <= 2.2 * work[1], work
+
+
+def test_reduction_work_on_a_pseudo_clique(monkeypatch):
+    g = gen_pseudo_clique(PseudoCliqueSpec(8, 2))
+    assert g.n == 64
+    adj = g.adjacency()
+    rescan = [0]
+    _rescan_reduce(adj, treewidth._mmd_lower_bound(adj), rescan)
+    assert not adj  # the reductions alone settle it
+    calls = _count_reducibility_checks(monkeypatch)
+    assert exact_treewidth(g)[0] == 7
+    bound = 4 * g.n
+    assert calls[0] <= bound < rescan[0], (calls[0], rescan[0])
 
 
 # ---------------------------------------------------------------------------
