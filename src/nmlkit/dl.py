@@ -77,9 +77,11 @@ def _blocked(
     """Rules whose negated justification follows from the knowledge base
     plus the conclusions of ``chosen``, that is, whose justification is
     inconsistent with them.  Monotone in ``chosen``; if those premises are
-    inconsistent every rule is blocked."""
+    inconsistent every rule is blocked, which one query settles."""
     rules = theory.defaults
     closure = list(theory.knowledge) + [rules[i - 1].conclusion for i in sorted(chosen)]
+    if not oracle.satisfiable(closure):
+        return frozenset(range(1, len(rules) + 1))
     return frozenset(
         i
         for i in range(1, len(rules) + 1)

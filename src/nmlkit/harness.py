@@ -208,8 +208,11 @@ def check_sat_imp_encodings(seed: int = 1, quick: bool = False) -> CheckResult:
 
 def check_extension_encoding(seed: int = 1, quick: bool = False) -> CheckResult:
     """Model checking the extension-existence encoding agrees with the stage
-    construction on random literal default theories."""
+    construction on random literal default theories, and finds the
+    extension that the printed lower-bound theories have (no rule applies,
+    as no prerequisite follows from the empty knowledge) for n = 2..8."""
     samples = 20 if quick else 100
+    lower = range(2, 9)
 
     def run():
         rng = random.Random(seed)
@@ -220,7 +223,10 @@ def check_extension_encoding(seed: int = 1, quick: bool = False) -> CheckResult:
             verdict = eval_mso(build_dl_structure(th), enc)
             if verdict == extension_exists(th)[0]:
                 agree += 1
-        return agree == samples, f"{agree}/{samples} agreement"
+        found = sum(eval_mso(build_dl_structure(gen_dl_lower(n, "printed")), enc) for n in lower)
+        ok = agree == samples and found == len(lower)
+        return ok, (f"{agree}/{samples} agreement, dl-lower n={lower[0]}..{lower[-1]} "
+                    f"{found}/{len(lower)} found")
 
     return _timed("extension-existence encoding", run)
 

@@ -10,8 +10,13 @@ Two evaluators share the same semantics:
   relation tuples or, for a variable no relation binds, its universe.  It
   decides second-order quantifiers by branching on set membership lazily
   under three-valued (Kleene) logic, so only memberships that actually
-  influence the verdict are ever split on.  It keeps no memo of subformula
-  values.  A step budget guards against blow-ups.
+  influence the verdict are ever split on.  Two recognitions cut that
+  search.  A set that its quantifier's body defines, ``exists S (... &
+  forall x (x in S <-> psi) & ...)`` with ``S`` not free in ``psi``, is
+  computed from ``psi`` instead of branched on.  A subformula with no free
+  set variable that is closed or quantifies a set has a value fixed by the
+  structure and its first-order bindings, so each call keeps it in a memo
+  keyed by those bindings.  A step budget guards against blow-ups.
 * ``eval_mso_bruteforce`` enumerates everything.  It is the independent
   oracle the production evaluator is swept against in the tests.
 
@@ -463,12 +468,16 @@ def _compile(phi: MsoFormula) -> _Run:
     """``phi`` as a function of the evaluator, one per node.  Each ticks the
     step counter once on entry and returns True, False or None: None when a
     set membership it needs is unassigned, which it names in ``watch``.  A
-    first-order quantifier block is one function, built by ``_make_plan``.
-    Assumes bound variables have been renamed apart."""
-    if isinstance(phi, _FO_QUANTIFIERS):
-        return _make_plan(phi)
+    first-order quantifier block is one function, built by ``_make_plan``;
+    an existential set quantifier whose body defines its set is one
+    function, built by ``_defined_set``.  A node whose value the structure
+    and its first-order bindings fix (``_set_free``) looks that value up
+    in the call's memo before it runs.  Assumes bound variables have been
+    renamed apart."""
     cls = type(phi)
-    if cls is RelAtom:
+    if cls is ExistsFO or cls is ForallFO:
+        run = _make_plan(phi)
+    elif cls is RelAtom:
         rel, args = phi.rel, phi.args
 
         def run(ev):
@@ -541,6 +550,8 @@ def _compile(phi: MsoFormula) -> _Run:
             if vb is None:
                 return None
             return (va == vb) is not xor
+    elif cls is ExistsSO and (definition := _definition(phi)) is not None:
+        run = _defined_set(phi.svar, *definition)
     elif cls is ExistsSO or cls is ForallSO:
         svar, body, exists = phi.svar, _compile(phi.body), cls is ExistsSO
 
@@ -549,7 +560,82 @@ def _compile(phi: MsoFormula) -> _Run:
             return ev.search_set(svar, body, exists)
     else:
         raise TypeError(f"unknown node {phi!r}")
+    if _set_free(phi):
+        run = _memoized(run, tuple(sorted(free_vars(phi)[0])))
     return run
+
+
+def _definition(phi: ExistsSO) -> Optional[tuple[str, MsoFormula, MsoFormula]]:
+    """``(x, psi, rest)`` when ``phi``'s body is a conjunction with a part
+    ``forall x (x in S <-> psi)``, in either orientation, where ``S`` is
+    ``phi``'s set and is not free in ``psi``; ``rest`` conjoins the other
+    parts.  Exactly one ``S`` meets that part, so ``phi`` is ``rest`` with
+    ``S`` bound to ``{e : psi(e)}``."""
+    parts = _flatten_and(phi.body)
+    for i, part in enumerate(parts):
+        if not (isinstance(part, ForallFO) and isinstance(part.body, Iff)):
+            continue
+        member = SetAtom(phi.svar, part.var)
+        left, right = part.body.left, part.body.right
+        for atom, psi in ((left, right), (right, left)):
+            if atom == member and phi.svar not in free_vars(psi)[1]:
+                return part.var, psi, conj(parts[:i] + parts[i + 1:])
+    return None
+
+
+def _defined_set(svar: str, var: str, psi: MsoFormula, rest: MsoFormula) -> _Run:
+    """``exists S (forall x (x in S <-> psi) & rest)`` as one function:
+    binds ``S`` to the elements where ``psi`` holds, found in universe
+    order, then runs ``rest``.  None, with ``psi``'s watch, when ``psi`` is
+    undetermined at some element: it reads an unassigned membership of an
+    enclosing set."""
+    psi_run, rest_run = _compile(psi), _compile(rest)
+
+    def run(ev):
+        ev.tick()
+        fo = ev.fo
+        members = {}
+        for e in ev.structure.universe:
+            fo[var] = e  # bound names are apart: nothing reads it after
+            v = psi_run(ev)
+            if v is None:
+                return None
+            members[e] = v
+        ev.so[svar] = members
+        return rest_run(ev)
+
+    return run
+
+
+def _quantifies_sets(phi: MsoFormula) -> bool:
+    return isinstance(phi, _SO_QUANTIFIERS) or any(map(_quantifies_sets, subformulas(phi)))
+
+
+def _set_free(phi: MsoFormula) -> bool:
+    """Whether ``phi`` is a compound with no free set variable that is
+    closed or quantifies a set: its value is then fixed by the structure
+    and the values of its free first-order variables, and always definite,
+    since every set it reads is searched inside it.  Quantified set-free
+    nodes in general are left out: a memo on every first-order block costs
+    more than it saves on small sentences."""
+    fo, so = free_vars(phi)
+    return not so and bool(subformulas(phi)) and (not fo or _quantifies_sets(phi))
+
+
+def _memoized(run: _Run, fo_vars: tuple[str, ...]) -> _Run:
+    """``run`` with its value kept in the call's memo, keyed by this
+    function and the values of ``fo_vars``."""
+
+    def cached(ev):
+        key = (cached, *map(ev.fo.__getitem__, fo_vars))
+        v = ev.memo.get(key)
+        if v is None:
+            v = run(ev)
+            assert v is not None, "a set-free subformula cannot stay undetermined"
+            ev.memo[key] = v
+        return v
+
+    return cached
 
 
 def _flatten_and(phi: MsoFormula) -> list[MsoFormula]:
@@ -700,8 +786,8 @@ def _compiled(phi: MsoFormula) -> _Run:
 
 class _Evaluator:
     """The state of one ``eval_mso`` call, which the compiled functions read
-    and update: bindings, steps, branch points, the watched membership and
-    the relation indexes."""
+    and update: bindings, steps, branch points, the watched membership, the
+    memo of set-free subformula values and the relation indexes."""
 
     def __init__(
         self,
@@ -717,6 +803,7 @@ class _Evaluator:
         self.steps = 0
         self.branch_counts: dict[str, int] = {}
         self.watch: Optional[tuple[str, int]] = None
+        self.memo: dict[tuple, bool] = {}
         self._indexes: dict = {}
 
     def tick(self) -> None:
@@ -808,8 +895,10 @@ def eval_mso(
     ``env`` maps first-order variables to element ids and set variables to
     sets of element ids; it must cover all free variables.  ``phi`` is
     compiled on its first call into a function per node, which every later
-    call reuses on any structure and bindings; nothing else outlives the
-    call, and no subformula value is memoized.
+    call reuses on any structure and bindings.  Defined sets are computed
+    rather than searched, and set-free subformulas are evaluated once per
+    binding of their free first-order variables (see ``_compile``); that
+    memo lives in the call, and nothing but the compiled form outlives it.
     """
     fo, so = _prepare_env(structure, env)
     _check_bound(phi, fo, so)

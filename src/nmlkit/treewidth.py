@@ -220,12 +220,17 @@ def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     bag of its first subsequently eliminated neighbor."""
     if sorted(order) != list(g.vertices):
         raise ValueError("order must enumerate every vertex exactly once")
-    adj = g.adjacency()
+    return _tree_from_elimination(order, _elimination_bags(g.adjacency(), order))
+
+
+def _elimination_bags(adj: dict[int, set[int]], order: list[int]) -> list[frozenset[int]]:
+    """Eliminate ``order`` from the graph ``adj`` (which it consumes) and
+    return each vertex's closed neighborhood at the time it goes."""
     bags = []
     for v in order:
         bags.append(frozenset(adj[v] | {v}))
         _eliminate(adj, v)
-    return _tree_from_elimination(order, bags)
+    return bags
 
 
 def heuristic_decomposition(g: Graph, method: str = "min_fill") -> TreeDecomposition:
@@ -304,11 +309,14 @@ def _reducibility(adj: dict[int, set[int]], v: int, lb: int) -> int:
     return 0
 
 
-def _reduce(adj: dict[int, set[int]], lb: int) -> tuple[list[int], int, int]:
+def _reduce(
+    adj: dict[int, set[int]], lb: int
+) -> tuple[list[int], list[frozenset[int]], int, int]:
     """Apply simplicial / almost-simplicial eliminations (Bodlaender, Koster
     and van den Eijkhof, 2005) until none apply, always eliminating the
-    smallest reducible vertex.  Returns (eliminated order, width forced so
-    far, updated lower bound).
+    smallest reducible vertex.  Returns (eliminated order, each eliminated
+    vertex's closed neighborhood as it went, width forced so far, updated
+    lower bound).
 
     A min-heap holds every vertex that may be reducible, and a popped
     vertex is checked again before it is eliminated, so the order is the
@@ -320,6 +328,7 @@ def _reduce(adj: dict[int, set[int]], lb: int) -> tuple[list[int], int, int]:
     degree the new bound admits to the almost-simplicial rule, found by one
     scan of the graph per rise."""
     order: list[int] = []
+    bags: list[frozenset[int]] = []
     forced = 0
     heap = sorted(adj)
     queued = set(heap)
@@ -332,6 +341,7 @@ def _reduce(adj: dict[int, set[int]], lb: int) -> tuple[list[int], int, int]:
         d = len(adj[v])
         forced = max(forced, d)
         touched = set(adj[v])
+        bags.append(frozenset(touched | {v}))
         for a, b in _eliminate(adj, v):
             touched |= adj[a] & adj[b]
         order.append(v)
@@ -341,7 +351,7 @@ def _reduce(adj: dict[int, set[int]], lb: int) -> tuple[list[int], int, int]:
         for w in touched - queued:
             heapq.heappush(heap, w)
             queued.add(w)
-    return order, forced, lb
+    return order, bags, forced, lb
 
 
 def exact_treewidth(
@@ -353,25 +363,27 @@ def exact_treewidth(
     heap that an elimination updates only where it changes the graph (see
     ``_mmd_lower_bound`` and ``_reduce``), so when the reductions empty the
     graph, as they do on pseudo-cliques and chain structures, the cost is
-    near-linear in the graph rather than quadratic."""
+    near-linear in the graph rather than quadratic.  The witness is
+    ``decomposition_from_order`` of the reductions' order followed by the
+    search's: the reductions' bags are kept as they eliminate, and only the
+    core is eliminated again, along the search's order."""
     if g.n == 0:
         return -1, TreeDecomposition({1: frozenset()}, frozenset())
     adj = g.adjacency()
     lb = _mmd_lower_bound(adj)
-    prefix, forced, lb = _reduce(adj, lb)
+    order, bags, answer, lb = _reduce(adj, lb)
     check(limits, "exact_tw_core", len(adj), "exact treewidth: core vertex count")
 
     if adj:
-        heur_order, bags = _greedy_elimination({v: set(ns) for v, ns in adj.items()}, "min_fill")
-        heur_width = max(len(bag) for bag in bags) - 1
+        heur_order, heur_bags = _greedy_elimination(
+            {v: set(ns) for v, ns in adj.items()}, "min_fill"
+        )
+        heur_width = max(len(bag) for bag in heur_bags) - 1
         best_width, best_order = _branch_and_bound(adj, heur_width, heur_order)
-        answer = max(forced, best_width)
-        full_order = prefix + best_order
-    else:
-        answer = forced
-        full_order = prefix
-    td = decomposition_from_order(g, full_order)
-    return answer, td
+        answer = max(answer, best_width)
+        order += best_order
+        bags += _elimination_bags(adj, best_order)
+    return answer, _tree_from_elimination(order, bags)
 
 
 def _branch_and_bound(
@@ -395,7 +407,7 @@ def _branch_and_bound(
             return
         # current width and the minor bound both lower-bound every completion
         # of this branch, which is what the almost-simplicial rule needs
-        reduced, forced_here, _ = _reduce(work, max(current, sub_lb))
+        reduced, _, forced_here, _ = _reduce(work, max(current, sub_lb))
         current = max(current, forced_here)
         if current >= bound:
             return

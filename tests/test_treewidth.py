@@ -207,12 +207,14 @@ def test_exact_core_cap():
 def _rescan_reduce(adj, lb, checks=None):
     """The reductions as a rescan: after every elimination, test every vertex
     again from the smallest, and eliminate the first that a rule admits.
-    ``checks`` counts the vertices tested."""
+    Returns the order, each vertex's closed neighborhood as it went, the
+    forced width and the lower bound.  ``checks`` counts the vertices
+    tested."""
     def is_clique(verts):
         vs = sorted(verts)
         return all(b in adj[a] for i, a in enumerate(vs) for b in vs[i + 1:])
 
-    order, forced, changed = [], 0, True
+    order, bags, forced, changed = [], [], 0, True
     while changed and adj:
         changed = False
         for v in sorted(adj):
@@ -224,11 +226,12 @@ def _rescan_reduce(adj, lb, checks=None):
                 forced = max(forced, d)
                 if simplicial:
                     lb = max(lb, d)
+                bags.append(frozenset(nbrs | {v}))
                 treewidth._eliminate(adj, v)
                 order.append(v)
                 changed = True
                 break
-    return order, forced, lb
+    return order, bags, forced, lb
 
 
 def _scan_mmd(adj):
@@ -267,6 +270,29 @@ def test_worklist_reductions_match_the_rescan():
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         g = gen_pseudo_clique(PseudoCliqueSpec(n, {p: rng.randint(0, 3) for p in pairs}))
         _reductions_agree(g, rng.randint(0, n))
+
+
+def _exact_is_decomposition_of_its_order(g):
+    # bag i belongs to the i-th eliminated vertex, the one vertex of it that
+    # no later bag holds, so the order can be read back off the bags
+    w, td = exact_treewidth(g)
+    order = [min(td.bags[i] - set().union(*(td.bags[j] for j in range(i + 1, g.n + 1))))
+             for i in range(1, g.n + 1)]
+    ref = decomposition_from_order(g, order)
+    assert td == ref and emit_td(td, g.n) == emit_td(ref, g.n)
+    assert width(td) == w
+
+
+def test_exact_decomposition_equals_decomposition_of_its_order():
+    rng = random.Random(43)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        _exact_is_decomposition_of_its_order(random_graph(rng, n, rng.random() * 0.6))
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        _exact_is_decomposition_of_its_order(
+            gen_pseudo_clique(PseudoCliqueSpec(n, {p: rng.randint(0, 2) for p in pairs})))
 
 
 def _count_reducibility_checks(monkeypatch):
