@@ -6,9 +6,12 @@ evaluation and entailment.  The module also provides the exhaustive
 truth-table oracles that everything else in the toolkit is cross-checked
 against.
 
-Formula nodes are interned: each constructor returns the live node with its
-kind and fields when there is one, so equal formulas are one object and
-``==`` is ``is``.  The hash stays structural (``hash((op, args))``,
+Formula nodes and the MSO nodes of ``mso`` share one base class, ``Node``,
+and one interning routine, ``_make``, over one table of live nodes,
+``_LIVE``: each constructor returns the live node with its kind and fields
+when there is one, so equal nodes are one object and ``==`` is ``is``.  A
+node's fields are fixed once it is made, and a copy or an unpickled node is
+the live node.  The hash stays structural (``hash((op, args))``,
 ``hash((arg,))``, ``hash((name,))``, ``hash((value,))``), so set iteration
 orders, and the decompositions built from them, do not depend on identity.
 
@@ -28,7 +31,6 @@ from __future__ import annotations
 import itertools
 import re
 import weakref
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import ParseError
@@ -96,62 +98,80 @@ class Basis:
 DEFAULT_BASIS = Basis()
 
 
-class Formula:
-    """Base class for formula nodes, which are interned frozen dataclasses.
-    ``__hash__`` returns the structural hash computed when the node was
-    made, and ``__reduce__`` rebuilds through the constructor, so a copy or
-    an unpickled node is the live node."""
+class Node:
+    """Base class of the interned syntax nodes, formula nodes here and the
+    MSO nodes of ``mso``.  A node class names its fields in ``_fields`` and
+    in ``__slots__``.  ``_make`` builds a node and enters it in ``_LIVE``;
+    after that its fields cannot be set or deleted.  ``__hash__`` returns
+    the hash of the field values stored when the node was made, so hashing
+    does not walk the tree, and ``==`` is the inherited identity: equal
+    nodes are one object.  ``__reduce__`` rebuilds through the constructor,
+    so a copy or an unpickled node is the live node."""
 
     __slots__ = ("_hash", "__weakref__")
+    _fields: tuple[str, ...] = ()
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
-    def __str__(self) -> str:
-        return format_formula(self)
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 # The live nodes: a Var keyed on its name, a Const on its value, a Believes on
-# its argument and an App on ``(op, args)``.  Keys of different kinds never
-# compare equal, and children compare by identity, so one table serves all
-# four.  It holds its nodes weakly: a node no formula uses leaves it.
+# its argument, an App on ``(op, args)`` and an MSO node on ``(class,
+# *fields)``.  Keys of different kinds never compare equal, and children
+# compare by identity, so one table serves every kind.  It holds its nodes
+# weakly: a node no formula uses leaves it.
 _LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _make(cls, key, **fields) -> Formula:
-    """A new node of ``cls`` with ``fields``, hashed as the tuple of their
-    values and entered in the table under ``key``."""
+def _make(cls: type, key: object, values: tuple) -> Node:
+    """A new node of ``cls`` with field ``values``, hashed as their tuple
+    and entered in the table under ``key``."""
     node = object.__new__(cls)
-    object.__setattr__(node, "_hash", hash(tuple(fields.values())))
-    for name, value in fields.items():
+    object.__setattr__(node, "_hash", hash(values))
+    for name, value in zip(cls._fields, values):
         object.__setattr__(node, name, value)
     _LIVE[key] = node
     return node
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Formula(Node):
+    """Base class for formula nodes."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return format_formula(self)
+
+
 class Var(Formula):
-    name: str
+    __slots__ = _fields = ("name",)  # str
 
     def __new__(cls, name: str) -> Var:
-        return _LIVE.get(name) or _make(cls, name, name=name)
+        return _LIVE.get(name) or _make(cls, name, (name,))
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Const(Formula):
-    value: bool
+    __slots__ = _fields = ("value",)  # bool
 
     def __new__(cls, value: bool) -> Const:
-        return _LIVE.get(value) or _make(cls, value, value=value)
+        return _LIVE.get(value) or _make(cls, value, (value,))
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class App(Formula):
-    op: str
-    args: tuple[Formula, ...]
+    __slots__ = _fields = ("op", "args")  # str, tuple[Formula, ...]
 
     def __new__(cls, op: str, args: tuple[Formula, ...]) -> App:
         key = (op, args)
@@ -162,16 +182,15 @@ class App(Formula):
                 raise ValueError(f"unknown connective {op!r}")
             if arity != len(args):
                 raise ValueError(f"{op} expects {arity} arguments, got {len(args)}")
-            node = _make(cls, key, op=op, args=args)
+            node = _make(cls, key, key)
         return node
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Believes(Formula):
-    arg: Formula
+    __slots__ = _fields = ("arg",)  # Formula
 
     def __new__(cls, arg: Formula) -> Believes:
-        return _LIVE.get(arg) or _make(cls, arg, arg=arg)
+        return _LIVE.get(arg) or _make(cls, arg, (arg,))
 
 
 TRUE = Const(True)

@@ -13,7 +13,8 @@ Each key bounds one layer, in one unit:
 
 NMLKIT_LIMITS is a comma-separated ``key=value`` list of non-negative
 integers, e.g. ``NMLKIT_LIMITS="brute_atoms=26,dp_width=16"``.  Unknown keys
-are rejected so typos do not silently leave a limit at its default.
+are rejected so typos do not silently leave a limit at its default, and a
+key given twice is rejected so neither value silently wins.
 """
 from __future__ import annotations
 
@@ -53,6 +54,8 @@ def get_limits(overrides: Limits | None = None) -> Limits:
         key, sep, value = map(str.strip, item.partition("="))
         if not sep or key not in _VALID_KEYS:
             raise ValueError(f"unknown {_ENV_VAR} entry: {item!r}")
+        if key in parsed:
+            raise ValueError(f"{_ENV_VAR} entry {item!r}: the key {key} is given twice")
         if not value.isdecimal():
             raise ValueError(f"{_ENV_VAR} entry {item!r}: the value must be a non-negative integer")
         parsed[key] = int(value)

@@ -20,6 +20,12 @@ Two evaluators share the same semantics:
 * ``eval_mso_bruteforce`` enumerates everything.  It is the independent
   oracle the production evaluator is swept against in the tests.
 
+MSO nodes are interned like formula nodes, through ``formula.Node`` and
+``formula._make``: equal sentences are one object, so comparing two nodes
+is ``is`` and hashing one reads the hash stored when it was made.  The
+free variables of a node and the compiled form of a sentence are kept in
+bounded ``functools.lru_cache`` tables keyed by the node.
+
 The syntax walkers (free variables, renaming, miniscoping, printing, the
 reference's cost estimate) share one part/binder view of the node classes:
 ``subformulas``, ``with_subformulas``, ``binder`` and ``atom_vars``.  The
@@ -32,150 +38,90 @@ set variables are uppercase identifiers bound to subsets.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-import operator
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import ResourceLimitError
+from .formula import _LIVE, Node, _make
 from .limits import Limits, check, get_limits
 from .structures import RelationalStructure
 
 
-class MsoFormula:
-    """Base class for MSO nodes, which are frozen slot dataclasses made by
-    ``_node``.  ``__hash__`` returns the structural hash stored when the
-    node was made, from its fields, whose own hashes are stored, so hashing
-    a sentence does not walk its tree, and ``__eq__`` walks two trees with
-    an explicit stack, so comparing deep sentences does not recurse."""
+class MsoFormula(Node):
+    """Base class for MSO nodes, interned like formula nodes: the
+    constructor returns the live node of its class and field values when
+    there is one, so equal sentences are one object."""
 
-    __slots__ = ("_hash",)
-    _fields: Callable[[MsoFormula], object]  # the node's fields, set by _node
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _set_hash(self, hash((self._fields(self),)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        """Structural equality.  Identical nodes are equal, nodes of another
-        class or stored hash are not, and otherwise the fields are compared
-        pairwise, child nodes through the stack."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__ or a._hash != b._hash:
-                return False
-            for name in a.__match_args__:
-                x, y = getattr(a, name), getattr(b, name)
-                if isinstance(x, MsoFormula):
-                    stack.append((x, y))
-                elif x.__class__ is tuple and x and isinstance(x[0], MsoFormula):
-                    if len(x) != len(y):
-                        return False
-                    stack.extend(zip(x, y))
-                elif x != y:
-                    return False
-        return True
+    def __new__(cls, *values):
+        key = (cls, *values)
+        node = _LIVE.get(key)
+        if node is None:
+            if len(values) != len(cls._fields):
+                raise TypeError(f"{cls.__name__} takes the fields {cls._fields}, got {values!r}")
+            node = _make(cls, key, values)
+        return node
 
     def __str__(self) -> str:
         return to_text(self)
 
 
-_set_hash = MsoFormula._hash.__set__  # type: ignore[attr-defined]
-
-
-def _node(cls: type) -> type:
-    """A frozen slot dataclass that keeps its base's stored hash and
-    equality: with ``eq=False`` it generates neither."""
-    cls = dataclass(frozen=True, slots=True, eq=False)(cls)
-    cls._fields = operator.attrgetter(*cls.__match_args__)
-    return cls
-
-
-@_node
 class RelAtom(MsoFormula):
-    rel: str
-    args: tuple[str, ...]
+    __slots__ = _fields = ("rel", "args")  # str, tuple[str, ...]
 
 
-@_node
 class Eq(MsoFormula):
-    left: str
-    right: str
+    __slots__ = _fields = ("left", "right")  # str, str
 
 
-@_node
 class SetAtom(MsoFormula):
-    svar: str
-    var: str
+    __slots__ = _fields = ("svar", "var")  # str, str
 
 
-@_node
 class Truth(MsoFormula):
-    value: bool
+    __slots__ = _fields = ("value",)  # bool
 
 
-@_node
 class Not(MsoFormula):
-    body: MsoFormula
+    __slots__ = _fields = ("body",)  # MsoFormula
 
 
-@_node
 class And(MsoFormula):
-    parts: tuple[MsoFormula, ...]
+    __slots__ = _fields = ("parts",)  # tuple[MsoFormula, ...]
 
 
-@_node
 class Or(MsoFormula):
-    parts: tuple[MsoFormula, ...]
+    __slots__ = _fields = ("parts",)  # tuple[MsoFormula, ...]
 
 
-@_node
 class Imp(MsoFormula):
-    left: MsoFormula
-    right: MsoFormula
+    __slots__ = _fields = ("left", "right")  # MsoFormula, MsoFormula
 
 
-@_node
 class Iff(MsoFormula):
-    left: MsoFormula
-    right: MsoFormula
+    __slots__ = _fields = ("left", "right")  # MsoFormula, MsoFormula
 
 
-@_node
 class Xor(MsoFormula):
-    left: MsoFormula
-    right: MsoFormula
+    __slots__ = _fields = ("left", "right")  # MsoFormula, MsoFormula
 
 
-@_node
 class ExistsFO(MsoFormula):
-    var: str
-    body: MsoFormula
+    __slots__ = _fields = ("var", "body")  # str, MsoFormula
 
 
-@_node
 class ForallFO(MsoFormula):
-    var: str
-    body: MsoFormula
+    __slots__ = _fields = ("var", "body")  # str, MsoFormula
 
 
-@_node
 class ExistsSO(MsoFormula):
-    svar: str
-    body: MsoFormula
+    __slots__ = _fields = ("svar", "body")  # str, MsoFormula
 
 
-@_node
 class ForallSO(MsoFormula):
-    svar: str
-    body: MsoFormula
+    __slots__ = _fields = ("svar", "body")  # str, MsoFormula
 
 
 TOP = Truth(True)
@@ -261,17 +207,9 @@ def atom_vars(phi: MsoFormula) -> tuple[tuple[str, ...], tuple[str, ...]]:
 # Free variables
 # ---------------------------------------------------------------------------
 
-# keyed by node identity, holding the node so that its id is not reused;
-# cleared when full, so it keeps no more than _FREE_CACHE_MAX nodes alive
-_FREE_CACHE: dict[int, tuple[frozenset[str], frozenset[str], MsoFormula]] = {}
-_FREE_CACHE_MAX = 4096
-
-
+@functools.lru_cache(maxsize=4096)
 def free_vars(phi: MsoFormula) -> tuple[frozenset[str], frozenset[str]]:
     """(first-order, set) free variables of ``phi``."""
-    cached = _FREE_CACHE.get(id(phi))
-    if cached is not None and cached[2] is phi:
-        return cached[0], cached[1]
     fo, so = map(frozenset, atom_vars(phi))
     for p in subformulas(phi):
         f2, s2 = free_vars(p)
@@ -281,9 +219,6 @@ def free_vars(phi: MsoFormula) -> tuple[frozenset[str], frozenset[str]]:
         fo -= {phi.var}
     elif isinstance(phi, _SO_QUANTIFIERS):
         so -= {phi.svar}
-    if len(_FREE_CACHE) >= _FREE_CACHE_MAX:
-        _FREE_CACHE.clear()
-    _FREE_CACHE[id(phi)] = (fo, so, phi)
     return fo, so
 
 
@@ -767,21 +702,11 @@ def _bound_block(exists: bool, residual: tuple[_Run, ...], payload: Optional[_Ru
     return run
 
 
-# keyed by sentence; cleared when full
-_COMPILED: dict[MsoFormula, _Run] = {}
-_COMPILED_MAX = 4096
-
-
+@functools.lru_cache(maxsize=4096)
 def _compiled(phi: MsoFormula) -> _Run:
     """The function ``eval_mso`` runs for ``phi``: standardized apart,
     miniscoped and compiled, built once per sentence."""
-    out = _COMPILED.get(phi)
-    if out is None:
-        out = _compile(_miniscope(_standardize(phi)))
-        if len(_COMPILED) >= _COMPILED_MAX:
-            _COMPILED.clear()
-        _COMPILED[phi] = out
-    return out
+    return _compile(_miniscope(_standardize(phi)))
 
 
 class _Evaluator:
@@ -936,19 +861,15 @@ def eval_mso_bruteforce(
 ) -> bool:
     """Textbook evaluation by exhaustive enumeration (testing oracle).
 
-    Refuses inputs whose estimated cost (universe^#FO-quantifiers times
-    2^(universe * #nested-SO-quantifiers)) exceeds the configured budget.
+    ``env`` is read as ``eval_mso`` reads it.  Refuses inputs whose
+    estimated cost (universe^#FO-quantifiers times 2^(universe *
+    #nested-SO-quantifiers)) exceeds the configured budget.
     """
+    fo, members = _prepare_env(structure, env)
+    so = {name: frozenset(e for e, v in m.items() if v) for name, m in members.items()}
+    _check_bound(phi, fo, so)
     cost = _estimate_cost(phi, len(structure.universe))
     check(limits, "mso_brute_cost", cost, "reference MSO evaluator: estimated cost")
-    fo: dict[str, int] = {}
-    so: dict[str, frozenset[int]] = {}
-    for name, value in (env or {}).items():
-        if isinstance(value, int) and not isinstance(value, bool):
-            fo[name] = value
-        else:
-            so[name] = frozenset(value)
-    _check_bound(phi, fo, so)
     return _brute(structure, phi, fo, so)
 
 

@@ -697,7 +697,9 @@ def emit_td(td: TreeDecomposition, n_vertices: int) -> str:
 
 
 def parse_td(text: str) -> tuple[TreeDecomposition, int]:
-    """Parse .td text; returns the decomposition and the declared vertex count."""
+    """Parse .td text: as many bags as the ``s td <bags> <max bag> <n>``
+    header says, the largest of the size it says, over vertices in 1..n.
+    Returns the decomposition and the declared vertex count."""
     bags: dict[int, frozenset[int]] = {}
     edges: set[tuple[int, int]] = set()
     declared_n = None
@@ -711,7 +713,8 @@ def parse_td(text: str) -> tuple[TreeDecomposition, int]:
                 raise ParseError(f"malformed solution line: {line!r}", line=lineno)
             if declared_n is not None:
                 raise ParseError("duplicate solution line", line=lineno)
-            declared_n = parse_ints(parts[2:], lineno)[2]
+            n_bags, max_bag, declared_n = parse_ints(parts[2:], lineno)
+            header = lineno
         elif parts[0] == "b":
             if declared_n is None:
                 raise ParseError("bag line before solution line", line=lineno)
@@ -720,6 +723,10 @@ def parse_td(text: str) -> tuple[TreeDecomposition, int]:
             bid, *verts = parse_ints(parts[1:], lineno)
             if bid in bags:
                 raise ParseError(f"duplicate bag id {bid}", line=lineno)
+            if not all(1 <= v <= declared_n for v in verts):
+                raise ParseError(f"bag {bid} has a vertex outside 1..{declared_n}", line=lineno)
+            if len(bags) == n_bags:
+                raise ParseError(f"more bag lines than the header's {n_bags}", line=lineno)
             bags[bid] = frozenset(verts)
         else:
             if declared_n is None:
@@ -733,4 +740,10 @@ def parse_td(text: str) -> tuple[TreeDecomposition, int]:
             edges.add(edge)
     if declared_n is None:
         raise ParseError("missing 's td' line")
+    if len(bags) != n_bags:
+        raise ParseError(f"the header says {n_bags} bags, the file has {len(bags)}", line=header)
+    largest = max(map(len, bags.values()), default=0)
+    if largest != max_bag:
+        raise ParseError(f"the header says the largest bag has {max_bag} vertices, "
+                         f"the file's has {largest}", line=header)
     return TreeDecomposition(bags, frozenset(edges)), declared_n

@@ -316,6 +316,10 @@ def test_nmlkit_limits_env_rejects_unknown_keys(monkeypatch):
         (["tw", "normalize", "{gr}", "{td}", "--labels-file"], "bad.labels", "1 main -\nx main\n"),
         (["tw", "compute"], "loop.gr", "p tw 3 1\n2 2\n"),
         (["tw", "compute"], "range.gr", "p tw 3 1\n1 5\n"),
+        (["tw", "verify", "{gr}"], "few.td", "c five\ns td 5 2 3\nb 1 1 2\nb 2 2 3\n1 2\n"),
+        (["tw", "verify", "{gr}"], "many.td", "s td 0 0 3\nb 1 1 2\n"),
+        (["tw", "verify", "{gr}"], "max.td", "c three\ns td 1 3 3\nb 1 1 2\n"),
+        (["tw", "verify", "{gr}"], "range.td", "s td 1 2 3\nb 1 1 9\n"),
     ],
 )
 def test_parse_error_names_its_line(tmp_path, capsys, command, name, text):
@@ -369,6 +373,7 @@ def test_gr_edges_must_match_the_header(tmp_path, capsys, text, message, line):
         ("ael_prefixes=40", "unknown NMLKIT_LIMITS entry: 'ael_prefixes=40'"),
         ("dp_width=abc", "entry 'dp_width=abc': the value must be a non-negative integer"),
         ("dp_width=-1", "entry 'dp_width=-1': the value must be a non-negative integer"),
+        ("dp_width=0,dp_width=14", "entry 'dp_width=14': the key dp_width is given twice"),
     ],
 )
 def test_bad_nmlkit_limits_is_a_usage_error(tmp_path, capsys, monkeypatch, entry, message):

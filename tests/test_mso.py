@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 
@@ -154,8 +156,7 @@ def test_free_vars():
 
 
 def test_free_vars_cache_stays_bounded():
-    # every call builds a fresh encoding, whose nodes the cache would keep alive
-    from nmlkit import mso
+    # every call builds the encoding anew, and the cache keeps what it holds alive
     from nmlkit.encodings import mso_encoding
     from nmlkit.families import chain
     from nmlkit.structures import build_prop_structure
@@ -163,7 +164,8 @@ def test_free_vars_cache_stays_bounded():
     s = build_prop_structure(chain(3))
     for _ in range(200):
         assert eval_mso(s, mso_encoding("sat"))
-    assert len(mso._FREE_CACHE) <= mso._FREE_CACHE_MAX
+    info = free_vars.cache_info()
+    assert 0 < info.currsize <= info.maxsize == 4096
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +381,7 @@ def test_sentence_is_compiled_once(monkeypatch):
             return _original(phi)
 
         monkeypatch.setattr(mso, name, counted)
-    monkeypatch.setattr(mso, "_COMPILED", {})
+    mso._compiled.cache_clear()
     phi = mso_encoding("sat")
     after = []
     for m in range(1, 6):
@@ -392,7 +394,7 @@ def test_sentence_is_compiled_once(monkeypatch):
 def test_sentence_hash_is_computed_once():
     # hashing a node reads the hash its constructor stored, so a sentence
     # far deeper than the recursion limit hashes at once; equal sentences
-    # built apart hash alike and find each other in a dict
+    # built apart are one node, which a dict finds
     def deep():
         phi = SetAtom("X", "x")
         for i in range(3 * sys.getrecursionlimit()):
@@ -400,14 +402,14 @@ def test_sentence_hash_is_computed_once():
         return ExistsSO("X", ForallFO("x", phi))
 
     a, b = deep(), deep()
-    assert a is not b and hash(a) == hash(b)
+    assert a is b and hash(a) == hash(b)
     assert {Imp(Truth(True), Eq("x", "y")): 1}[Imp(Truth(True), Eq("x", "y"))] == 1
 
 
 def test_deep_sentences_compare_without_recursion():
-    # equality walks both trees with an explicit stack, so Not chains three
-    # times the default recursion limit deep compare, and a dict finds one
-    # by an equal copy built apart
+    # equal nodes are one object, so Not chains three times the default
+    # recursion limit deep compare at once, and a dict finds one by an equal
+    # copy built apart
     def chain(leaf):
         phi = leaf
         for _ in range(3000):
@@ -419,11 +421,65 @@ def test_deep_sentences_compare_without_recursion():
     try:
         a, b = chain(RelAtom("E", ("x", "y"))), chain(RelAtom("E", ("x", "y")))
         c = chain(RelAtom("E", ("y", "x")))
-        assert a is not b and a == b and not a != b
+        assert a is b and a == b and not a != b
         assert a != c and not a == c
         assert {a: 1}[b] == 1
     finally:
         sys.setrecursionlimit(saved)
+
+
+def test_every_way_of_building_a_node_returns_the_live_node():
+    from nmlkit import formula, mso
+    from nmlkit.encodings import mso_encoding
+
+    sentence = mso._standardize(mso_encoding("extension"))  # bound names apart
+    nodes, stack = [], [sentence]
+    while stack:
+        nodes.append(stack.pop())
+        stack.extend(mso.subformulas(nodes[-1]))
+    for node in nodes:
+        assert formula._LIVE[(type(node), *map(node.__getattribute__, node._fields))] is node
+        assert type(node)(*map(node.__getattribute__, node._fields)) is node
+        assert mso.with_subformulas(node, mso.subformulas(node)) is node
+    assert mso._standardize(sentence) is sentence
+    assert mso.rename_set(sentence, "S", "S") is sentence
+    assert mso.rename_set(sentence, "Unused", "Other") is sentence  # rebuilt throughout
+    for rebuilt in (copy.copy, copy.deepcopy, lambda n: pickle.loads(pickle.dumps(n))):
+        assert rebuilt(sentence) is sentence
+    assert Truth(1) is mso.TOP and Not(Truth(False)).body is mso.BOTTOM
+    with pytest.raises(TypeError):
+        Eq("x")
+
+
+def test_nodes_are_immutable():
+    from nmlkit.formula import App, Var
+
+    for node in (RelAtom("E", ("x", "y")), ExistsSO("X", SetAtom("X", "x")),
+                 Var("p"), App("and", (Var("p"), Var("q")))):
+        before = repr(node)
+        for name in node._fields + ("_hash", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert repr(node) == before
+    assert repr(RelAtom("E", ("x", "y"))) == "RelAtom(rel='E', args=('x', 'y'))"
+    assert repr(Var("p")) == "Var(name='p')"
+
+
+@pytest.mark.parametrize(
+    "env",
+    [{"x": 9, "X": {1}}, {"x": 1, "X": "ab"}, {"x": True, "X": {1}}],
+    ids=["outside-universe", "string-as-set", "bool-as-element"],
+)
+def test_both_evaluators_refuse_a_bad_binding_alike(env):
+    s = tiny_structure()
+    phi = And((Eq("x", "x"), ExistsFO("y", SetAtom("X", "y"))))
+    with pytest.raises(ValueError) as engine:
+        eval_mso(s, phi, env)
+    with pytest.raises(ValueError) as reference:
+        eval_mso_bruteforce(s, phi, env)
+    assert str(engine.value) == str(reference.value)
 
 
 def test_isomorphism_invariance():
@@ -469,7 +525,7 @@ def _count_compiled(monkeypatch, name):
         return _original(*args)
 
     monkeypatch.setattr(mso, name, counted)
-    monkeypatch.setattr(mso, "_COMPILED", {})
+    mso._compiled.cache_clear()
     return calls
 
 
