@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import ParseError, parse_ints
 from .limits import Limits, check
@@ -157,15 +157,25 @@ def _greedy_elimination(
 ) -> tuple[list[int], list[frozenset[int]]]:
     """Greedy elimination ordering of the graph ``adj`` (which it consumes),
     ties broken by smallest vertex id, with each vertex's closed neighborhood
-    at the time it is eliminated."""
+    at the time it is eliminated.
+
+    Each vertex's count (degree, or fill: the missing pairs among its
+    neighbors) is computed once and then kept exact by deltas as v goes:
+    - adding a missing edge (a, b) between v's neighbors takes 1 from the
+      fill of every other common neighbor of a and b, and gives a
+      ``|N(a) - N(b)|`` and b ``|N(b) - N(a)|``, both taken before the edge
+      is added (for degree, a and b gain 1);
+    - removing v, whose neighbors are a clique by then, takes
+      ``|N(a) - N[v]| = |N(a)| - |N(v)|`` from each neighbor a's fill (1
+      from its degree);
+    - a vertex of fill 0 has no missing pair, so its pair loop is skipped.
+    A vertex whose count changed is pushed again, as a recount would push
+    it, so the heap yields the same (count, id) minimum at every step and
+    the order and bags are those of recounting every touched vertex."""
     if method not in ("min_degree", "min_fill"):
         raise ValueError(f"unknown method {method!r}")
-    keyf: Callable[[int], int]
-    if method == "min_degree":
-        keyf = lambda v: len(adj[v])  # noqa: E731
-    else:
-        keyf = lambda v: _fill_count(adj, v)  # noqa: E731
-    current = {v: keyf(v) for v in adj}
+    fill = method == "min_fill"
+    current = {v: _fill_count(adj, v) if fill else len(adj[v]) for v in adj}
     heap = [(k, v) for v, k in current.items()]
     heapq.heapify(heap)
     order: list[int] = []
@@ -175,19 +185,38 @@ def _greedy_elimination(
         if v not in adj or current[v] != k:
             continue
         order.append(v)
-        touched = adj[v] | {v}
-        bags.append(frozenset(touched))
-        added = _eliminate(adj, v)
+        nbrs = adj.pop(v)
         del current[v]
-        if method == "min_fill":
-            for a, b in added:
-                touched |= adj[a] & adj[b]
-        for w in touched:
-            if w in adj:
-                k2 = keyf(w)
-                if current[w] != k2:
-                    current[w] = k2
-                    heapq.heappush(heap, (k2, w))
+        bags.append(frozenset(nbrs | {v}))
+        delta = dict.fromkeys(nbrs, 0)
+        if k:  # a vertex of fill or degree 0 has no pair to join
+            for a in nbrs:
+                na = adj[a]
+                for b in nbrs - na:
+                    if b == a:
+                        continue
+                    nb = adj[b]
+                    if fill:
+                        common = na & nb
+                        for w in common:
+                            if w != v:
+                                delta[w] = delta.get(w, 0) - 1
+                        delta[a] += len(na) - len(common)
+                        delta[b] += len(nb) - len(common)
+                    else:
+                        delta[a] += 1
+                        delta[b] += 1
+                    na.add(b)
+                    nb.add(a)
+        size = len(nbrs)
+        for a in nbrs:
+            na = adj[a]
+            delta[a] -= len(na) - size if fill else 1
+            na.discard(v)
+        for w, d in delta.items():
+            if d:
+                current[w] += d
+                heapq.heappush(heap, (current[w], w))
     return order, bags
 
 

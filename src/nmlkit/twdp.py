@@ -57,11 +57,12 @@ from .formula import (
     sat_bruteforce,
 )
 from .limits import Limits, check
-from .structures import Graph, make_graph
+from .structures import Graph
 from .treewidth import (
     TreeDecomposition,
     _tree_violations,
     heuristic_decomposition,
+    validate_decomposition,
     width,
 )
 # not called here: perfbench/layers.py wraps twdp.make_nice by name
@@ -84,22 +85,25 @@ def build_constraint_graph(gamma: Iterable[Formula]) -> ConstraintGraph:
     value.  The set's own formulas are not pinned here; a query pins them
     (``dp_sat``).  Vertices are numbered in post-order of first occurrence;
     the walk stops at ``L`` nodes, which are opaque atoms, so a subterm that
-    occurs only under ``L`` gets no vertex."""
+    occurs only under ``L`` gets no vertex.  Post-order numbers every child
+    before its parent, so ``(kid, v)`` and the sorted pairs of distinct kids
+    are already normalised edges (u < v), and the clique over an operator's
+    scope is emitted as the graph keeps it."""
     vertex_of = number_subterms(gamma, beliefs=False)
     edges: set[tuple[int, int]] = set()
     constraints: list[Constraint] = []
     for f, v in vertex_of.items():
-        if isinstance(f, App):
-            kids = tuple(vertex_of[a] for a in f.args)
+        if f.__class__ is App:
+            kids = tuple([vertex_of[a] for a in f.args])
             constraints.append(("op", v, f.op, kids))
-            scope = sorted({v, *kids})
+            scope = sorted(set(kids))
             for i, a in enumerate(scope):
+                edges.add((a, v))
                 for b in scope[i + 1:]:
                     edges.add((a, b))
-        elif isinstance(f, Const):
+        elif f.__class__ is Const:
             constraints.append(("unit", v, f.value))
-    graph = make_graph(len(vertex_of), edges)
-    return ConstraintGraph(graph, tuple(constraints), vertex_of)
+    return ConstraintGraph(Graph(len(vertex_of), frozenset(edges)), tuple(constraints), vertex_of)
 
 
 # rule -> allowed rows: for a connective, every row (output, *inputs) of its
@@ -198,9 +202,10 @@ def compile_set(
     """Constraint graph, decomposition (``td``, or min-fill when None) and
     bag program of a formula set.  Raises ``ResourceLimitError`` when the
     decomposition is wider than ``Limits.dp_width``, and ``ValueError``
-    when it is not a tree, leaves a vertex out of every bag, or holds a
-    vertex in bags not connected through it.  Only a caller's ``td`` is
-    checked for being a tree: min-fill builds one."""
+    when it is not a tree, leaves a vertex out of every bag, leaves an edge
+    of the constraint graph (the scope of a local constraint) out of every
+    bag, or holds a vertex in bags not connected through it.  Only a
+    caller's ``td`` is checked for being a tree: min-fill builds one."""
     cg = build_constraint_graph(gamma)
     if td is None:
         td = heuristic_decomposition(cg.graph, "min_fill")
@@ -269,7 +274,8 @@ def _plan(
     the rows of a wide bag few.  A vertex's home is its top
     bag, the one whose parent does not hold it; a vertex with no top bag is
     in no bag, and one with two is in bags that are not connected through
-    it, and either raises ``ValueError``."""
+    it, and either raises ``ValueError``, as does a constraint whose scope
+    no bag covers."""
     bags = dict(td.bags)  # a parent's bag grows when it takes in a superset child
     root = min(bags)
     parent: dict[int, Optional[int]] = {root: None}
@@ -330,7 +336,10 @@ def _plan(
         if v not in home:
             raise ValueError(f"invalid decomposition: (i) vertex {v} appears in no bag")
     if unplaced:
-        raise AssertionError("some local constraint fits no bag; decomposition invalid")
+        # every edge of a constraint's scope in some bag would put the whole
+        # scope in one (subtrees of a tree that meet pairwise share a node),
+        # so some edge of the graph is in no bag
+        raise ValueError("invalid decomposition: " + validate_decomposition(cg.graph, td)[0])
     return program, home
 
 

@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from nmlkit import treewidth
 from nmlkit.errors import ParseError, ResourceLimitError
 from nmlkit.families import PseudoCliqueSpec, chain, gen_pseudo_clique
 from nmlkit.limits import Limits
-from nmlkit.randgen import random_graph
+from nmlkit.randgen import random_formula_set, random_graph
 from nmlkit.structures import build_prop_structure, gaifman_graph, make_graph
 from nmlkit.treewidth import (
     TreeDecomposition,
@@ -24,6 +25,7 @@ from nmlkit.treewidth import (
     validate_decomposition,
     width,
 )
+from nmlkit.twdp import build_constraint_graph
 
 
 def path(n):
@@ -390,6 +392,77 @@ def test_heuristic_decomposition_equals_decomposition_of_its_order():
                 elif i + 1 < len(order):
                     expected.add((i + 1, i + 2))
             assert one_pass.edges == expected
+
+
+def _recount_greedy(adj, method):
+    """The greedy elimination as a recount: after each elimination, count
+    again every vertex it touched (the closed neighborhood and, for fill,
+    every common neighbor of an added edge) from scratch.  Returns the
+    order and each vertex's closed neighborhood as it went."""
+    def count(v):
+        if method == "min_degree":
+            return len(adj[v])
+        nbrs = adj[v]  # nbrs - adj[a] holds a and its missing partners
+        return sum(len(nbrs - adj[a]) - 1 for a in nbrs) // 2
+
+    current = {v: count(v) for v in adj}
+    heap = [(k, v) for v, k in current.items()]
+    heapq.heapify(heap)
+    order, bags = [], []
+    while heap:
+        k, v = heapq.heappop(heap)
+        if v not in adj or current[v] != k:
+            continue
+        order.append(v)
+        touched = adj[v] | {v}
+        bags.append(frozenset(touched))
+        added = treewidth._eliminate(adj, v)
+        del current[v]
+        if method == "min_fill":
+            for a, b in added:
+                touched |= adj[a] & adj[b]
+        for w in touched:
+            if w in adj:
+                k2 = count(w)
+                if current[w] != k2:
+                    current[w] = k2
+                    heapq.heappush(heap, (k2, w))
+    return order, bags
+
+
+def _greedy_matches_the_recount(g):
+    for method in ("min_fill", "min_degree"):
+        order, bags = _recount_greedy(g.adjacency(), method)
+        assert elimination_order(g, method) == order
+        assert heuristic_decomposition(g, method) == treewidth._tree_from_elimination(order, bags)
+
+
+def test_incremental_counts_match_the_recount():
+    rng = random.Random(44)
+    for _ in range(2000):
+        n = rng.randint(0, 25)
+        _greedy_matches_the_recount(random_graph(rng, n, rng.random() * rng.choice((0.2, 0.5, 1.0))))
+    for _ in range(300):
+        gamma = random_formula_set(rng, max_formulas=10, max_subformulae=rng.randint(4, 60))
+        _greedy_matches_the_recount(build_constraint_graph(gamma).graph)
+    _greedy_matches_the_recount(build_constraint_graph(chain(60)).graph)
+
+
+def test_min_fill_counts_each_vertex_once(monkeypatch):
+    # every count after the first is kept by deltas, so the fill of a
+    # vertex is counted from scratch exactly once
+    calls = [0]
+
+    def counted(*args, _original=treewidth._fill_count):
+        calls[0] += 1
+        return _original(*args)
+
+    monkeypatch.setattr(treewidth, "_fill_count", counted)
+    for m in (1000, 2000):
+        cg = build_constraint_graph(chain(m))
+        calls[0] = 0
+        heuristic_decomposition(cg.graph, "min_fill")
+        assert calls[0] == cg.graph.n
 
 
 def _kind_from_bags(nice, bid):

@@ -9,6 +9,7 @@ from nmlkit.dl import extension_exists
 from nmlkit.errors import ResourceLimitError
 from nmlkit.families import chain, gen_dl_lower
 from nmlkit.formula import (
+    App,
     Believes,
     Var,
     implies_bruteforce,
@@ -192,15 +193,27 @@ def test_nice_node_count_linear_at_fixed_width():
 
 
 def test_constraint_graph_scopes_are_cliques():
-    gamma = random_formula_set(random.Random(59), max_subformulae=12)
-    cg = build_constraint_graph(gamma)
-    adj = cg.graph.adjacency()
-    for c in cg.constraints:
-        scope = {c[1], *(c[3] if c[0] == "op" else ())}
-        for a in scope:
-            for b in scope:
-                if a != b:
-                    assert b in adj[a]
+    # the edges are exactly the cliques over the operators' scopes; every
+    # operator vertex is numbered after its children, so the edges come out
+    # normalised, and repeated arguments (p & p, X3(p, p, q)) give the same
+    # edges as a clique over the scope's distinct vertices
+    rng = random.Random(60)
+    p, q, r = Var("p"), Var("q"), Var("r")
+    repeated = [land(p, p), lxor3(p, p, q), lor(lxor3(q, r, q), lnot(lnot(r))), liff(q, q)]
+    for _ in range(300):
+        gamma = random_formula_set(rng, max_formulas=4, max_subformulae=16,
+                                   variables=["p", "q", "r"])
+        gamma += rng.sample(repeated, rng.randint(1, len(repeated)))
+        rng.shuffle(gamma)
+        cg = build_constraint_graph(gamma)
+        expected = set()
+        for f, v in cg.vertex_of.items():
+            if isinstance(f, App):
+                kids = [cg.vertex_of[a] for a in f.args]
+                assert all(k < v for k in kids), f
+                scope = sorted({v, *kids})
+                expected |= {(a, b) for i, a in enumerate(scope) for b in scope[i + 1:]}
+        assert cg.graph.edges == expected
 
 
 def test_oracle_kind_validation():
@@ -379,6 +392,15 @@ def test_vertex_in_unconnected_bags_is_rejected():
     problem = r"\(iii\) bags 3 and 1 both hold vertex 1 but are not connected"
     with pytest.raises(ValueError, match="invalid decomposition: " + problem):
         dp_sat([p, lnot(p), q], td)
+
+
+def test_decomposition_missing_a_scope_is_rejected():
+    # every vertex of p & q (1: p, 2: q, 3: p & q) is in a bag, but no bag
+    # holds p and q together
+    td = TreeDecomposition({1: frozenset({1, 3}), 2: frozenset({2, 3})}, frozenset({(1, 2)}))
+    problem = r"\(ii\) edge \(1,2\) is contained in no bag"
+    with pytest.raises(ValueError, match="invalid decomposition: " + problem):
+        dp_sat([land(Var("p"), Var("q"))], td)
 
 
 def test_program_is_built_once_per_compiled_set(monkeypatch):
