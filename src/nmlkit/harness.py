@@ -304,7 +304,7 @@ def dp_scaling(small: list, large: list) -> tuple[bool, float, float]:
     return all_sat, cpu_large / max(cpu_small, 1e-9), best_large
 
 
-def _program_work(gamma: list) -> int:
+def program_work(gamma: list) -> int:
     """Instructions plus links of the bag program ``gamma`` compiles to: the
     DP's work, counted exactly, whatever the host's speed."""
     program = compile_set(gamma).program
@@ -320,7 +320,7 @@ def check_dp_scaling(seed: int = 1, quick: bool = False) -> CheckResult:
     def run():
         c1000, c2000 = chain(1000), chain(2000)
         all_sat, ratio, time2000 = dp_scaling(c1000, c2000)
-        work_ratio = _program_work(c2000) / _program_work(c1000)
+        work_ratio = program_work(c2000) / program_work(c1000)
         try:
             sat_bruteforce(c2000)
             brute_rejected = False

@@ -22,7 +22,7 @@ from nmlkit.formula import (
     lxor3,
     sat_bruteforce,
 )
-from nmlkit.harness import dp_scaling
+from nmlkit.harness import dp_scaling, program_work
 from nmlkit.limits import Limits
 from nmlkit.randgen import random_entailment_query, random_formula_set
 from nmlkit.treewidth import TreeDecomposition, heuristic_decomposition, make_nice, width
@@ -358,11 +358,7 @@ def test_join_instructions_match_bruteforce(monkeypatch):
 
 
 def test_program_work_linear_at_fixed_width():
-    def work(m):
-        program = twdp.compile_set(chain(m)).program
-        return len(program) + sum(len(links) for _, links in program)
-
-    assert work(2000) <= 2.05 * work(1000)
+    assert program_work(chain(2000)) <= 2.05 * program_work(chain(1000))
 
 
 def test_decomposition_missing_a_vertex_is_rejected():
