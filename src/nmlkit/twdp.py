@@ -3,11 +3,13 @@ implication, plus the pluggable entailment oracle used by the default-logic
 and autoepistemic solvers.
 
 The DP runs on the *constraint graph* of a formula set: one vertex per
-distinct subterm, with a clique over every operator node and its arguments.
-Each clique carries the local truth-functional constraint, so it sits inside
-some bag of any valid decomposition and can be checked there.  Belief
-subformulas are opaque leaves: the subterm walk stops at ``L``, so what
-occurs only under it gets no vertex.
+distinct subterm, and a list of local constraints, each a *scope* (a tuple
+of vertices) with its allowed *rows* (the value tuples it admits over the
+scope): an operator node and its arguments with the connective's truth
+table, a constant with its one value.  The graph is the primal graph of the
+scopes, so each scope sits inside some bag of any valid decomposition and
+is checked there.  Belief subformulas are opaque leaves: the subterm walk
+stops at ``L``, so what occurs only under it gets no vertex.
 
 A formula set is compiled once (``compile_set``): its constraint graph, one
 min-fill decomposition, and from that the DP *program*.  A query over it
@@ -43,7 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .errors import ResourceLimitError
 from .formula import (
@@ -58,78 +60,67 @@ from .formula import (
 )
 from .limits import Limits, check
 from .structures import Graph
-from .treewidth import (
-    TreeDecomposition,
-    _tree_violations,
-    heuristic_decomposition,
-    validate_decomposition,
-    width,
-)
+from .treewidth import TreeDecomposition, heuristic_decomposition, validate_decomposition, width
 # not called here: perfbench/layers.py wraps twdp.make_nice by name
 from .treewidth import make_nice  # noqa: F401
 
-# ("op", vertex, connective, child vertices), or ("unit", vertex, value) for a constant
-Constraint = Union[tuple[str, int, str, tuple[int, ...]], tuple[str, int, bool]]
+Rows = tuple[tuple[int, ...], ...]
 
-
-@dataclass(frozen=True)
-class ConstraintGraph:
-    graph: Graph
-    constraints: tuple[Constraint, ...]
-    vertex_of: dict[Formula, int]
-
-
-def build_constraint_graph(gamma: Iterable[Formula]) -> ConstraintGraph:
-    """Subterm graph of a formula set with local constraints: operator nodes
-    are pinned to their connective's truth table and constants to their
-    value.  The set's own formulas are not pinned here; a query pins them
-    (``dp_sat``).  Vertices are numbered in post-order of first occurrence;
-    the walk stops at ``L`` nodes, which are opaque atoms, so a subterm that
-    occurs only under ``L`` gets no vertex.  Post-order numbers every child
-    before its parent, so ``(kid, v)`` and the sorted pairs of distinct kids
-    are already normalised edges (u < v), and the clique over an operator's
-    scope is emitted as the graph keeps it."""
-    vertex_of = number_subterms(gamma, beliefs=False)
-    edges: set[tuple[int, int]] = set()
-    constraints: list[Constraint] = []
-    for f, v in vertex_of.items():
-        if f.__class__ is App:
-            kids = tuple([vertex_of[a] for a in f.args])
-            constraints.append(("op", v, f.op, kids))
-            scope = sorted(set(kids))
-            for i, a in enumerate(scope):
-                edges.add((a, v))
-                for b in scope[i + 1:]:
-                    edges.add((a, b))
-        elif f.__class__ is Const:
-            constraints.append(("unit", v, f.value))
-    return ConstraintGraph(Graph(len(vertex_of), frozenset(edges)), tuple(constraints), vertex_of)
-
-
-# rule -> allowed rows: for a connective, every row (output, *inputs) of its
-# truth table; for a constant's unit constraint (True or False), its one value
-_ROWS: dict[Union[str, bool], tuple[tuple[int, ...], ...]] = {
+# connective -> every row (output, *inputs) of its truth table, as 0/1
+_TRUTH_TABLES: dict[str, Rows] = {
     op: tuple(
         (int(apply_connective(op, ins)), *map(int, ins))
         for ins in itertools.product((False, True), repeat=arity)
     )
     for op, arity in CONNECTIVE_ARITY.items()
 }
-_ROWS[True] = ((1,),)
-_ROWS[False] = ((0,),)
+
+
+@dataclass(frozen=True)
+class ConstraintGraph:
+    """A formula set's subterm vertices (``vertex_of``), its local
+    constraints and their primal graph.  Each constraint is ``(scope,
+    rows)``: an operator's ``(v, *kids)`` with its connective's truth table,
+    or a constant's ``(v,)`` with its one value.  A vertex heads, as the
+    first of its scope, at most one constraint."""
+
+    graph: Graph
+    constraints: tuple[tuple[tuple[int, ...], Rows], ...]
+    vertex_of: dict[Formula, int]
+
+
+def build_constraint_graph(gamma: Iterable[Formula]) -> ConstraintGraph:
+    """Subterm graph of a formula set with local constraints: operator nodes
+    are held to their connective's truth table and constants to their
+    value.  The set's own formulas are not pinned here; a query pins them
+    (``dp_sat``).  Vertices are numbered in post-order of first occurrence;
+    the walk stops at ``L`` nodes, which are opaque atoms, so a subterm that
+    occurs only under ``L`` gets no vertex.  The graph is the clique over
+    each scope's distinct vertices; their sorted pairs are already
+    normalised edges (u < v), as the graph keeps them."""
+    vertex_of = number_subterms(gamma, beliefs=False)
+    constraints = []
+    for f, v in vertex_of.items():
+        if f.__class__ is App:
+            constraints.append(((v, *[vertex_of[a] for a in f.args]), _TRUTH_TABLES[f.op]))
+        elif f.__class__ is Const:
+            constraints.append(((v,), ((int(f.value),),)))
+    edges: set[tuple[int, int]] = set()
+    for scope, _ in constraints:
+        edges.update(itertools.combinations(sorted(set(scope)), 2))
+    return ConstraintGraph(Graph(len(vertex_of), frozenset(edges)), tuple(constraints), vertex_of)
 
 
 @functools.lru_cache(maxsize=4096)
-def _compile(rule: Union[str, bool], positions: tuple[int, ...]) -> tuple[int, frozenset[int]]:
+def _compile(rows: Rows, positions: tuple[int, ...]) -> tuple[int, frozenset[int]]:
     """A local constraint as ``(scope_mask, allowed)`` over bag positions: a
     labeling ``m`` of the bag satisfies it iff ``m & scope_mask in allowed``.
-    ``rule`` is the constraint's connective or unit value, and its scope's
-    vertices sit at ``positions``.  A vertex that repeats in the scope
-    (``p & p``) has one position, and rows that give it two values are
-    dropped."""
+    ``rows`` are the constraint's allowed rows, and its scope's vertices sit
+    at ``positions``.  A vertex that repeats in the scope (``p & p``) has
+    one position, and rows that give it two values are dropped."""
     bits = [1 << p for p in positions]
     allowed = set()
-    for row in _ROWS[rule]:
+    for row in rows:
         m = 0
         for bit, value in zip(bits, row):
             if value:
@@ -200,23 +191,21 @@ def compile_set(
     limits: Limits | None = None,
 ) -> CompiledSet:
     """Constraint graph, decomposition (``td``, or min-fill when None) and
-    bag program of a formula set.  Raises ``ResourceLimitError`` when the
-    decomposition is wider than ``Limits.dp_width``, and ``ValueError``
-    when it is not a tree, leaves a vertex out of every bag, leaves an edge
-    of the constraint graph (the scope of a local constraint) out of every
-    bag, or holds a vertex in bags not connected through it.  Only a
-    caller's ``td`` is checked for being a tree: min-fill builds one."""
+    bag program of a formula set.  A caller's ``td`` is checked first with
+    ``validate_decomposition``, whose first problem is raised as a
+    ``ValueError`` (as is its own for a bag vertex outside the graph);
+    min-fill's is valid by construction.  Raises ``ResourceLimitError``
+    when the decomposition is wider than ``Limits.dp_width``."""
     cg = build_constraint_graph(gamma)
     if td is None:
         td = heuristic_decomposition(cg.graph, "min_fill")
-        problems, adj = [], td.neighbors()
     else:
-        problems, adj = _tree_violations(td)
+        problems = validate_decomposition(cg.graph, td)
+        if problems:
+            raise ValueError("invalid decomposition: " + problems[0])
     w = width(td)
     check(limits, "dp_width", w, "treewidth DP: decomposition width")
-    if problems:
-        raise ValueError("invalid decomposition: " + problems[0])
-    return CompiledSet(cg, w, *_plan(cg, td, adj))
+    return CompiledSet(cg, w, *_plan(cg, td))
 
 
 def _units(
@@ -262,21 +251,19 @@ def dp_sat(
 
 
 def _plan(
-    cg: ConstraintGraph, td: TreeDecomposition, adj: dict[int, set[int]]
+    cg: ConstraintGraph, td: TreeDecomposition
 ) -> tuple[list[tuple], dict[int, tuple[int, int]]]:
-    """The bag program and vertex homes of a decomposition (see
-    ``CompiledSet``) that is a tree with bag adjacency ``adj``, rooted at
-    its smallest bag id.  A bag that is a subset of its parent's, or whose
-    parent's is a subset of it, is contracted into its parent, which then
-    holds the larger of the two: the decomposition stays valid and no
-    wider, and the program gets one instruction per bag left.  Each
-    constraint is checked in every bag that covers its scope, which keeps
-    the rows of a wide bag few.  A vertex's home is its top
-    bag, the one whose parent does not hold it; a vertex with no top bag is
-    in no bag, and one with two is in bags that are not connected through
-    it, and either raises ``ValueError``, as does a constraint whose scope
-    no bag covers."""
+    """The bag program and vertex homes (see ``CompiledSet``) of ``td``,
+    which must be a valid decomposition of ``cg.graph``: nothing is checked
+    here.  The tree is rooted at its smallest bag id.  A bag that is a
+    subset of its parent's, or whose parent's is a subset of it, is
+    contracted into its parent, which then holds the larger of the two: the
+    decomposition stays valid and no wider, and the program gets one
+    instruction per bag left.  Each constraint is checked in every bag that
+    covers its scope, which keeps the rows of a wide bag few.  A vertex's
+    home is its top bag, the one whose parent does not hold it."""
     bags = dict(td.bags)  # a parent's bag grows when it takes in a superset child
+    adj = td.neighbors()
     root = min(bags)
     parent: dict[int, Optional[int]] = {root: None}
     order, stack = [], [root]
@@ -289,13 +276,9 @@ def _plan(
                 stack.append(c)
     order.reverse()  # children first
 
-    scope_of: dict[int, tuple[tuple[int, ...], Union[str, bool]]] = {}
-    for c in cg.constraints:  # at most one per vertex, the one it heads
-        scope_of[c[1]] = ((c[1], *c[3]), c[2]) if c[0] == "op" else ((c[1],), c[2])
-    unplaced = set(scope_of)
+    scope_of = {c[0][0]: c for c in cg.constraints}  # at most one per vertex, the one it heads
     program: list[tuple] = []
     home: dict[int, tuple[int, int]] = {}
-    emitted: list[int] = []  # the bag id of each slot
     below: dict[int, list[tuple[int, list[int]]]] = {}  # bag -> (slot, sorted bag) of children
     for b in order:
         bag = bags[b]
@@ -306,22 +289,15 @@ def _plan(
                 bags[above] = bag
             below.setdefault(above, []).extend(below.pop(b, ()))
             continue
-        slot = len(emitted)
-        emitted.append(b)
+        slot = len(program)
         here = sorted(bag)
         pos_of = {v: i for i, v in enumerate(here)}
         checks = []
         for i, v in enumerate(here):
             if v not in above_bag:
-                if v in home:
-                    raise ValueError(
-                        f"invalid decomposition: (iii) bags {emitted[home[v][0]]} and {b} "
-                        f"both hold vertex {v} but are not connected through it"
-                    )
                 home[v] = (slot, 1 << i)
             placed = scope_of.get(v)
             if placed is not None and bag.issuperset(placed[0]):
-                unplaced.discard(v)
                 checks.append(_compile(placed[1], tuple(map(pos_of.__getitem__, placed[0]))))
         links = []
         for child, child_here in below.pop(b, ()):
@@ -332,14 +308,6 @@ def _plan(
         program.append((_rows(len(here), tuple(checks)), tuple(links)))
         if above is not None:
             below.setdefault(above, []).append((slot, here))
-    for v in cg.graph.vertices:
-        if v not in home:
-            raise ValueError(f"invalid decomposition: (i) vertex {v} appears in no bag")
-    if unplaced:
-        # every edge of a constraint's scope in some bag would put the whole
-        # scope in one (subtrees of a tree that meet pairwise share a node),
-        # so some edge of the graph is in no bag
-        raise ValueError("invalid decomposition: " + validate_decomposition(cg.graph, td)[0])
     return program, home
 
 

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product
 
 import pytest
 
@@ -11,7 +12,9 @@ from nmlkit.families import chain, gen_dl_lower
 from nmlkit.formula import (
     App,
     Believes,
+    Const,
     Var,
+    apply_connective,
     implies_bruteforce,
     land,
     liff,
@@ -200,6 +203,7 @@ def test_constraint_graph_scopes_are_cliques():
     rng = random.Random(60)
     p, q, r = Var("p"), Var("q"), Var("r")
     repeated = [land(p, p), lxor3(p, p, q), lor(lxor3(q, r, q), lnot(lnot(r))), liff(q, q)]
+    constants = 0
     for _ in range(300):
         gamma = random_formula_set(rng, max_formulas=4, max_subformulae=16,
                                    variables=["p", "q", "r"])
@@ -214,6 +218,29 @@ def test_constraint_graph_scopes_are_cliques():
                 scope = sorted({v, *kids})
                 expected |= {(a, b) for i, a in enumerate(scope) for b in scope[i + 1:]}
         assert cg.graph.edges == expected
+        # each constraint is (scope, rows): the rows are exactly the 0/1
+        # tuples over the scope that the connective or the constant allows,
+        # and the graph is the primal graph of the scopes
+        formula_of = {v: f for f, v in cg.vertex_of.items()}
+        primal = set()
+        for scope, rows in cg.constraints:
+            f = formula_of[scope[0]]
+            if isinstance(f, App):
+                assert scope == (scope[0], *[cg.vertex_of[a] for a in f.args])
+                allowed = {row for row in product((0, 1), repeat=len(scope))
+                           if row[0] == apply_connective(f.op, tuple(map(bool, row[1:])))}
+            else:
+                assert isinstance(f, Const) and scope == (scope[0],)
+                allowed = {(int(f.value),)}
+                constants += 1
+            assert len(rows) == len(set(rows)) and set(rows) == allowed, f
+            distinct = sorted(set(scope))
+            primal |= {(a, b) for i, a in enumerate(distinct) for b in distinct[i + 1:]}
+        assert cg.graph.edges == primal
+        assert {scope[0] for scope, _ in cg.constraints} == {
+            v for f, v in cg.vertex_of.items() if isinstance(f, (App, Const))
+        }
+    assert constants >= 20
 
 
 def test_oracle_kind_validation():
@@ -385,9 +412,30 @@ def test_vertex_in_unconnected_bags_is_rejected():
         {1: frozenset({1}), 2: frozenset({2}), 3: frozenset({1})},
         frozenset({(1, 2), (2, 3)}),
     )
-    problem = r"\(iii\) bags 3 and 1 both hold vertex 1 but are not connected"
+    problem = r"\(iii\) bags 1 and 3 both hold vertex 1 but are not connected"
     with pytest.raises(ValueError, match="invalid decomposition: " + problem):
-        dp_sat([p, lnot(p), q], td)
+        dp_sat([p, q], td)
+
+
+def test_bag_vertex_outside_the_graph_is_rejected():
+    # p & q has vertices 1-3; a bag that also holds 99 is no decomposition
+    # of its graph, and 99 must not count toward the width either
+    td = TreeDecomposition({1: frozenset({1, 2, 3, 99})}, frozenset())
+    with pytest.raises(ValueError, match="bag 1 references vertex 99 outside the graph"):
+        dp_sat([land(Var("p"), Var("q"))], td)
+    with pytest.raises(ValueError, match="vertex 99 outside the graph"):
+        twdp.compile_set([land(Var("p"), Var("q"))], td, limits=Limits(dp_width=2))
+
+
+def test_caller_and_min_fill_decompositions_give_one_program():
+    # a caller's td goes through validate_decomposition, min-fill's does
+    # not; the same td must give the same program either way
+    rng = random.Random(71)
+    for _ in range(200):
+        gamma = random_formula_set(rng, max_formulas=4, max_subformulae=16, allow_believes=True)
+        own = twdp.compile_set(gamma)
+        given = twdp.compile_set(gamma, heuristic_decomposition(own.cg.graph, "min_fill"))
+        assert (given.program, given.home, given.width) == (own.program, own.home, own.width)
 
 
 def test_decomposition_missing_a_scope_is_rejected():
