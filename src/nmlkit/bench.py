@@ -19,8 +19,9 @@ from typing import Optional
 from .errors import ResourceLimitError
 from .families import PseudoCliqueSpec, chain, gen_pseudo_clique
 from .formula import sat_bruteforce
-from .treewidth import exact_treewidth, heuristic_decomposition, width
-from .twdp import build_constraint_graph, dp_sat
+from .limits import Limits
+from .treewidth import exact_treewidth
+from .twdp import compile_set, dp_sat
 
 CSV_FIELDS = ("family", "param", "n_vertices", "width", "method", "wall_ms", "verdict")
 
@@ -52,14 +53,11 @@ def run_bench(family: str, sizes: list[int], method: str = "dp") -> list[BenchRo
     for size in sizes:
         if family == "chain":
             gamma = chain(size)
-            cg = build_constraint_graph(gamma)
-            n_vertices = cg.graph.n
-            td = heuristic_decomposition(cg.graph, "min_fill")
-            w = width(td)
+            cs = compile_set(gamma, limits=Limits())  # untimed, default caps: sizes the row
             t0 = time.perf_counter()
             try:
                 if method == "dp":
-                    verdict = "sat" if dp_sat(gamma, td) else "unsat"
+                    verdict = "sat" if dp_sat(gamma) else "unsat"
                 elif method == "brute":
                     verdict = "sat" if sat_bruteforce(gamma) is not None else "unsat"
                 else:
@@ -67,7 +65,7 @@ def run_bench(family: str, sizes: list[int], method: str = "dp") -> list[BenchRo
             except ResourceLimitError:
                 verdict = "resource-limit"
             ms = (time.perf_counter() - t0) * 1000
-            rows.append(BenchRow("chain", size, n_vertices, w, method, ms, verdict))
+            rows.append(BenchRow("chain", size, cs.cg.graph.n, cs.width, method, ms, verdict))
         elif family == "pseudo-clique":
             g = gen_pseudo_clique(PseudoCliqueSpec(size, 2))
             t0 = time.perf_counter()

@@ -40,6 +40,7 @@ from .structures import (
     build_dl_structure,
     build_imp_structure,
     build_prop_structure,
+    element_descriptions,
     emit_gr,
     emit_labels,
     gaifman_graph,
@@ -200,7 +201,10 @@ def _build_structure(kind: str, text: str):
 
 
 def _cmd_struct(args, report: _Report) -> list[str]:
-    g = gaifman_graph(_build_structure(args.kind, _read(args.file, report)))
+    s = _build_structure(args.kind, _read(args.file, report))
+    g = gaifman_graph(s)
+    if args.labels and args.output:  # without -o, _write_graph refuses --labels
+        g = Graph(g.n, g.edges, descriptions=element_descriptions(s))
     _write_graph(g, args)
     lines = [f"universe: {g.n} elements, {len(g.edges)} gaifman edges"]
     if args.labels:
@@ -310,10 +314,7 @@ def _cmd_verify(args, report: _Report) -> list[str]:
 
 def _cmd_bench(args, report: _Report) -> list[str]:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    family, method = args.family, args.method
-    if family == "brute-sat":  # alias of --family chain --method brute
-        family, method = "chain", "brute"
-    rows = run_bench(family, sizes, method=method)
+    rows = run_bench(args.family, sizes, method=args.method)
     text = rows_to_csv(rows)
     if args.csv:
         Path(args.csv).write_text(text)
@@ -387,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(group("struct", "relational structures"), "build", _cmd_struct, output)
     p.add_argument("file")
     p.add_argument("--kind", choices=("prop", "imp", "dl", "ae"), required=True)
-    p.add_argument("--labels", action="store_true")
+    p.add_argument("--labels", action="store_true", help="print element texts to a .labels file next to -o")
 
     tw = group("tw", "tree decompositions")
     p = leaf(tw, "compute", _cmd_tw_compute, output)
@@ -433,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
 
     p = leaf(sub, "bench", _cmd_bench, help="benchmark runner")
-    p.add_argument("--family", choices=("chain", "pseudo-clique", "brute-sat"), required=True)
+    p.add_argument("--family", choices=("chain", "pseudo-clique"), required=True)
     p.add_argument("--sizes", required=True, help="comma-separated instance sizes")
     p.add_argument("--method", choices=("dp", "brute", "exact"), default="dp")
     p.add_argument("--csv", help="write the CSV summary to this path")
@@ -451,7 +452,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ResourceLimitError, RecursionError) as exc:
         # the printer, the truth-table evaluator and the parser's descent
         # through parentheses still recurse, and meet Python's recursion limit
-        # on very deep input (or a printed wide one): a resource limit too
+        # on very deep input (or on wide input's printed labels): a resource limit too
         report.limits_hit.append(str(exc))
         if args.json:
             print(report.to_json())

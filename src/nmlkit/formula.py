@@ -21,8 +21,8 @@ the DP's constraint graph and the structure builders' element ids.  The
 parser reads binary connectives in one precedence loop and prefix runs in
 another.  Three parts still recurse, one frame per level of the formula:
 ``evaluate``, the truth-table reference, because a fold over the walk made
-``sat_bruteforce`` 25-120 % slower; ``_fmt``, the printer, because the
-structure builders print every element, so an iterative printer would turn a
+``sat_bruteforce`` 25-120 % slower; ``_fmt``, the printer, because element
+labels print every subformula whole, so an iterative printer would turn a
 too-wide input from a quick resource-limit exit into minutes of printing; and
 the parser's descent through parentheses, at three frames per level.
 """

@@ -79,15 +79,14 @@ def _basis_relations(basis: Basis) -> list[tuple[str, int]]:
 class RelationalStructure:
     """A finite universe 1..n with named relations.
 
-    ``element_meta`` describes each element (the formula it stands for, or the
-    default-rule name).  ``formula_elements`` maps every subformula to its
-    element id; ``default_elements`` lists the rule elements in rule order.
-    Instances are treated as immutable once built.
+    ``formula_elements`` maps every subformula to its element id;
+    ``default_elements`` lists the rule elements in rule order.  Elements
+    carry no text: ``element_descriptions`` prints it when it is written
+    out.  Instances are treated as immutable once built.
     """
 
     vocabulary: Vocabulary
     universe: tuple[int, ...]
-    element_meta: dict[int, str]
     relations: dict[str, frozenset] = field(default_factory=dict)
     formula_elements: dict[Formula, int] = field(default_factory=dict)
     default_elements: tuple[int, ...] = ()
@@ -115,7 +114,6 @@ class _Builder:
         self.basis = basis
         self.mark_vars = mark_vars
         self.ids: dict[Formula, int] = {}
-        self.meta: dict[int, str] = {}
         self.rels: dict[str, set[tuple[int, ...]]] = {}
 
     def add(self, name: str, *elements: int) -> None:
@@ -127,7 +125,6 @@ class _Builder:
         start = len(self.ids)
         number_subterms(formulas, ids=self.ids)
         for sub, eid in itertools.islice(self.ids.items(), start, None):
-            self.meta[eid] = format_formula(sub)
             if isinstance(sub, Var):
                 if self.mark_vars:
                     self.add("var", eid)
@@ -145,7 +142,6 @@ class _Builder:
         structure = RelationalStructure(
             vocabulary=vocabulary,
             universe=tuple(range(1, n + 1)),
-            element_meta=dict(self.meta),
             relations={name: frozenset(tups) for name, tups in self.rels.items()},
             formula_elements=dict(self.ids),
             default_elements=default_elements,
@@ -249,7 +245,6 @@ def build_dl_structure(theory: "DefaultTheory", basis: Basis = None) -> Relation
     for k, rule in enumerate(theory.defaults, start=1):
         did = len(b.ids) + k
         default_ids.append(did)
-        b.meta[did] = f"d{k}"
         b.add("default", did)
         b.add("prem", b.ids[rule.prerequisite], did)
         b.add("just", b.ids[rule.justification], did)
@@ -299,6 +294,10 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) outside 1..{self.n}")
             if u > v:
                 raise ValueError(f"edge ({u},{v}) not normalized (expect u < v)")
+        for texts in (self.labels, self.descriptions):
+            for v in texts or ():
+                if not 1 <= v <= self.n:
+                    raise ValueError(f"label for vertex {v} outside 1..{self.n}")
 
     @property
     def vertices(self) -> range:
@@ -334,8 +333,14 @@ def gaifman_graph(s: RelationalStructure) -> Graph:
                 for v in t[i + 1:]:
                     if u != v:
                         edges.add((min(u, v), max(u, v)))
-    descriptions = dict(s.element_meta)
-    return Graph(len(s.universe), frozenset(edges), None, descriptions)
+    return Graph(len(s.universe), frozenset(edges))
+
+
+def element_descriptions(s: RelationalStructure) -> dict[int, str]:
+    """Each element's printed formula, or ``d<k>`` for the k-th rule."""
+    texts = {eid: format_formula(f) for f, eid in s.formula_elements.items()}
+    texts.update((did, f"d{k}") for k, did in enumerate(s.default_elements, start=1))
+    return texts
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +417,9 @@ def parse_labels(text: str) -> tuple[dict[int, str], dict[int, str]]:
         if len(parts) < 2 or parts[1] not in ("main", "edge", "none"):
             raise ParseError(f"malformed label line: {line!r}", line=lineno)
         v = parse_ints(parts[:1], lineno)[0]
+        if v < 1 or v in labels:
+            why = "is repeated" if v > 0 else "is not positive"
+            raise ParseError(f"vertex {v} {why}", line=lineno)
         labels[v] = parts[1]
         descriptions[v] = parts[2] if len(parts) == 3 else "-"
     return labels, descriptions

@@ -9,8 +9,9 @@ import jsonschema
 import pytest
 
 from nmlkit.cli import build_parser, main
-from nmlkit.families import gen_imp_lower
+from nmlkit.families import chain, gen_imp_lower
 from nmlkit.formula import implies_bruteforce, parse_implication
+from nmlkit.twdp import compile_set
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCHEMA = json.loads((SRC / "nmlkit" / "report_schema.json").read_text())
@@ -136,6 +137,26 @@ def test_struct_build(tmp_path, capsys):
     assert out.read_text().startswith("p tw 5 4")
 
 
+def test_struct_build_labels(tmp_path, capsys):
+    dt = tmp_path / "t.dt"
+    dt.write_text("w: a & b\nd: a ; !c ; c | b\nd: T ; c ; a\n")
+    out = tmp_path / "t.gr"
+    assert main(["struct", "build", str(dt), "--kind", "dl", "--labels", "-o", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == f"labels written next to {out}"
+    assert (tmp_path / "t.labels").read_text().splitlines() == [
+        "1 none a",
+        "2 none b",
+        "3 none a & b",
+        "4 none c",
+        "5 none !c",
+        "6 none c | b",
+        "7 none T",
+        "8 none !!c",
+        "9 none d1",
+        "10 none d2",
+    ]
+
+
 def test_gen_dl_ael_imp_lower(tmp_path, capsys):
     code = main(["gen", "dl-lower", "-n", "2", "-o", str(tmp_path / "d.dt")])
     assert code == 0
@@ -250,6 +271,10 @@ def test_bench_chain_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "family,param,n_vertices,width,method,wall_ms,verdict"
     assert len(lines) == 3 and all("sat" in line for line in lines[1:])
+    # a row's size and width are those of the set the DP compiles
+    for line, m in zip(lines[1:], (50, 100)):
+        compiled = compile_set(chain(m))
+        assert line.split(",")[2:4] == [str(compiled.cg.graph.n), str(compiled.width)]
     capsys.readouterr()
 
 
@@ -261,7 +286,7 @@ def test_bench_chain_rejects_a_nonpositive_size(capsys, size):
 
 
 def test_bench_brute_sat_records_limit_row(capsys):
-    code = main(["bench", "--family", "brute-sat", "--sizes", "26,4"])
+    code = main(["bench", "--family", "chain", "--method", "brute", "--sizes", "26,4"])
     out = capsys.readouterr().out
     assert code == 0
     assert "resource-limit" in out and ",sat" in out
@@ -320,6 +345,9 @@ def test_nmlkit_limits_env_rejects_unknown_keys(monkeypatch):
         (["tw", "verify", "{gr}"], "many.td", "s td 0 0 3\nb 1 1 2\n"),
         (["tw", "verify", "{gr}"], "max.td", "c three\ns td 1 3 3\nb 1 1 2\n"),
         (["tw", "verify", "{gr}"], "range.td", "s td 1 2 3\nb 1 1 9\n"),
+        (["tw", "normalize", "{gr}", "{td}", "--labels-file"], "twice.labels", "1 main -\n1 edge -\n"),
+        (["tw", "normalize", "{gr}", "{td}", "--labels-file"], "zero.labels", "1 main -\n0 main -\n"),
+        (["tw", "normalize", "{gr}", "{td}", "--labels-file"], "minus.labels", "1 main -\n-2 none\n"),
     ],
 )
 def test_parse_error_names_its_line(tmp_path, capsys, command, name, text):
@@ -332,6 +360,16 @@ def test_parse_error_names_its_line(tmp_path, capsys, command, name, text):
     assert main(args + [str(f)]) == 2
     err = capsys.readouterr().err
     assert err.rstrip().endswith("(line 2)") and "Traceback" not in err
+
+
+def test_labels_beyond_the_graph_are_a_usage_error(tmp_path, capsys):
+    gr, td, labels = tmp_path / "g.gr", tmp_path / "g.td", tmp_path / "far.labels"
+    gr.write_text("p tw 3 2\n1 2\n2 3\n")
+    td.write_text("s td 1 3 3\nb 1 1 2 3\n")
+    labels.write_text("1 main -\n9 main -\n")
+    assert main(["tw", "normalize", str(gr), str(td), "--labels-file", str(labels)]) == 2
+    err = capsys.readouterr().err
+    assert "vertex 9 outside 1..3" in err and "Traceback" not in err
 
 
 def test_td_repeated_tree_edge_is_a_parse_error(tmp_path, capsys):
@@ -409,24 +447,43 @@ def fresh_recursion_limit():
     sys.setrecursionlimit(saved)
 
 
+WIDE = " & ".join(f"x{i}" for i in range(10_000))
+
+
 @pytest.mark.parametrize(
-    "command, text",
+    "command, text, limits, hit",
     [
-        (["struct", "build", "--kind", "prop"], " & ".join(f"x{i}" for i in range(10_000))),
-        (["mso", "eval", "--kind", "prop", "--name", "sat"], " & ".join(f"x{i}" for i in range(10_000))),
-        (["fmt", "check-sat"], "(" * 5000 + "x" + ")" * 5000),
+        # building prints nothing; the labels of a left-nested chain are
+        # printed one frame per level
+        (["struct", "build", "--kind", "prop", "--labels", "-o", "{out}"], WIDE, "", "recursion"),
+        (["mso", "eval", "--kind", "prop", "--name", "sat"], WIDE, "mso_steps=200000", "mso_steps"),
+        (["fmt", "check-sat"], "(" * 5000 + "x" + ")" * 5000, "", "recursion"),
     ],
     ids=["wide-struct", "wide-mso", "deep-fmt"],
 )
-def test_deep_or_wide_input_is_a_resource_limit(tmp_path, capsys, fresh_recursion_limit, command, text):
+def test_deep_or_wide_input_is_a_resource_limit(
+    tmp_path, capsys, monkeypatch, fresh_recursion_limit, command, text, limits, hit
+):
+    monkeypatch.setenv("NMLKIT_LIMITS", limits)
     f = tmp_path / "big.fs"
     f.write_text(text + "\n")
+    command = [a.format(out=tmp_path / "big.gr") for a in command]
     code, payload = run_json(capsys, command + [str(f), "--json"])
     assert code == 3
-    assert any("recursion" in hit for hit in payload["limits_hit"])
+    assert any(hit in h for h in payload["limits_hit"])
     assert main(command + [str(f)]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("resource limit:") and "Traceback" not in captured.err
+
+
+def test_wide_struct_build_prints_nothing(tmp_path, capsys, fresh_recursion_limit):
+    f = tmp_path / "wide.fs"
+    f.write_text(WIDE + "\n")
+    out = tmp_path / "wide.gr"
+    code, payload = run_json(capsys, ["struct", "build", str(f), "--kind", "prop", "-o", str(out), "--json"])
+    assert code == 0
+    assert (payload["n_vertices"], payload["n_edges"]) == (19_999, 19_998)
+    assert out.read_text().startswith("p tw 19999 19998\n")
 
 
 def test_deep_negation_solves(tmp_path, capsys, fresh_recursion_limit):

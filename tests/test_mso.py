@@ -33,9 +33,7 @@ from nmlkit.structures import RelationalStructure, Vocabulary
 def tiny_structure(n=2, eds=((1, 2),)):
     rels = {"E": frozenset(eds), "U": frozenset({(1,)})}
     vocab = Vocabulary((("E", 2), ("U", 1)))
-    return RelationalStructure(
-        vocab, tuple(range(1, n + 1)), {i: "-" for i in range(1, n + 1)}, rels
-    )
+    return RelationalStructure(vocab, tuple(range(1, n + 1)), rels)
 
 
 def test_full_set_witness():
@@ -181,9 +179,7 @@ def random_structure(rng, n):
             for _ in range(rng.randint(0, 2 * n))
         )
     vocab = Vocabulary((("U", 1), ("R", 2), ("S", 2)))
-    return RelationalStructure(
-        vocab, tuple(range(1, n + 1)), {i: "-" for i in range(1, n + 1)}, rels
-    )
+    return RelationalStructure(vocab, tuple(range(1, n + 1)), rels)
 
 
 def random_mso(rng, depth, fo, so):
@@ -500,7 +496,6 @@ def test_isomorphism_invariance():
         relabeled = RelationalStructure(
             st.vocabulary,
             st.universe,
-            {mapping[e]: m for e, m in st.element_meta.items()},
             {
                 name: frozenset(tuple(mapping[x] for x in t) for t in tups)
                 for name, tups in st.relations.items()
@@ -617,9 +612,7 @@ def test_memo_does_not_leak_across_calls():
     within_u = ForallFO("x", Imp(SetAtom("W", "x"), RelAtom("U", ("x",))))
     reach = ExistsSO("W", And((SetAtom("W", "e"), within_u)))
     full = tiny_structure(2, ((1, 2),))
-    empty = RelationalStructure(
-        full.vocabulary, full.universe, full.element_meta, {"E": frozenset()}
-    )
+    empty = RelationalStructure(full.vocabulary, full.universe, {"E": frozenset()})
     for s, expected in ((full, True), (empty, False), (full, True)):
         assert eval_mso(s, nonempty_u) is expected
         assert eval_mso(s, per_element) is True

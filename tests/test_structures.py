@@ -21,6 +21,7 @@ from nmlkit.structures import (
     build_dl_structure,
     build_imp_structure,
     build_prop_structure,
+    element_descriptions,
     emit_gr,
     emit_labels,
     gaifman_graph,
@@ -91,7 +92,7 @@ def test_imp_structure_empty():
 def test_dl_structure_simple_rule():
     theory = DefaultTheory((), (DefaultRule(TRUE, Var("p"), Var("q")),))
     st = build_dl_structure(theory)
-    assert sorted(st.element_meta.values()) == ["!p", "T", "d1", "p", "q"]
+    assert sorted(element_descriptions(st).values()) == ["!p", "T", "d1", "p", "q"]
     d1 = st.default_elements[0]
     assert st.tuples("default") == {(d1,)}
     assert st.tuples("prem") == {(st.formula_elements[TRUE], d1)}
@@ -131,7 +132,7 @@ def test_ael_structure_belief_implication():
     p = Var("p")
     sigma = [limp(Believes(p), p)]
     st = build_ael_structure(sigma)
-    assert sorted(st.element_meta.values()) == ["!L p", "L p", "L p -> p", "p"]
+    assert sorted(element_descriptions(st).values()) == ["!L p", "L p", "L p -> p", "p"]
     assert st.tuples("L") == {(st.formula_elements[Believes(p)],)}
     assert st.tuples("repr") == {(st.formula_elements[sigma[0]],)}
     # belief atoms carry an argument link but no var marking exists
@@ -202,6 +203,32 @@ def test_graph_type_validation():
         Graph(2, frozenset({(1, 3)}))
     g = make_graph(3, [(3, 1), (1, 2)])
     assert (1, 3) in g.edges
+    # labels and descriptions name vertices, as edges do
+    for v in (0, 4):
+        with pytest.raises(ValueError, match=f"vertex {v} outside 1..3"):
+            Graph(3, frozenset(), labels={v: "main"})
+        with pytest.raises(ValueError, match=f"vertex {v} outside 1..3"):
+            Graph(3, frozenset(), descriptions={v: "x"})
+
+
+def test_builders_print_nothing(monkeypatch):
+    # element text is printed only when a .labels file is written
+    def no_printing(f):
+        raise AssertionError("format_formula called")
+
+    monkeypatch.setattr("nmlkit.structures.format_formula", no_printing)
+    p, q = Var("p"), Var("q")
+    structures = [
+        build_prop_structure([lor(p, lnot(q))]),
+        build_imp_structure([limp(p, q)], [q]),
+        build_dl_structure(DefaultTheory((p,), (DefaultRule(TRUE, q, lnot(p)),))),
+        build_ael_structure([limp(Believes(p), q)]),
+    ]
+    for st in structures:
+        g = gaifman_graph(st)
+        assert g.n == len(st.universe) and g.edges and g.descriptions is None
+    with pytest.raises(AssertionError, match="format_formula called"):
+        element_descriptions(structures[0])
 
 
 def test_gr_roundtrip_and_comments():
@@ -219,3 +246,4 @@ def test_labels_roundtrip():
     labels, descriptions = parse_labels(emit_labels(g))
     assert labels == g.labels
     assert descriptions[3] == "x | y"
+
