@@ -3,11 +3,13 @@
 Each key bounds one layer, in one unit:
 
     brute_atoms      truth-table enumeration (sat/implies_bruteforce): atoms
-    mso_steps        eval_mso: evaluation steps per call
+    mso_steps        eval_mso: evaluation steps per call, a bag-program
+                     run counting one per instruction
     mso_brute_cost   eval_mso_bruteforce: estimated enumeration steps
     exact_tw_core    exact_treewidth: core vertices left by safe reductions
     clique_vertices  pseudo_clique_lower_bound: graph vertices
-    dp_width         the treewidth DP (compile_set): decomposition width
+    dp_width         the treewidth DP (compile_set): decomposition width;
+                     eval_mso searches a set whose bag program is wider
     search_nodes     extension_exists, expansion_exists: nodes of the binary
                      decision tree over rules or belief atoms
 

@@ -7,16 +7,22 @@ Two evaluators share the same semantics:
   for later calls: bound variables renamed apart, quantifiers miniscoped,
   and every first-order quantifier block one function with a candidate
   loop per variable-binding generator, grounded through the structure's
-  relation tuples or, for a variable no relation binds, its universe.  It
+  relation tuples (a relation atom, or a disjunction of them binding the
+  same variables) or, for a variable no relation binds, its universe.  It
   decides second-order quantifiers by branching on set membership lazily
   under three-valued (Kleene) logic, so only memberships that actually
-  influence the verdict are ever split on.  Two recognitions cut that
+  influence the verdict are ever split on.  Three recognitions cut that
   search.  A set that its quantifier's body defines, ``exists S (... &
   forall x (x in S <-> psi) & ...)`` with ``S`` not free in ``psi``, is
-  computed from ``psi`` instead of branched on.  A subformula with no free
-  set variable that is closed or quantifies a set has a value fixed by the
-  structure and its first-order bindings, so each call keeps it in a memo
-  keyed by those bindings.  A step budget guards against blow-ups.
+  computed from ``psi`` instead of branched on.  A set quantifier whose
+  body is a conjunction of guarded clauses, ``forall xs (guard -> psi)``
+  with every ``S``-atom of ``psi`` outside its quantifiers, is decided by
+  the treewidth DP (``twdp``) over the clauses' instances, Courcelle's
+  route as in Gottlob, Pichler and Wei's monadic datalog (``_guarded``).
+  A subformula with no free set variable that is closed or quantifies a
+  set has a value fixed by the structure and its first-order bindings, so
+  each call keeps it in a memo keyed by those bindings.  A step budget
+  guards against blow-ups.
 * ``eval_mso_bruteforce`` enumerates everything.  It is the independent
   oracle the production evaluator is swept against in the tests.
 
@@ -46,6 +52,7 @@ from .errors import ResourceLimitError
 from .formula import _LIVE, Node, _make
 from .limits import Limits, check, get_limits
 from .structures import RelationalStructure
+from .twdp import CompiledSet, _run_dp, compile_graph, constraint_graph
 
 
 class MsoFormula(Node):
@@ -287,22 +294,28 @@ def _standardize(phi: MsoFormula) -> MsoFormula:
                 used.add(candidate)
                 return candidate
 
-    def walk(node: MsoFormula, fo: dict[str, str], so: dict[str, str]) -> MsoFormula:
-        if isinstance(node, RelAtom):
-            return RelAtom(node.rel, tuple(fo.get(a, a) for a in node.args))
-        if isinstance(node, Eq):
-            return Eq(fo.get(node.left, node.left), fo.get(node.right, node.right))
-        if isinstance(node, SetAtom):
-            return SetAtom(so.get(node.svar, node.svar), fo.get(node.var, node.var))
-        if isinstance(node, _FO_QUANTIFIERS):
-            new = fresh(node.var)
-            return type(node)(new, walk(node.body, {**fo, node.var: new}, so))
-        if isinstance(node, _SO_QUANTIFIERS):
-            new = fresh(node.svar)
-            return type(node)(new, walk(node.body, fo, {**so, node.svar: new}))
-        return with_subformulas(node, [walk(p, fo, so) for p in subformulas(node)])
+    return _rename_bound(phi, fresh, {}, {})
 
-    return walk(phi, {}, {})
+
+def _rename_bound(
+    node: MsoFormula, fresh: Callable[[str], str], fo: dict[str, str], so: dict[str, str]
+) -> MsoFormula:
+    """``node`` with each binder's variable renamed to ``fresh(name)``, in
+    the order of a left-to-right walk, and each free one through ``fo`` and
+    ``so`` or kept."""
+    if isinstance(node, RelAtom):
+        return RelAtom(node.rel, tuple(fo.get(a, a) for a in node.args))
+    if isinstance(node, Eq):
+        return Eq(fo.get(node.left, node.left), fo.get(node.right, node.right))
+    if isinstance(node, SetAtom):
+        return SetAtom(so.get(node.svar, node.svar), fo.get(node.var, node.var))
+    if isinstance(node, _FO_QUANTIFIERS):
+        new = fresh(node.var)
+        return type(node)(new, _rename_bound(node.body, fresh, {**fo, node.var: new}, so))
+    if isinstance(node, _SO_QUANTIFIERS):
+        new = fresh(node.svar)
+        return type(node)(new, _rename_bound(node.body, fresh, fo, {**so, node.svar: new}))
+    return with_subformulas(node, [_rename_bound(p, fresh, fo, so) for p in subformulas(node)])
 
 
 def rename_set(phi: MsoFormula, old: str, new: str) -> MsoFormula:
@@ -404,11 +417,12 @@ def _compile(phi: MsoFormula) -> _Run:
     step counter once on entry and returns True, False or None: None when a
     set membership it needs is unassigned, which it names in ``watch``.  A
     first-order quantifier block is one function, built by ``_make_plan``;
-    an existential set quantifier whose body defines its set is one
-    function, built by ``_defined_set``.  A node whose value the structure
-    and its first-order bindings fix (``_set_free``) looks that value up
-    in the call's memo before it runs.  Assumes bound variables have been
-    renamed apart."""
+    an existential set quantifier whose body defines its set is one, built
+    by ``_defined_set``, and a set quantifier over guarded clauses is one,
+    built by ``_guarded``.  A node whose value the structure and its
+    first-order bindings fix (``_set_free``) looks that value up in the
+    call's memo before it runs.  Assumes bound variables have been renamed
+    apart."""
     cls = type(phi)
     if cls is ExistsFO or cls is ForallFO:
         run = _make_plan(phi)
@@ -493,6 +507,7 @@ def _compile(phi: MsoFormula) -> _Run:
         def run(ev):
             ev.tick()
             return ev.search_set(svar, body, exists)
+        run = _guarded(phi, run) or run
     else:
         raise TypeError(f"unknown node {phi!r}")
     if _set_free(phi):
@@ -542,6 +557,190 @@ def _defined_set(svar: str, var: str, psi: MsoFormula, rest: MsoFormula) -> _Run
     return run
 
 
+def _conjuncts(phi: MsoFormula, positive: bool) -> list[MsoFormula]:
+    """``phi``, or its negation when not ``positive``, as a list of
+    conjuncts, with the negation pushed through ``~``, ``->`` and ``|``."""
+    if isinstance(phi, Not):
+        return _conjuncts(phi.body, not positive)
+    if positive and isinstance(phi, And) or not positive and isinstance(phi, Or):
+        return [c for p in phi.parts for c in _conjuncts(p, positive)]
+    if not positive and isinstance(phi, Imp):
+        return _conjuncts(phi.left, True) + _conjuncts(phi.right, False)
+    return [phi] if positive else [Not(phi)]
+
+
+def _members(phi: MsoFormula, svar: str) -> Optional[list[str]]:
+    """The variables of ``svar``'s atoms in ``phi``; None when one of them
+    lies under a quantifier."""
+    if binder(phi) is not None:
+        return None if svar in free_vars(phi)[1] else []
+    if isinstance(phi, SetAtom):
+        return [phi.var] if phi.svar == svar else []
+    parts = [_members(p, svar) for p in subformulas(phi)]
+    return None if None in parts else [v for part in parts for v in part]
+
+
+def _clause(phi: MsoFormula, svar: str) -> Optional[tuple]:
+    """``(block, guard, psi, members, some)`` for a guarded clause on
+    ``svar``: ``forall xs (guard -> psi)`` or ``forall xs psi``, ``xs``
+    possibly empty; or, with ``some``, ``exists xs (guard & psi)`` or
+    ``~forall xs (guard -> psi')``, read with ``psi = ~psi'``.  The guard
+    is a list of conjuncts without ``svar``; each ``svar`` atom of ``psi``
+    lies outside its quantifiers, at a variable of ``members``."""
+    some = isinstance(phi, Not) and isinstance(phi.body, ForallFO)
+    node = phi.body if some else phi
+    cls, block = type(node), []
+    while cls in _FO_QUANTIFIERS and type(node) is cls:
+        block.append(node.var)
+        node = node.body
+    guard, psi = [], node
+    if cls is ExistsFO:
+        some = True
+        parts = _flatten_and(node)
+        guard = [p for p in parts if svar not in free_vars(p)[1]]
+        psi = conj(p for p in parts if svar in free_vars(p)[1])
+    elif isinstance(node, Imp) and svar not in free_vars(node.left)[1]:
+        guard, psi = _flatten_and(node.left), node.right
+    if some and cls is not ExistsFO:
+        psi = Not(psi)
+    members = _members(psi, svar)
+    return None if members is None else (block, guard, psi, tuple(dict.fromkeys(members)), some)
+
+
+def _guarded(phi: Union[ExistsSO, ForallSO], search: _Run) -> Optional[_Run]:
+    """``phi`` decided by the treewidth DP, or None outside the fragment.
+    Read in exists-form (``forall S phi`` is ``~exists S ~phi``), its body
+    must be a list of conjuncts free of ``S`` (conditions) or guarded
+    clauses (``_clause``), at most one existential, whose block is hoisted:
+    ``exists S (A & exists xs B)`` is ``exists xs exists S (A & B)``.
+
+    Each binding of a clause's block under a true guard is an instance: its
+    members' ``S``-memberships as a scope, with the rows where ``psi``
+    holds.  The static clauses, closed but for ``S``, are instantiated and
+    compiled once per call, kept in the memo under their canonical form
+    (alpha-equal ones of other sets share it); a program wider than
+    ``Limits.dp_width`` leaves ``phi`` to ``search``.  The other clauses
+    are instantiated on each run: a one-element instance is a pin, a single
+    larger one gives a run per row, and several are compiled with the
+    static ones.  A run charges its instruction count in steps."""
+    svar, exists = phi.svar, isinstance(phi, ExistsSO)
+    conditions, static, static_runs, dynamic, hoisted = [], [], [], [], ([], [])
+    for c in _conjuncts(phi.body, exists):
+        if svar not in free_vars(c)[1]:
+            conditions.append(c)
+            continue
+        clause = _clause(c, svar)
+        if clause is None or clause[-1] and hoisted[0]:
+            return None
+        block, guard, psi, members, some = clause
+        if some:
+            hoisted, block, guard = (block, guard), [], []
+        instances = _instances(svar, block, guard, psi, members)
+        if not some and free_vars(c) == (frozenset(), frozenset({svar})):
+            static.append(c)
+            static_runs.append(instances)
+        else:
+            dynamic.append(instances)
+    names = itertools.count()
+    key = _rename_bound(conj(static), lambda _: f"_{next(names)}", {}, {svar: "_"})
+
+    def decide(ev):
+        found = _collect(ev, dynamic)
+        if found is None:
+            return None
+        pins: dict[int, bool] = {}
+        larger = []
+        for scope, rows in found:
+            if not rows:
+                return False
+            if len(scope) > 1:
+                larger.append((scope, rows))
+            elif len(rows) == 1 and pins.setdefault(scope[0], rows[0][0]) != rows[0][0]:
+                return False
+        cs = ev.memo[key]
+        if len(larger) > 1:
+            try:
+                cs = _bag_program(ev, cs.cg.constraints + tuple(larger))
+            except ResourceLimitError:
+                v = search(ev)
+                return v if exists or v is None else not v
+            larger = []
+        runs = [pins]
+        if larger:
+            (scope, rows), = larger
+            runs = [{**pins, **dict(zip(scope, row))} for row in rows
+                    if all(pins.get(e, b) == b for e, b in zip(scope, row))]
+        for units in runs:
+            ev.steps += len(cs.program)
+            ev.tick()
+            if _run_dp(cs.program, cs.home, units.items()):
+                return True
+        return False
+
+    body = _block_plan(True, hoisted[0], hoisted[1] + conditions, decide)
+
+    def run(ev):
+        ev.tick()
+        if key not in ev.memo:
+            found = _collect(ev, static_runs)
+            try:
+                ev.memo[key] = _bag_program(ev, found)
+            except ResourceLimitError:
+                ev.memo[key] = None
+        if ev.memo[key] is None:
+            return search(ev)
+        v = body(ev)
+        return v if exists or v is None else not v
+
+    return run
+
+
+def _instances(svar: str, block: list[str], guard: list[MsoFormula], psi: MsoFormula,
+               members: tuple[str, ...]) -> _Run:
+    """A function that appends to ``ev.found`` the ``(scope, rows)`` of each
+    binding of ``block`` where ``guard`` holds (see ``_guarded``)."""
+    psi_run = _compile(psi)
+
+    def collect(ev):
+        fo = ev.fo
+        scope = tuple(dict.fromkeys([fo[v] for v in members]))
+        d = ev.so[svar] = {}  # bound names are apart: nothing reads it after
+        rows = []
+        for row in itertools.product((False, True), repeat=len(scope)):
+            d.update(zip(scope, row))
+            v = psi_run(ev)
+            if v is None:
+                return None
+            if v:
+                rows.append(row)
+        ev.found.append((scope, tuple(rows)))
+        return False
+
+    return _block_plan(True, block, guard, collect)
+
+
+def _collect(ev: "_Evaluator", instances: list[_Run]) -> Optional[list]:
+    """The instances those functions find; None, with the watch, when a
+    guard or ``psi`` reads an unassigned membership of an enclosing set.
+    ``ev.found`` is restored on return, so a guard or ``psi`` that decides
+    another set this way leaves the list being filled as it was."""
+    saved, found = ev.found, []
+    ev.found = found
+    for run in instances:
+        if run(ev) is None:
+            found = None
+            break
+    ev.found = saved
+    return found
+
+
+def _bag_program(ev: "_Evaluator", constraints) -> CompiledSet:
+    """The bag program of ``constraints`` over the universe's elements
+    (ids 1..n, as in ``gaifman_graph``), within ``ev``'s limits."""
+    n = max(ev.structure.universe, default=0)
+    return compile_graph(constraint_graph(n, constraints, {}), limits=ev.limits)
+
+
 def _quantifies_sets(phi: MsoFormula) -> bool:
     return isinstance(phi, _SO_QUANTIFIERS) or any(map(_quantifies_sets, subformulas(phi)))
 
@@ -583,14 +782,9 @@ def _flatten_and(phi: MsoFormula) -> list[MsoFormula]:
 
 
 def _make_plan(node: Union[ExistsFO, ForallFO]) -> _Run:
-    """A block of same-kind first-order quantifiers as one function: one
-    candidate loop per generator, then the conjuncts no generator consumed
-    and, for a universal block, its matrix.
-
-    A generator is a relational conjunct that binds block variables, chosen
-    greedily (most positions already bound first).  A block variable that no
-    conjunct binds gets a generator over the universe.
-    """
+    """A block of same-kind first-order quantifiers as one function
+    (``_block_plan``): its conjuncts for an existential block, its guard
+    and matrix for a universal one."""
     exists = isinstance(node, ExistsFO)
     block: list[str] = []
     body: MsoFormula = node
@@ -598,44 +792,63 @@ def _make_plan(node: Union[ExistsFO, ForallFO]) -> _Run:
         block.append(body.var)
         body = body.body
     if exists:
-        conjuncts = _flatten_and(body)
-        payload = None
-    elif isinstance(body, Imp):
-        conjuncts = _flatten_and(body.left)
-        payload = _compile(body.right)
-    else:
-        conjuncts = []
-        payload = _compile(body)
+        return _block_plan(True, block, _flatten_and(body), None)
+    if isinstance(body, Imp):
+        return _block_plan(False, block, _flatten_and(body.left), _compile(body.right))
+    return _block_plan(False, block, [], _compile(body))
 
+
+def _block_plan(
+    exists: bool, block: list[str], conjuncts: list[MsoFormula], payload: Optional[_Run]
+) -> _Run:
+    """One candidate loop per generator, then the conjuncts no generator
+    consumed and the payload: a universal block's matrix, or what an
+    existential block runs once its conjuncts hold.
+
+    A generator is a conjunct that binds block variables: a relation atom,
+    or a disjunction of relation atoms that each bind the same ones, whose
+    candidates are the union of theirs.  Generators are chosen greedily
+    (most positions already bound first).  A block variable that no
+    conjunct binds gets a generator over the universe.
+    """
     blockset = set(block)
-    chosen: list[RelAtom] = []
+    chosen: list[MsoFormula] = []
     generators: list[tuple] = []
     covered: set[str] = set()
     while True:
-        fresh = [c for c in conjuncts
-                 if isinstance(c, RelAtom) and set(c.args) & blockset - covered]
+        fresh = []
+        for c in conjuncts:
+            atoms = c.parts if isinstance(c, Or) else (c,)
+            if all(isinstance(a, RelAtom) for a in atoms):
+                new = {frozenset(a.args) & blockset - covered for a in atoms}
+                if len(new) == 1 and new != {frozenset()}:
+                    fresh.append((c, atoms))
         if not fresh:
             break
-        best = max(fresh, key=lambda atom: (
-            sum(1 for a in atom.args if a not in blockset or a in covered),
-            -len(set(atom.args) & blockset - covered),
+        best, atoms = max(fresh, key=lambda pick: (
+            sum(1 for a in pick[1][0].args if a not in blockset or a in covered),
+            -len(set(pick[1][0].args) & blockset - covered),
+            -len(pick[1]),
         ))
-        key_positions: list[int] = []
-        bind: dict[str, int] = {}  # new variable -> its first position
-        match: list[tuple[int, int]] = []  # a repeated new variable's position -> its first
-        for pos, a in enumerate(best.args):
-            if a not in blockset or a in covered:
-                key_positions.append(pos)
-            elif a in bind:
-                match.append((pos, bind[a]))
-            else:
-                bind[a] = pos
-        key_vars = tuple(best.args[pos] for pos in key_positions)
-        generators.append((best.rel, tuple(key_positions), key_vars,
-                           tuple((pos, a) for a, pos in bind.items()), tuple(match)))
+        alternatives = []
+        for atom in atoms:
+            key_positions: list[int] = []
+            bind: dict[str, int] = {}  # new variable -> its first position
+            match: list[tuple[int, int]] = []  # a repeated new variable's position -> its first
+            for pos, a in enumerate(atom.args):
+                if a not in blockset or a in covered:
+                    key_positions.append(pos)
+                elif a in bind:
+                    match.append((pos, bind[a]))
+                else:
+                    bind[a] = pos
+            key_vars = tuple(atom.args[pos] for pos in key_positions)
+            alternatives.append((atom.rel, tuple(key_positions), key_vars,
+                                 tuple((pos, a) for a, pos in bind.items()), tuple(match)))
+        generators.append(tuple(alternatives))
         chosen.append(best)
         covered |= bind.keys()
-    generators += [(None, (), (), ((0, v),), ()) for v in block if v not in covered]
+    generators += [((None, (), (), ((0, v),), ()),) for v in block if v not in covered]
     residual = tuple(_compile(c) for c in conjuncts if not any(c is g for g in chosen))
     run = _bound_block(exists, residual, payload)
     for depth in reversed(range(len(generators))):
@@ -643,33 +856,33 @@ def _make_plan(node: Union[ExistsFO, ForallFO]) -> _Run:
     return run
 
 
-def _candidate_loop(exists: bool, generator: tuple, inner: _Run, entry: bool) -> _Run:
-    """Runs ``inner`` once for each tuple of ``generator``'s relation that
-    agrees with the bindings so far, with that tuple's new variables bound.
-    The outermost loop of a block (``entry``) ticks once on entry.
+def _candidate_loop(exists: bool, alternatives: tuple, inner: _Run, entry: bool) -> _Run:
+    """Runs ``inner`` once for each tuple of each alternative's relation
+    that agrees with the bindings so far, with that tuple's new variables
+    bound.  The outermost loop of a block (``entry``) ticks once on entry.
 
     For an existential block: True if some candidate satisfies the body,
     None if no definite witness but some candidate was unknown, else False.
     Universal blocks are dual.
     """
-    rel, key_positions, key_vars, bind, match = generator
 
     def run(ev):
         if entry:
             ev.tick()
         fo = ev.fo
         unknown = None
-        for t in ev.index(rel, key_positions).get(tuple(map(fo.__getitem__, key_vars)), ()):
-            ev.tick()
-            if match and any(t[p] != t[q] for p, q in match):
-                continue
-            for pos, a in bind:  # bound names are apart: the next candidate overwrites
-                fo[a] = t[pos]
-            v = inner(ev)
-            if v is None:
-                unknown = ev.watch
-            elif v is exists:
-                return v
+        for rel, key_positions, key_vars, bind, match in alternatives:
+            for t in ev.index(rel, key_positions).get(tuple(map(fo.__getitem__, key_vars)), ()):
+                ev.tick()
+                if match and any(t[p] != t[q] for p, q in match):
+                    continue
+                for pos, a in bind:  # bound names are apart: the next candidate overwrites
+                    fo[a] = t[pos]
+                v = inner(ev)
+                if v is None:
+                    unknown = ev.watch
+                elif v is exists:
+                    return v
         if unknown is None:
             return not exists
         ev.watch = unknown  # a later candidate may have left it on an ended search
@@ -680,7 +893,8 @@ def _candidate_loop(exists: bool, generator: tuple, inner: _Run, entry: bool) ->
 
 def _bound_block(exists: bool, residual: tuple[_Run, ...], payload: Optional[_Run]) -> _Run:
     """A block's value once all its variables are bound: the residual
-    conjuncts (the guard, for a universal block), then the payload."""
+    conjuncts (the guard, for a universal block), then the payload.  An
+    existential block runs its payload only under a definite guard."""
 
     def run(ev):
         unknown = None
@@ -690,11 +904,9 @@ def _bound_block(exists: bool, residual: tuple[_Run, ...], payload: Optional[_Ru
                 return not exists  # guard refuted -> instance vacuous
             if v is None and unknown is None:
                 unknown = ev.watch
-        if not exists:
-            v = payload(ev)
-            if v is True or unknown is None:
-                return v
-        elif unknown is None:
+        if unknown is None:
+            return True if payload is None else payload(ev)
+        if not exists and payload(ev) is True:
             return True
         ev.watch = unknown  # under an undetermined guard it may still be vacuous
         return None
@@ -711,24 +923,28 @@ def _compiled(phi: MsoFormula) -> _Run:
 
 class _Evaluator:
     """The state of one ``eval_mso`` call, which the compiled functions read
-    and update: bindings, steps, branch points, the watched membership, the
-    memo of set-free subformula values and the relation indexes."""
+    and update: bindings, limits, steps, branch points, the watched
+    membership, the memo of set-free subformula values and static bag
+    programs, the clause instances being collected and the relation
+    indexes."""
 
     def __init__(
         self,
         structure: RelationalStructure,
         fo_env: dict[str, int],
         so_env: dict[str, dict[int, bool]],
-        budget: int,
+        limits: Limits,
     ):
         self.structure = structure
         self.fo = fo_env
         self.so = so_env
-        self.budget = budget
+        self.limits = limits
+        self.budget = limits.mso_steps
         self.steps = 0
         self.branch_counts: dict[str, int] = {}
         self.watch: Optional[tuple[str, int]] = None
-        self.memo: dict[tuple, bool] = {}
+        self.memo: dict = {}
+        self.found: list = []
         self._indexes: dict = {}
 
     def tick(self) -> None:
@@ -821,13 +1037,14 @@ def eval_mso(
     sets of element ids; it must cover all free variables.  ``phi`` is
     compiled on its first call into a function per node, which every later
     call reuses on any structure and bindings.  Defined sets are computed
-    rather than searched, and set-free subformulas are evaluated once per
+    rather than searched, sets constrained by guarded clauses are decided
+    by the treewidth DP, and set-free subformulas are evaluated once per
     binding of their free first-order variables (see ``_compile``); that
     memo lives in the call, and nothing but the compiled form outlives it.
     """
     fo, so = _prepare_env(structure, env)
     _check_bound(phi, fo, so)
-    ev = _Evaluator(structure, fo, so, get_limits(limits).mso_steps)
+    ev = _Evaluator(structure, fo, so, get_limits(limits))
     result = _compiled(phi)(ev)
     assert result is not None, "evaluation of a closed formula cannot stay undetermined"
     return result

@@ -12,7 +12,9 @@ is checked there.  Belief subformulas are opaque leaves: the subterm walk
 stops at ``L``, so what occurs only under it gets no vertex.
 
 A formula set is compiled once (``compile_set``): its constraint graph, one
-min-fill decomposition, and from that the DP *program*.  A query over it
+min-fill decomposition, and from that the DP *program*
+(``compile_graph``, which also compiles the constraint graph the MSO
+evaluator instantiates from guarded clauses).  A query over it
 only *pins units*: a formula ``f`` pins its vertex to true, a negation
 ``!g`` pins ``g``'s vertex to false, and contradictory pins answer unsat at
 once.  This is sound for any query over the compiled set, however little of
@@ -80,13 +82,26 @@ _TRUTH_TABLES: dict[str, Rows] = {
 class ConstraintGraph:
     """A formula set's subterm vertices (``vertex_of``), its local
     constraints and their primal graph.  Each constraint is ``(scope,
-    rows)``: an operator's ``(v, *kids)`` with its connective's truth table,
-    or a constant's ``(v,)`` with its one value.  A vertex heads, as the
-    first of its scope, at most one constraint."""
+    rows)``: from a formula set, an operator's ``(v, *kids)`` with its
+    connective's truth table, or a constant's ``(v,)`` with its one value;
+    from a guarded MSO clause (``mso``), the memberships of one instance.  A
+    vertex may head, as the first of its scope, any number of constraints.
+    ``vertex_of`` is empty for a graph that no formula set numbered."""
 
     graph: Graph
     constraints: tuple[tuple[tuple[int, ...], Rows], ...]
     vertex_of: dict[Formula, int]
+
+
+def constraint_graph(n: int, constraints: Iterable, vertex_of: dict) -> ConstraintGraph:
+    """The constraints over vertices 1..n with their primal graph: the
+    clique over each scope's distinct vertices, whose sorted pairs are
+    already normalised edges (u < v), as the graph keeps them."""
+    constraints = tuple(constraints)
+    edges: set[tuple[int, int]] = set()
+    for scope, _ in constraints:
+        edges.update(itertools.combinations(sorted(set(scope)), 2))
+    return ConstraintGraph(Graph(n, frozenset(edges)), constraints, vertex_of)
 
 
 def build_constraint_graph(gamma: Iterable[Formula]) -> ConstraintGraph:
@@ -95,9 +110,7 @@ def build_constraint_graph(gamma: Iterable[Formula]) -> ConstraintGraph:
     value.  The set's own formulas are not pinned here; a query pins them
     (``dp_sat``).  Vertices are numbered in post-order of first occurrence;
     the walk stops at ``L`` nodes, which are opaque atoms, so a subterm that
-    occurs only under ``L`` gets no vertex.  The graph is the clique over
-    each scope's distinct vertices; their sorted pairs are already
-    normalised edges (u < v), as the graph keeps them."""
+    occurs only under ``L`` gets no vertex."""
     vertex_of = number_subterms(gamma, beliefs=False)
     constraints = []
     for f, v in vertex_of.items():
@@ -105,10 +118,7 @@ def build_constraint_graph(gamma: Iterable[Formula]) -> ConstraintGraph:
             constraints.append(((v, *[vertex_of[a] for a in f.args]), _TRUTH_TABLES[f.op]))
         elif f.__class__ is Const:
             constraints.append(((v,), ((int(f.value),),)))
-    edges: set[tuple[int, int]] = set()
-    for scope, _ in constraints:
-        edges.update(itertools.combinations(sorted(set(scope)), 2))
-    return ConstraintGraph(Graph(len(vertex_of), frozenset(edges)), tuple(constraints), vertex_of)
+    return constraint_graph(len(vertex_of), constraints, vertex_of)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -190,13 +200,23 @@ def compile_set(
     *,
     limits: Limits | None = None,
 ) -> CompiledSet:
-    """Constraint graph, decomposition (``td``, or min-fill when None) and
-    bag program of a formula set.  A caller's ``td`` is checked first with
+    """Constraint graph, decomposition and bag program of a formula set
+    (``compile_graph``)."""
+    return compile_graph(build_constraint_graph(gamma), td, limits=limits)
+
+
+def compile_graph(
+    cg: ConstraintGraph,
+    td: Optional[TreeDecomposition] = None,
+    *,
+    limits: Limits | None = None,
+) -> CompiledSet:
+    """Decomposition (``td``, or min-fill when None) and bag program of a
+    constraint graph.  A caller's ``td`` is checked first with
     ``validate_decomposition``, whose first problem is raised as a
     ``ValueError`` (as is its own for a bag vertex outside the graph);
     min-fill's is valid by construction.  Raises ``ResourceLimitError``
     when the decomposition is wider than ``Limits.dp_width``."""
-    cg = build_constraint_graph(gamma)
     if td is None:
         td = heuristic_decomposition(cg.graph, "min_fill")
     else:
@@ -276,7 +296,9 @@ def _plan(
                 stack.append(c)
     order.reverse()  # children first
 
-    scope_of = {c[0][0]: c for c in cg.constraints}  # at most one per vertex, the one it heads
+    scope_of: dict[int, list] = {}  # vertex -> the constraints it heads
+    for c in cg.constraints:
+        scope_of.setdefault(c[0][0], []).append(c)
     program: list[tuple] = []
     home: dict[int, tuple[int, int]] = {}
     below: dict[int, list[tuple[int, list[int]]]] = {}  # bag -> (slot, sorted bag) of children
@@ -296,9 +318,9 @@ def _plan(
         for i, v in enumerate(here):
             if v not in above_bag:
                 home[v] = (slot, 1 << i)
-            placed = scope_of.get(v)
-            if placed is not None and bag.issuperset(placed[0]):
-                checks.append(_compile(placed[1], tuple(map(pos_of.__getitem__, placed[0]))))
+            for scope, rows in scope_of.get(v, ()):
+                if bag.issuperset(scope):
+                    checks.append(_compile(rows, tuple(map(pos_of.__getitem__, scope))))
         links = []
         for child, child_here in below.pop(b, ()):
             targets = tuple([1 << pos_of[v] if v in bag else 0 for v in child_here])

@@ -645,3 +645,186 @@ def test_extension_on_the_printed_lower_family_is_polynomial_in_steps(monkeypatc
         u = len(s.universe)
         steps = evaluators[-1].steps
         assert steps <= 1.5 * u ** 3 <= Limits().mso_steps, (n, steps)
+
+
+# ---------------------------------------------------------------------------
+# Set quantifiers decided by the treewidth DP
+# ---------------------------------------------------------------------------
+
+
+def random_membership_formula(rng, vs):
+    """A quantifier-free formula over memberships of ``M`` at ``vs``, with
+    unary atoms and constants among its leaves."""
+
+    def sub(depth):
+        if depth == 0 or rng.random() < 0.3:
+            roll = rng.random()
+            if roll < 0.7:
+                return SetAtom("M", rng.choice(vs))
+            if roll < 0.85:
+                return RelAtom("U", (rng.choice(vs),))
+            return Truth(rng.random() < 0.5)
+        op = rng.choice([Not, And, Or, Iff, Xor, Imp])
+        if op is Not:
+            return Not(sub(depth - 1))
+        if op in (And, Or):
+            return op((sub(depth - 1), sub(depth - 1)))
+        return op(sub(depth - 1), sub(depth - 1))
+
+    return sub(2)
+
+
+def random_guarded_mso(rng):
+    """``QS V0. Q u. Q w. QS M. body``: for ``exists M`` the body is a
+    conjunction of parts, for ``forall M`` it is ``parts -> goal``.  The
+    parts are static clauses on ``M`` (unary, binary, unguarded), dynamic
+    ones (a guard reading ``V0``, instances at ``u``, one or two binary
+    instances at ``u`` and ``w``), existential ones (hoisted when alone),
+    an ``M``-free condition, a clause whose ``psi`` decides another set by
+    the DP at each instance, and a part just outside the fragment (an
+    ``M``-atom under a quantifier of ``psi``)."""
+    m = lambda *vs: random_membership_formula(rng, list(vs))  # noqa: E731
+    shapes = {
+        "unary": lambda: ForallFO("x", Imp(RelAtom("U", ("x",)), m("x"))),
+        "binary": lambda: ForallFO("x", ForallFO("y", Imp(RelAtom("R", ("x", "y")), m("x", "y")))),
+        "unguarded": lambda: ForallFO("x", m("x")),
+        "set-guard": lambda: ForallFO(
+            "x", Imp(Or((RelAtom("S", ("x", "x")), SetAtom("V0", "x"))), m("x"))),
+        "at-u": lambda: ForallFO("x", Imp(RelAtom("R", ("u", "x")), m("x", "u"))),
+        "pair": lambda: m("u", "w"),
+        "negation": lambda: Iff(SetAtom("M", "u"), Not(SetAtom("M", "w"))),
+        "exists": lambda: ExistsFO("z", And((RelAtom("S", ("z", "u")), m("z")))),
+        "not-forall": lambda: Not(ForallFO("z", Imp(RelAtom("U", ("z",)), SetAtom("M", "z")))),
+        "condition": lambda: ExistsFO("x", And((RelAtom("U", ("x",)), SetAtom("V0", "x")))),
+        "nested": lambda: ForallFO("x", Imp(RelAtom("U", ("x",)), Iff(m("x"), ExistsSO("N", And((
+            ForallFO("y", Imp(RelAtom("R", ("x", "y")), SetAtom("N", "y"))),
+            Not(SetAtom("N", "x")))))))),
+    }
+    parts = [shapes[name]() for name in rng.sample(sorted(shapes), rng.randint(1, 4))]
+    if rng.random() < 0.2:
+        parts.append(ForallFO("x", Imp(RelAtom("U", ("x",)), ExistsFO(
+            "y", And((RelAtom("R", ("x", "y")), SetAtom("M", "y")))))))
+    if rng.random() < 0.5:
+        body = ExistsSO("M", And(tuple(parts)) if len(parts) > 1 else parts[0])
+    else:
+        goal = rng.choice([shapes["not-forall"]().body, SetAtom("M", "u"), m("u", "w")])
+        body = ForallSO("M", Imp(And(tuple(parts)) if len(parts) > 1 else parts[0], goal))
+    for v in ("w", "u"):
+        body = (ExistsFO if rng.random() < 0.5 else ForallFO)(v, body)
+    return (ExistsSO if rng.random() < 0.5 else ForallSO)("V0", body)
+
+
+def test_guarded_set_quantifiers_match_bruteforce_and_the_backtracker(monkeypatch):
+    programs = _count_compiled(monkeypatch, "_bag_program")  # once per call on the DP route
+    rng = random.Random(919191)
+    checked = on_dp = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        s = random_structure(rng, n)
+        phi = random_guarded_mso(rng)
+        try:
+            expected = eval_mso_bruteforce(s, phi)
+        except ResourceLimitError:
+            continue
+        before = programs[0]
+        assert eval_mso(s, phi) == expected, to_text(phi)
+        on_dp += programs[0] > before
+        assert eval_mso(s, phi, limits=Limits(dp_width=0)) == expected, to_text(phi)
+        checked += 1
+    assert checked >= 250
+    assert on_dp >= 150
+
+
+def test_dp_route_matches_the_backtracker_on_the_encodings(monkeypatch):
+    from nmlkit.ael import expansion_exists
+    from nmlkit.dl import extension_exists
+    from nmlkit.encodings import mso_encoding
+    from nmlkit.formula import implies_bruteforce, sat_bruteforce, subformulae
+    from nmlkit.randgen import random_ae_theory, random_formula_set, random_literal_default_theory
+    from nmlkit.structures import (
+        build_ael_structure,
+        build_dl_structure,
+        build_imp_structure,
+        build_prop_structure,
+    )
+
+    runs = _count_compiled(monkeypatch, "_run_dp")
+    rng = random.Random(828282)
+    backtrack = Limits(dp_width=0)
+
+    def agree(s, name, expected):
+        phi = mso_encoding(name)
+        assert eval_mso(s, phi) is eval_mso(s, phi, limits=backtrack) is expected, name
+
+    for _ in range(30):
+        gamma = random_formula_set(rng, max_subformulae=8)
+        agree(build_prop_structure(gamma), "sat", sat_bruteforce(gamma) is not None)
+        f = random_formula_set(rng, max_subformulae=5, max_formulas=2)
+        g = random_formula_set(rng, max_subformulae=4, max_formulas=2)
+        if len(subformulae(f + g)) <= 8:
+            agree(build_imp_structure(f, g), "imp", implies_bruteforce(f, g))
+        th = random_literal_default_theory(rng)
+        agree(build_dl_structure(th), "extension", extension_exists(th)[0])
+        sigma = random_ae_theory(rng)
+        agree(build_ael_structure(sigma.formulas), "full_exists", expansion_exists(sigma)[0])
+    assert runs[0] > 0
+
+
+def test_sat_and_imp_steps_are_linear_at_fixed_width():
+    # a counter gate: at min-fill width 1 the chain's steps double with m;
+    # the backtracker ran over the default budget at m = 14
+    from nmlkit.encodings import mso_encoding
+    from nmlkit.families import chain
+    from nmlkit.formula import Var
+    from nmlkit.harness import mso_steps
+    from nmlkit.structures import build_imp_structure, build_prop_structure
+
+    builds = {
+        "sat": lambda m: build_prop_structure(chain(m)),
+        "imp": lambda m: build_imp_structure(chain(m), [Var(f"x{m}")]),
+    }
+    for name, build in builds.items():
+        phi = mso_encoding(name)
+        assert eval_mso(build(14), phi) is True
+        (small_ok, small), (large_ok, large) = (mso_steps(build(m), phi) for m in (1000, 2000))
+        assert small_ok is large_ok is True
+        assert large <= 2.05 * small, (name, small, large)
+
+
+def test_step_budget_binds_on_the_dp_route(monkeypatch):
+    from nmlkit.encodings import mso_encoding
+    from nmlkit.families import chain
+    from nmlkit.harness import mso_steps
+    from nmlkit.structures import build_prop_structure
+
+    runs = _count_compiled(monkeypatch, "_run_dp")
+    s = build_prop_structure(chain(50))
+    phi = mso_encoding("sat").parts[1]  # exists M: one program run, after the instances
+    verdict, steps = mso_steps(s, phi)
+    assert verdict is True and runs[0] == 1
+    for budget in (10, steps - 1):  # the run's charge is the last to tick
+        with pytest.raises(ResourceLimitError, match="budget"):
+            eval_mso(s, phi, limits=Limits(mso_steps=budget))
+
+
+def test_extension_compiles_its_static_program_once_per_call(monkeypatch):
+    # the assignment constraint of every M, M_2, ... is one static program
+    from nmlkit import mso
+    from nmlkit.encodings import mso_encoding
+    from nmlkit.families import gen_dl_lower
+    from nmlkit.structures import build_dl_structure
+
+    compiles = [0]
+
+    def counted(*args, _original=mso.compile_graph, **kwargs):
+        compiles[0] += 1
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(mso, "compile_graph", counted)
+    runs = _count_compiled(monkeypatch, "_run_dp")
+    phi = mso_encoding("extension")
+    for n in range(2, 6):
+        compiles[0] = 0
+        assert eval_mso(build_dl_structure(gen_dl_lower(n, "printed")), phi) is True
+        assert compiles[0] == 1, n
+    assert runs[0] > 10

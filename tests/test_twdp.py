@@ -477,3 +477,29 @@ def test_program_is_built_once_per_compiled_set(monkeypatch):
     oracle = entailment_oracle("twdp")
     assert extension_exists(gen_dl_lower(3), oracle)[0]
     assert plans == [False] and len(oracle._cache) > 1
+
+
+def test_several_constraints_per_head_vertex_match_bruteforce():
+    # each formula is pinned by a constraint its own vertex heads, beside its
+    # connective's, and random pairs of subterms are held equal or opposite
+    rng = random.Random(616161)
+    several = 0
+    for _ in range(200):
+        gamma = random_formula_set(rng, max_subformulae=8)
+        cg = build_constraint_graph(gamma)
+        extra = [((cg.vertex_of[f],), ((1,),)) for f in gamma]
+        formulas = list(gamma)
+        subterms = list(cg.vertex_of)
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.choice(subterms), rng.choice(subterms)
+            same = rng.random() < 0.5
+            rows = ((0, 0), (1, 1)) if same else ((0, 1), (1, 0))
+            extra.append(((cg.vertex_of[a], cg.vertex_of[b]), rows))
+            formulas.append((liff if same else lxor)(a, b))
+        constraints = cg.constraints + tuple(extra)
+        heads = [scope[0] for scope, _ in constraints]
+        several += len(heads) > len(set(heads))
+        compiled = twdp.compile_graph(twdp.constraint_graph(cg.graph.n, constraints, cg.vertex_of))
+        assert twdp._run_dp(compiled.program, compiled.home, []) == (
+            sat_bruteforce(formulas) is not None), formulas
+    assert several >= 150
