@@ -22,7 +22,7 @@ from .formula import (
     read_lines,
 )
 from .limits import Limits, check
-from .twdp import EntailmentOracle, entailment_oracle
+from .twdp import EntailmentOracle, entailment_oracle, refutation
 
 
 @dataclass(frozen=True)
@@ -58,13 +58,19 @@ def is_full(
     sigma: AeTheory,
     candidate: FullSetCandidate,
     oracle: Optional[EntailmentOracle] = None,
+    refutations: Optional[list[Formula]] = None,
 ) -> bool:
     """The candidate is full iff, for each belief atom L-phi, the theory plus
-    the candidate's literals entails phi exactly when the atom is positive."""
+    the candidate's literals entails phi exactly when the atom is positive,
+    that is, is unsatisfiable with phi's ``refutation`` exactly then.
+    ``refutations`` are those of the atoms' arguments, in entry order, for a
+    caller that asks about many candidates; they are built here when None."""
     oracle = oracle or entailment_oracle("brute")
+    if refutations is None:
+        refutations = [refutation(bel.arg) for bel, _ in candidate.entries]
     premises = list(sigma.formulas) + candidate.literals()
-    for bel, positive in candidate.entries:
-        if oracle.entails(premises, bel.arg) != positive:
+    for (_, positive), refuted in zip(candidate.entries, refutations):
+        if oracle.satisfiable(premises + [refuted]) == positive:
             return False
     return True
 
@@ -84,12 +90,13 @@ def expansion_exists(
     atoms = belief_atoms(sigma)
     check(limits, "search_nodes", (2 << len(atoms)) - 1, "AEL expansion search: node count")
     oracle.compile_universe([*sigma.formulas, *(bel.arg for bel in atoms)])
+    refutations = [refutation(bel.arg) for bel in atoms]
     found = []
     for mask in range(1 << len(atoms)):
         candidate = FullSetCandidate(
             tuple((bel, bool((mask >> i) & 1)) for i, bel in enumerate(atoms))
         )
-        if is_full(sigma, candidate, oracle):
+        if is_full(sigma, candidate, oracle, refutations):
             found.append(candidate)
     return bool(found), found
 

@@ -334,7 +334,22 @@ def program_work(gamma: list) -> int:
     """Instructions plus links of the bag program ``gamma`` compiles to: the
     DP's work, counted exactly, whatever the host's speed."""
     program = compile_set(gamma).program
-    return len(program) + sum(len(links) for _, links in program)
+    return len(program) + sum(parent is not None for _, parent, _ in program)
+
+
+def peak_live_tables(gamma: list) -> int:
+    """The most tables open at once when the bag program ``gamma`` compiles
+    to runs (``twdp._run_dp``), read off the program order: a table opens
+    at its bag's first finished linked child, or at its own instruction, and
+    closes there, as its parent opens if it was not open yet."""
+    open_, peak = set(), 0
+    for slot, (_, parent, _) in enumerate(compile_set(gamma).program):
+        open_.add(slot)
+        if parent is not None:
+            open_.add(parent)
+        peak = max(peak, len(open_))
+        open_.remove(slot)
+    return peak
 
 
 def check_dp_scaling(seed: int = 1, quick: bool = False) -> CheckResult:

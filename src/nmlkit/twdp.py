@@ -30,17 +30,24 @@ universe, or a universe wider than ``Limits.dp_width``, is compiled on its
 own.
 
 The program, built by ``_plan``, is one instruction per bag of the rooted
-decomposition, children first, after each tree edge between a bag and a
-superset of it has been contracted.  An instruction holds its bag's
-*rows*, every labeling of the bag that meets each local constraint whose
-scope it covers, enumerated once at compile time (a labeling ``m`` is a
-bitmask, bit i = the i-th smallest vertex of the bag), and one *link* per
-child bag that shares vertices with it.  The executor, ``_run_dp``, is one
-loop over the program: each bag keeps the rows that meet the pins homed
-there and, for each link, agree on the shared vertices with some row of the
-child's table, a bottom-up semijoin pass (Yannakakis, VLDB 1981; the scheme
-of Gottlob, Pichler and Wei, AIJ 2010).  The set is satisfiable iff the
-root's table is nonempty, and an empty table answers unsat at once.
+decomposition, after each tree edge between a bag and a superset of it has
+been contracted.  A bag's *rows* are every labeling of the bag that meets
+each local constraint whose scope it covers, enumerated once at compile
+time (a labeling is a bitmask, bit i = the i-th smallest vertex of the
+bag), and its *table* is a bitset over those rows.  A bag that shares
+vertices with its parent carries the *link* to it: per labeling of the
+shared vertices, the rows of either bag that give it.  The executor,
+``_run_dp``, is one loop over the program, on ints only: a pin ANDs its
+home table with the rows where the vertex is true (or the complement), and
+a finished table is folded into its parent at once, which keeps the rows
+of the classes the child's table meets; a bottom-up semijoin pass
+(Yannakakis, VLDB 1981; the scheme of Gottlob, Pichler and Wei, AIJ 2010).
+Children come first and, among siblings, largest subtree first, and a
+parent's table opens at its first finished child, so at most
+log2(bags) + 1 tables are open at once (the heavy-path argument; Bodlaender
+and Hagerup, SIAM J. Comput. 1998, bound the space through decompositions
+of logarithmic depth instead).  The set is satisfiable iff the root's table
+is nonempty, and an empty table answers unsat at once.
 """
 from __future__ import annotations
 
@@ -162,14 +169,36 @@ def _rows(size: int, checks: tuple[tuple[int, frozenset[int]], ...]) -> tuple[in
 
 
 @functools.lru_cache(maxsize=4096)
-def _remap(targets: tuple[int, ...]) -> tuple[int, ...]:
-    """The table from a child's labelings to the shared bits in its parent:
-    child position i moves to the parent bit ``targets[i]``, or is dropped
-    when that is 0."""
-    remap = [0]
-    for bit in targets:
-        remap += [m | bit for m in remap] if bit else remap
-    return tuple(remap)
+def _bag(rows: tuple[int, ...], above: Optional[tuple[int, ...]], targets: tuple) -> tuple:
+    """``(full, classes, homes)`` of a bag with these ``rows`` (``_rows``)
+    whose parent, with rows ``above``, holds its position i at position
+    ``targets[i]``, or not at all when that is None.  Tables are bitsets
+    over rows, bit j for row j.  ``full`` is the table of all the bag's
+    rows.  ``classes`` is the link to the parent: one pair (child rows,
+    parent rows) per labeling of the shared vertices that rows of both
+    give; None when the bag shares no vertex with a parent.  ``homes`` has
+    ``(i, rows that set position i)`` for each position the parent does
+    not hold."""
+    bits = [0 if t is None else 1 << t for t in targets]
+    where = [0] * len(targets)
+    below: dict[int, int] = {}  # shared labeling, in parent bits -> child rows
+    for j, m in enumerate(rows):
+        key = 0
+        for i, bit in enumerate(bits):
+            if m >> i & 1:
+                where[i] |= 1 << j
+                key |= bit
+        below[key] = below.get(key, 0) | 1 << j
+    shared = sum(bits)
+    classes = None
+    if shared:
+        sides: dict[int, int] = {}  # shared labeling -> parent rows
+        for j, m in enumerate(above):
+            if m & shared in below:
+                sides[m & shared] = sides.get(m & shared, 0) | 1 << j
+        classes = tuple((below[key], sides[key]) for key in sides)
+    homes = tuple((i, where[i]) for i, t in enumerate(targets) if t is None)
+    return (1 << len(rows)) - 1, classes, homes
 
 
 @dataclass(frozen=True)
@@ -177,16 +206,19 @@ class CompiledSet:
     """A formula set ready for queries: its constraint graph, the width of
     its decomposition, the bag program and the home of each vertex.
 
-    The program has one instruction ``(rows, links)`` per bag, children
-    first, so the root's is the last.  ``rows`` are the bag's labelings
-    that meet every constraint whose scope it covers, as bitmasks (bit i =
-    the i-th smallest vertex of the bag).  ``links`` has one ``(child, remap,
-    shared_mask)`` per child bag that shares vertices with this one:
-    ``child`` is the child's slot (its index in the program), ``remap[m]``
-    is the part of a child labeling ``m`` on the shared vertices, in this
-    bag's positions, and ``shared_mask`` covers those positions here.
-    ``home[v]`` is ``(slot, bit)`` of the bag where a pin on vertex ``v``
-    is checked: the top bag that holds ``v``."""
+    The program has one instruction ``(full, parent, classes)`` per bag,
+    children first and, among siblings, largest subtree first, so the
+    root's is the last.  A bag's *rows* are its labelings that meet every
+    constraint whose scope it covers (``_rows``), and its table is a bitset
+    over them, bit j for row j; ``full`` is the table of all its rows.  A
+    bag that shares vertices with its parent carries the link to it:
+    ``parent`` is the parent's slot (its index in the program) and
+    ``classes`` has one ``(below, above)`` per labeling of the shared
+    vertices, the bitsets of this bag's rows and of the parent's rows that
+    give it.  Any other bag has ``parent`` and ``classes`` None.
+    ``home[v]`` is ``(slot, rows)`` of the bag where a pin on vertex ``v``
+    is checked, the top bag that holds ``v``, with the bitset of its rows
+    that set ``v`` true."""
 
     cg: ConstraintGraph
     width: int
@@ -270,6 +302,24 @@ def dp_sat(
     return _run_dp(compiled.program, compiled.home, units)
 
 
+def _rooted(td: TreeDecomposition) -> tuple[list[int], dict[int, Optional[int]]]:
+    """The bag ids of ``td``, children first, rooted at the smallest, and
+    the parent of each."""
+    adj = td.neighbors()
+    root = min(td.bags)
+    parent: dict[int, Optional[int]] = {root: None}
+    order, stack = [], [root]
+    while stack:
+        b = stack.pop()
+        order.append(b)
+        for c in adj[b]:
+            if c != parent[b]:
+                parent[c] = b
+                stack.append(c)
+    order.reverse()
+    return order, parent
+
+
 def _plan(
     cg: ConstraintGraph, td: TreeDecomposition
 ) -> tuple[list[tuple], dict[int, tuple[int, int]]]:
@@ -280,89 +330,98 @@ def _plan(
     contracted into its parent, which then holds the larger of the two: the
     decomposition stays valid and no wider, and the program gets one
     instruction per bag left.  Each constraint is checked in every bag that
-    covers its scope, which keeps the rows of a wide bag few.  A vertex's
-    home is its top bag, the one whose parent does not hold it."""
+    covers its scope, which keeps the rows of a wide bag few.  The bags are
+    emitted children first and, among siblings, largest subtree first, so
+    that folding each table into its parent as soon as it is done leaves at
+    most log2(bags) + 1 tables open (``_run_dp``).  A vertex's home is its
+    top bag, the one whose parent does not hold it."""
     bags = dict(td.bags)  # a parent's bag grows when it takes in a superset child
-    adj = td.neighbors()
-    root = min(bags)
-    parent: dict[int, Optional[int]] = {root: None}
-    order, stack = [], [root]
-    while stack:
-        b = stack.pop()
-        order.append(b)
-        for c in adj[b]:
-            if c != parent[b]:
-                parent[c] = b
-                stack.append(c)
-    order.reverse()  # children first
-
+    order, parent = _rooted(td)
+    root = order[-1]
     scope_of: dict[int, list] = {}  # vertex -> the constraints it heads
     for c in cg.constraints:
         scope_of.setdefault(c[0][0], []).append(c)
-    program: list[tuple] = []
-    home: dict[int, tuple[int, int]] = {}
-    below: dict[int, list[tuple[int, list[int]]]] = {}  # bag -> (slot, sorted bag) of children
+    kids: dict[int, list[int]] = {}  # bag -> its children left after contraction
+    size: dict[int, int] = {}  # bag left -> the bags left in its subtree
+    vertices: dict[int, tuple[int, ...]] = {}  # bag left -> its vertices, sorted
+    rows_of: dict[int, tuple[int, ...]] = {}  # bag left, until its parent's turn -> its rows
+    info: dict[int, tuple] = {}  # bag left -> its _bag
     for b in order:
         bag = bags[b]
         above = parent[b]
-        above_bag = bags[above] if above is not None else frozenset()
-        if above is not None and (bag <= above_bag or above_bag <= bag):
-            if not bag <= above_bag:
+        if above is not None and (bag <= bags[above] or bags[above] <= bag):
+            if not bag <= bags[above]:
                 bags[above] = bag
-            below.setdefault(above, []).extend(below.pop(b, ()))
+            kids.setdefault(above, []).extend(kids.pop(b, ()))
             continue
-        slot = len(program)
-        here = sorted(bag)
+        vertices[b] = here = tuple(sorted(bag))
         pos_of = {v: i for i, v in enumerate(here)}
         checks = []
-        for i, v in enumerate(here):
-            if v not in above_bag:
-                home[v] = (slot, 1 << i)
+        for v in here:
             for scope, rows in scope_of.get(v, ()):
                 if bag.issuperset(scope):
                     checks.append(_compile(rows, tuple(map(pos_of.__getitem__, scope))))
-        links = []
-        for child, child_here in below.pop(b, ()):
-            targets = tuple([1 << pos_of[v] if v in bag else 0 for v in child_here])
-            shared_mask = sum(targets)
-            if shared_mask:
-                links.append((child, _remap(targets), shared_mask))
-        program.append((_rows(len(here), tuple(checks)), tuple(links)))
+        rows_of[b] = rows = _rows(len(here), tuple(checks))
+        size[b] = 1
+        for c in kids.get(b, ()):
+            info[c] = _bag(rows_of.pop(c), rows, tuple(map(pos_of.get, vertices[c])))
+            size[b] += size[c]
         if above is not None:
-            below.setdefault(above, []).append((slot, here))
+            kids.setdefault(above, []).append(b)
+    info[root] = _bag(rows_of.pop(root), None, (None,) * len(vertices[root]))
+
+    # parents first, smallest subtree first, filling the program from its
+    # end: each bag's slot is one below the last one taken, so the program
+    # runs children first, largest subtree first
+    program: list[tuple] = [()] * len(info)
+    home: dict[int, tuple[int, int]] = {}
+    slot = len(info)
+    stack = [(root, None)]  # bag, its parent's slot
+    while stack:
+        b, above = stack.pop()
+        slot -= 1
+        full, classes, homes = info[b]
+        program[slot] = (full, None if classes is None else above, classes)
+        for i, where in homes:
+            home[vertices[b][i]] = (slot, where)
+        below = kids.get(b, ())
+        if len(below) > 1:
+            below = sorted(below, key=size.__getitem__, reverse=True)
+        stack.extend([(c, slot) for c in below])
     return program, home
 
 
 def _run_dp(
-    program: list[tuple], home: dict[int, tuple[int, int]], units: list[tuple[int, bool]]
+    program: list[tuple], home: dict[int, tuple[int, int]], units: Iterable[tuple[int, bool]]
 ) -> bool:
-    """One loop over the bag program.  Slot i holds the table of instruction
-    i: the rows of its bag that meet the pins homed there and agree, on the
-    shared vertices, with some row of each linked child's table, until its
-    parent consumes and clears it.  Each table thus holds the bag labelings
-    that extend to its subtree, and the set is satisfiable iff the root's
-    table is nonempty; an empty table answers unsat at once."""
-    pins: dict[int, tuple[int, int]] = {}  # slot -> (pinned bits, their values)
+    """One loop over the bag program, on tables that are bitsets over their
+    bag's rows.  A pin ANDs its home table with the rows where its vertex
+    is true, or with their complement, so contradictory pins leave it empty.
+    A table opens, with its pins, at its bag's first finished linked child,
+    or at its own instruction; there it is done, and is folded into its
+    parent at once: the parent keeps the rows in the classes this table
+    meets.  Each finished table thus holds the bag labelings that extend to
+    its subtree, and the set is satisfiable iff the root's is nonempty; an
+    empty table answers unsat at once.  An open table is never empty, so
+    a missing one reads as 0."""
+    pins: dict[int, int] = {}  # slot -> the rows its pins allow
     for v, value in units:
-        slot, bit = home[v]
-        mask, want = pins.get(slot, (0, 0))
-        got = bit if value else 0
-        if mask & bit and want & bit != got:
-            return False  # contradictory units
-        pins[slot] = (mask | bit, want | got)
-    tables: list = [None] * len(program)
-    for slot, (rows, links) in enumerate(program):
-        pin = pins.get(slot)
-        if pin is not None:
-            mask, want = pin
-            rows = [m for m in rows if m & mask == want]
-        for child, remap, shared_mask in links:
-            msg = {remap[m] for m in tables[child]}
-            tables[child] = None
-            rows = [m for m in rows if m & shared_mask in msg]
-        if not rows:
+        slot, rows = home[v]
+        pins[slot] = pins.get(slot, -1) & (rows if value else ~rows)
+    tables: dict[int, int] = {}  # slot -> its open table
+    for slot, (full, parent, classes) in enumerate(program):
+        table = tables.pop(slot, 0) or full & pins.get(slot, -1)
+        if not table:
             return False
-        tables[slot] = rows
+        if parent is not None:
+            folded = 0
+            for below, above in classes:
+                if table & below:
+                    folded |= above
+            folded &= tables.get(parent, 0) or pins.get(parent, -1)
+            if not folded:
+                return False
+            tables[parent] = folded
     return True
 
 
@@ -429,16 +488,20 @@ class EntailmentOracle:
         return hit
 
     def entails(self, premises: Iterable[Formula], conclusion: Formula) -> bool:
-        """Premises entail the conclusion iff adding its negation is
-        unsatisfiable; a negated conclusion ``!x`` adds ``x`` itself."""
-        if isinstance(conclusion, App) and conclusion.op == "not":
-            negated = conclusion.args[0]
-        else:
-            negated = lnot(conclusion)
-        return not self.satisfiable(tuple(premises) + (negated,))
+        """Premises entail the conclusion iff adding its ``refutation`` is
+        unsatisfiable."""
+        return not self.satisfiable((*premises, refutation(conclusion)))
 
     def __repr__(self) -> str:
         return f"EntailmentOracle({self.kind!r})"
+
+
+def refutation(conclusion: Formula) -> Formula:
+    """The formula whose addition leaves premises unsatisfiable iff they
+    entail ``conclusion``: its negation, or ``x`` itself for ``!x``."""
+    if conclusion.__class__ is App and conclusion.op == "not":
+        return conclusion.args[0]
+    return lnot(conclusion)
 
 
 def entailment_oracle(kind: str = "twdp", limits: Limits | None = None) -> EntailmentOracle:

@@ -18,7 +18,7 @@ from nmlkit.limits import Limits
 from nmlkit.mso import eval_mso
 from nmlkit.randgen import random_ae_theory
 from nmlkit.structures import build_ael_structure
-from nmlkit.twdp import entailment_oracle
+from nmlkit.twdp import entailment_oracle, refutation
 
 P = Var("p")
 LP = Believes(P)
@@ -115,6 +115,34 @@ def test_oracle_independence():
         a = expansion_exists(sigma, entailment_oracle("brute"))
         b = expansion_exists(sigma, entailment_oracle("twdp"))
         assert a == b
+
+
+def test_refutations_are_built_once_per_theory(monkeypatch):
+    # each belief atom's argument is refuted once per theory, and the oracle
+    # is asked exactly what entails() per atom and candidate would ask
+    built = []
+
+    def counted(f, _original=refutation):
+        built.append(f)
+        return _original(f)
+
+    monkeypatch.setattr("nmlkit.ael.refutation", counted)
+    rng = random.Random(79)
+    for _ in range(40):
+        sigma = random_ae_theory(rng)
+        atoms = belief_atoms(sigma)
+        built.clear()
+        oracle = entailment_oracle("twdp")
+        expansion_exists(sigma, oracle)
+        assert built == [bel.arg for bel in atoms]
+        asked = entailment_oracle("brute")
+        for mask in range(1 << len(atoms)):
+            entries = tuple((bel, bool(mask >> i & 1)) for i, bel in enumerate(atoms))
+            premises = list(sigma.formulas) + candidate(*entries).literals()
+            for bel, positive in entries:
+                if asked.entails(premises, bel.arg) != positive:
+                    break
+        assert oracle._cache.keys() == asked._cache.keys()
 
 
 def test_mso_agreement():

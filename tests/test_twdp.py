@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from itertools import product
@@ -25,10 +26,16 @@ from nmlkit.formula import (
     lxor3,
     sat_bruteforce,
 )
-from nmlkit.harness import dp_scaling, program_work
+from nmlkit.harness import dp_scaling, peak_live_tables, program_work
 from nmlkit.limits import Limits
-from nmlkit.randgen import random_entailment_query, random_formula_set
-from nmlkit.treewidth import TreeDecomposition, heuristic_decomposition, make_nice, width
+from nmlkit.randgen import random_entailment_query, random_formula, random_formula_set
+from nmlkit.treewidth import (
+    TreeDecomposition,
+    decomposition_from_order,
+    heuristic_decomposition,
+    make_nice,
+    width,
+)
 from nmlkit.twdp import (
     build_constraint_graph,
     dp_implication,
@@ -349,9 +356,9 @@ def _homed_below(cs):
     homed = [set() for _ in cs.program]
     for v, (slot, _) in cs.home.items():
         homed[slot].add(v)
-    for slot, (_, links) in enumerate(cs.program):  # children first
-        for child, _, _ in links:
-            homed[slot] |= homed[child]
+    for slot, (_, parent, _) in enumerate(cs.program):  # children first
+        if parent is not None:
+            homed[parent] |= homed[slot]
     return homed
 
 
@@ -370,8 +377,12 @@ def test_join_instructions_match_bruteforce(monkeypatch):
     for cs in compiled:
         formula_of = {v: f for f, v in cs.cg.vertex_of.items()}
         homed = _homed_below(cs)
-        for _, links in cs.program:
-            sides = [homed[child] for child, _, _ in links if homed[child]]
+        linked: dict[int, list[int]] = {}  # slot -> its linked children
+        for child, (_, parent, _) in enumerate(cs.program):
+            if parent is not None:
+                linked.setdefault(parent, []).append(child)
+        for children in linked.values():
+            sides = [homed[child] for child in children if homed[child]]
             if len(sides) < 2:
                 continue
             pinned = [formula_of[rng.choice(sorted(side))] for side in rng.sample(sides, 2)]
@@ -385,7 +396,91 @@ def test_join_instructions_match_bruteforce(monkeypatch):
 
 
 def test_program_work_linear_at_fixed_width():
+    # one instruction per bag left and one link per bag that shares a vertex
+    # with its parent: 2m - 3 on chain(m)
+    assert (program_work(chain(1000)), program_work(chain(2000))) == (1997, 3997)
     assert program_work(chain(2000)) <= 2.05 * program_work(chain(1000))
+
+
+def _banded(rng, size, band=3):
+    """``size`` random formulas, the k-th over a window of ``band`` of
+    ``size // 2 + band`` variables that slides with k (the shape of the
+    benchmark's banded sets)."""
+    names = [f"x{i}" for i in range(size // 2 + band)]
+    return [
+        random_formula(rng, names[lo:lo + band], max_depth=3)
+        for lo in (k * (len(names) - band) // size for k in range(size))
+    ]
+
+
+@pytest.mark.parametrize("size", [100, 300, 1000, 3000])
+def test_peak_live_tables_logarithmic_on_banded_sets(size):
+    # children come largest subtree first and fold into their parent as soon
+    # as they are done, so an open table's every later sibling subtree is at
+    # most half its parent's: log2(bags) + 1 tables, and one more while the
+    # parent opens at a fold
+    gamma = _banded(random.Random(size), size)
+    bags = len(twdp.compile_set(gamma).program)
+    assert bags >= size // 2
+    assert peak_live_tables(gamma) <= math.log2(bags) + 2
+
+
+def _executor_cases(rng):
+    """(kind, formula set, decomposition or None) for the executor test:
+    random sets, sets over disjoint variables (children that share no vertex
+    with their parent), edgeless universes of variables, constants and
+    belief atoms (the DL lower-bound families' universes are variables and
+    ``F``), and random sets under a caller's decomposition."""
+    for i in range(300):
+        kind = ("random", "disjoint", "edgeless", "caller")[i % 4]
+        if kind == "disjoint":
+            gamma = [*random_formula_set(rng, variables=["p", "q"]),
+                     *random_formula_set(rng, variables=["r", "s"])]
+        elif kind == "edgeless":
+            atoms = [*map(Var, "pqrst"), Const(False), Believes(land(Var("p"), Var("q")))]
+            gamma = rng.sample(atoms, rng.randint(1, len(atoms)))
+        else:
+            gamma = random_formula_set(rng, max_formulas=4, max_subformulae=12,
+                                       allow_believes=True)
+        td = None
+        if kind == "caller":
+            graph = build_constraint_graph(gamma).graph
+            order = list(graph.vertices)
+            rng.shuffle(order)
+            td = decomposition_from_order(graph, order)
+        yield kind, gamma, td
+
+
+def test_run_dp_matches_bruteforce_on_random_pins():
+    # random pin lists on compiled sets, against the truth table of the
+    # pinned formulas; counts the cases the bitset executor must get right
+    rng = random.Random(2024)
+    seen = dict.fromkeys(
+        ("contradiction", "one bag", "edgeless", "unlinked child", "caller"), 0)
+    verdicts = []
+    for kind, gamma, td in _executor_cases(rng):
+        cs = twdp.compile_set(gamma, td)
+        formula_of = {v: f for f, v in cs.cg.vertex_of.items()}
+        for _ in range(6):
+            units = [(rng.choice(list(formula_of)), rng.random() < 0.5)
+                     for _ in range(rng.randint(0, 4))]
+            if units and rng.random() < 0.2:
+                v, value = rng.choice(units)
+                units.append((v, not value))
+            query = [formula_of[v] if value else lnot(formula_of[v]) for v, value in units]
+            verdict = twdp._run_dp(cs.program, cs.home, units)
+            assert verdict == (sat_bruteforce(query) is not None), (kind, gamma, units)
+            verdicts.append(verdict)
+            pinned = dict(units)
+            slots = [cs.home[v][0] for v in pinned]
+            seen["contradiction"] += len(pinned) < len(set(units))
+            seen["one bag"] += len(slots) > len(set(slots))
+        seen["edgeless"] += not cs.cg.graph.edges and len(cs.program) > 1
+        seen["unlinked child"] += any(
+            parent is None for _, parent, _ in cs.program[:-1])
+        seen["caller"] += td is not None and len(cs.program) > 1
+    assert min(seen.values()) >= 20, seen
+    assert verdicts.count(True) >= 200 and verdicts.count(False) >= 200
 
 
 def test_decomposition_missing_a_vertex_is_rejected():
