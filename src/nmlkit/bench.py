@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .errors import ResourceLimitError
@@ -23,6 +23,8 @@ from .limits import Limits
 from .treewidth import exact_treewidth
 from .twdp import compile_set, dp_sat
 
+# the methods each family runs, its default first
+METHODS = {"chain": ("dp", "brute"), "pseudo-clique": ("exact",)}
 CSV_FIELDS = ("family", "param", "n_vertices", "width", "method", "wall_ms", "verdict")
 
 
@@ -37,48 +39,44 @@ class BenchRow:
     verdict: str
 
     def as_record(self) -> dict:
-        return {
-            "family": self.family,
-            "param": self.param,
-            "n_vertices": self.n_vertices,
-            "width": "" if self.width is None else self.width,
-            "method": self.method,
-            "wall_ms": f"{self.wall_ms:.2f}",
-            "verdict": self.verdict,
-        }
+        record = asdict(self)
+        record["width"] = "" if self.width is None else self.width
+        record["wall_ms"] = f"{self.wall_ms:.2f}"
+        return record
 
 
-def run_bench(family: str, sizes: list[int], method: str = "dp") -> list[BenchRow]:
+def run_bench(family: str, sizes: list[int], method: Optional[str] = None) -> list[BenchRow]:
+    """One row per size.  ``method`` defaults to the family's first in
+    ``METHODS``; one the family does not run is a ValueError naming both."""
+    runs = METHODS.get(family)
+    if runs is None:
+        raise ValueError(f"unknown family {family!r}")
+    method = method or runs[0]
+    if method not in runs:
+        raise ValueError(f"family {family!r} does not run method {method!r}, "
+                         f"only {' or '.join(runs)}")
     rows = []
     for size in sizes:
         if family == "chain":
             gamma = chain(size)
             cs = compile_set(gamma, limits=Limits())  # untimed, default caps: sizes the row
-            t0 = time.perf_counter()
-            try:
-                if method == "dp":
-                    verdict = "sat" if dp_sat(gamma) else "unsat"
-                elif method == "brute":
-                    verdict = "sat" if sat_bruteforce(gamma) is not None else "unsat"
-                else:
-                    raise ValueError(f"unknown method {method!r} for chain")
-            except ResourceLimitError:
-                verdict = "resource-limit"
-            ms = (time.perf_counter() - t0) * 1000
-            rows.append(BenchRow("chain", size, cs.cg.graph.n, cs.width, method, ms, verdict))
-        elif family == "pseudo-clique":
+            n, w = cs.cg.graph.n, cs.width
+        else:
             g = gen_pseudo_clique(PseudoCliqueSpec(size, 2))
-            t0 = time.perf_counter()
-            try:
+            n, w = g.n, None
+        t0 = time.perf_counter()
+        try:
+            if method == "exact":
                 w, _ = exact_treewidth(g)
                 verdict = "ok"
-            except ResourceLimitError:
-                w = None
-                verdict = "resource-limit"
-            ms = (time.perf_counter() - t0) * 1000
-            rows.append(BenchRow("pseudo-clique", size, g.n, w, "exact", ms, verdict))
-        else:
-            raise ValueError(f"unknown family {family!r}")
+            elif method == "dp":
+                verdict = "sat" if dp_sat(gamma) else "unsat"
+            else:
+                verdict = "sat" if sat_bruteforce(gamma) is not None else "unsat"
+        except ResourceLimitError:
+            verdict = "resource-limit"
+        ms = (time.perf_counter() - t0) * 1000
+        rows.append(BenchRow(family, size, n, w, method, ms, verdict))
     return rows
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from .ael import expansion_exists, format_ae_theory, parse_ae_theory
-from .bench import rows_to_csv, run_bench
+from .bench import METHODS, rows_to_csv, run_bench
 from .dl import extension_exists, format_default_theory, parse_default_theory
 from .encodings import expansion_existence, extension_existence, mso_encoding
 from .errors import NmlkitError, ResourceLimitError
@@ -434,9 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
 
     p = leaf(sub, "bench", _cmd_bench, help="benchmark runner")
-    p.add_argument("--family", choices=("chain", "pseudo-clique"), required=True)
+    p.add_argument("--family", choices=tuple(METHODS), required=True)
     p.add_argument("--sizes", required=True, help="comma-separated instance sizes")
-    p.add_argument("--method", choices=("dp", "brute", "exact"), default="dp")
+    p.add_argument("--method", help="chain: dp (default) or brute; pseudo-clique: exact")
     p.add_argument("--csv", help="write the CSV summary to this path")
     return parser
 

@@ -408,31 +408,30 @@ def extension_existence(basis: Basis, variant: str = "corrected") -> MsoFormula:
         ),
     )
 
-    def app(gset: str, blocked_cset: str = "C") -> MsoFormula:
-        """Applicability of rule d: prerequisite entailed from gset's
-        conclusions, justification not refuted w.r.t. blocked_cset."""
-        return ExistsFO(
-            "al",
-            ExistsFO(
-                "be",
-                ExistsSO(
-                    "C",
-                    conj(
-                        [
-                            RelAtom("prem", ("al", "d")),
-                            RelAtom("just", ("be", "d")),
-                            _conclusion_set_def("C", gset),
-                            _entails(basis_n, "kb", "C", "al", "x"),
-                            Not(rename_set(entails_neg, "C", blocked_cset)),
-                        ]
-                    ),
+    # applicability of rule d: prerequisite entailed from G's conclusions C,
+    # justification not refuted w.r.t. C
+    app = ExistsFO(
+        "al",
+        ExistsFO(
+            "be",
+            ExistsSO(
+                "C",
+                conj(
+                    [
+                        RelAtom("prem", ("al", "d")),
+                        RelAtom("just", ("be", "d")),
+                        _conclusion_set_def("C", "G"),
+                        _entails(basis_n, "kb", "C", "al", "x"),
+                        Not(entails_neg),
+                    ]
                 ),
             ),
-        )
+        ),
+    )
 
     is_default = lambda z: RelAtom("default", (z,))  # noqa: E731
     stable = ForallFO(
-        "d", Imp(RelAtom("default", ("d",)), Iff(SetAtom("G", "d"), app("G")))
+        "d", Imp(RelAtom("default", ("d",)), Iff(SetAtom("G", "d"), app))
     )
     # Applicability with prerequisites from G1 but blocking w.r.t. G's
     # conclusions: used to state that no proper subset is application-closed.

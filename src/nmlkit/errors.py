@@ -24,9 +24,9 @@ class ResourceLimitError(NmlkitError):
     """Raised when an operation would exceed a configured cap."""
 
 
-def parse_ints(fields: list[str], line: int) -> list[int]:
-    """``fields`` read as integers; a ParseError naming ``line`` otherwise."""
+def parse_ints(fields: list[str]) -> list[int]:
+    """``fields`` read as integers; a ParseError, without a line, otherwise."""
     try:
         return [int(f) for f in fields]
     except ValueError:
-        raise ParseError(f"expected integers, got {' '.join(fields)!r}", line=line) from None
+        raise ParseError(f"expected integers, got {' '.join(fields)!r}") from None

@@ -20,7 +20,7 @@ from .formula import (
     lor,
     lxor3,
 )
-from .structures import Graph
+from .structures import Graph, make_graph
 
 
 @dataclass(frozen=True)
@@ -64,20 +64,13 @@ def gen_pseudo_clique(spec: PseudoCliqueSpec) -> Graph:
     nxt = spec.n + 1
     for (i, j) in sorted(lengths):
         k = lengths[(i, j)]
-        if k == 0:
-            edges.append((i, j))
-            continue
         path = list(range(nxt, nxt + k))
         nxt += k
         for r, v in enumerate(path, start=1):
             labels[v] = "edge"
             descriptions[v] = f"d{r}_{i}_{j}"
-        edges.append((i, path[0]))
-        edges.extend(zip(path, path[1:]))
-        edges.append((path[-1], j))
-    n_total = nxt - 1
-    norm = frozenset((min(u, v), max(u, v)) for u, v in edges)
-    return Graph(n_total, norm, labels, descriptions)
+        edges.extend(zip([i] + path, path + [j]))  # i, d1, ..., dk, j; k = 0 is the edge i-j
+    return make_graph(nxt - 1, edges, labels, descriptions)
 
 
 def gen_dl_lower(n: int, variant: str = "printed") -> DefaultTheory:

@@ -342,18 +342,13 @@ def _miniscope(phi: MsoFormula) -> MsoFormula:
     """
     if isinstance(phi, (Not,) + _BINARY):
         return with_subformulas(phi, [_miniscope(p) for p in subformulas(phi)])
-    if isinstance(phi, And):
+    if isinstance(phi, (And, Or)):
+        # flatten nested junctions of the same kind
         parts = []
         for p in phi.parts:
             q = _miniscope(p)
-            parts.extend(q.parts if isinstance(q, And) else (q,))
-        return conj(parts)
-    if isinstance(phi, Or):
-        parts = []
-        for p in phi.parts:
-            q = _miniscope(p)
-            parts.extend(q.parts if isinstance(q, Or) else (q,))
-        return disj(parts)
+            parts.extend(q.parts if type(q) is type(phi) else (q,))
+        return conj(parts) if type(phi) is And else disj(parts)
     if isinstance(phi, ExistsSO):
         body = _miniscope(phi.body)
         if phi.svar not in free_vars(body)[1]:
@@ -382,20 +377,15 @@ def _miniscope(phi: MsoFormula) -> MsoFormula:
         if v not in free_vars(body)[0]:
             return body
         forall = isinstance(phi, ForallFO)
-        if forall and isinstance(body, And):
+        # ∀ splits over ∧ and ∃ over ∨: the junction the quantifier commutes with
+        junction, join = (And, conj) if forall else (Or, disj)
+        if isinstance(body, junction):
             with_v = [p for p in body.parts if v in free_vars(p)[0]]
             without = [p for p in body.parts if v not in free_vars(p)[0]]
             if without:
-                return conj(without + [_miniscope(ForallFO(v, conj(with_v)))])
+                return join(without + [_miniscope(type(phi)(v, join(with_v)))])
             if len(with_v) > 1:
-                return conj([_miniscope(ForallFO(v, p)) for p in with_v])
-        if not forall and isinstance(body, Or):
-            with_v = [p for p in body.parts if v in free_vars(p)[0]]
-            without = [p for p in body.parts if v not in free_vars(p)[0]]
-            if without:
-                return disj(without + [_miniscope(ExistsFO(v, disj(with_v)))])
-            if len(with_v) > 1:
-                return disj([_miniscope(ExistsFO(v, p)) for p in with_v])
+                return join([_miniscope(type(phi)(v, p)) for p in with_v])
         if forall and isinstance(body, Imp):
             if v not in free_vars(body.right)[0]:
                 return Imp(_miniscope(ExistsFO(v, body.left)), body.right)

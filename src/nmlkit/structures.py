@@ -5,12 +5,15 @@ default theory, an autoepistemic theory) into a finite structure whose
 universe is the deduplicated set of subformulas (plus one element per default
 rule).  Elements are numbered 1..n in post-order of first occurrence, so every
 construction is reproducible.
+
+PACE syntax (``.gr`` here, ``.td`` in ``treewidth``) is read by ``_read_pace``,
+and the ``.labels`` sidecar by ``formula.read_lines``.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .errors import ParseError, parse_ints
 from .formula import (
@@ -23,8 +26,10 @@ from .formula import (
     check_basis,
     format_formula,
     is_propositional,
+    join_lines,
     lnot,
     number_subterms,
+    read_lines,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
@@ -50,18 +55,11 @@ class Vocabulary:
     relations: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        names = [name for name, _ in self.relations]
-        if len(names) != len(set(names)):
+        if len(dict(self.relations)) != len(self.relations):
             raise ValueError("duplicate relation names in vocabulary")
 
-    def __contains__(self, name: str) -> bool:
-        return any(name == n for n, _ in self.relations)
-
     def arity(self, name: str) -> int:
-        for n, a in self.relations:
-            if n == name:
-                return a
-        raise KeyError(name)
+        return dict(self.relations)[name]
 
 
 def _basis_relations(basis: Basis) -> list[tuple[str, int]]:
@@ -323,17 +321,21 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]], labels=None, descriptio
     return Graph(n, norm, labels, descriptions)
 
 
+def primal_graph(n: int, scopes: Iterable[tuple[int, ...]]) -> Graph:
+    """The graph on 1..n with a clique over each scope's distinct vertices,
+    whose sorted pairs are already normalised edges (u < v): the Gaifman
+    graph of a structure, or the constraint graph of the treewidth DP."""
+    edges: set[tuple[int, int]] = set()
+    for scope in scopes:
+        edges.update(itertools.combinations(sorted(set(scope)), 2))
+    return Graph(n, frozenset(edges))
+
+
 def gaifman_graph(s: RelationalStructure) -> Graph:
     """One vertex per universe element; an edge between every pair of elements
-    co-occurring in some relation tuple."""
-    edges = set()
-    for tups in s.relations.values():
-        for t in tups:
-            for i, u in enumerate(t):
-                for v in t[i + 1:]:
-                    if u != v:
-                        edges.add((min(u, v), max(u, v)))
-    return Graph(len(s.universe), frozenset(edges))
+    co-occurring in some relation tuple (a one-element tuple has no pair)."""
+    scopes = (t for tups in s.relations.values() for t in tups if len(t) > 1)
+    return primal_graph(len(s.universe), scopes)
 
 
 def element_descriptions(s: RelationalStructure) -> dict[int, str]:
@@ -352,45 +354,67 @@ def emit_gr(g: Graph) -> str:
     """Canonical .gr text: header then edges sorted ascending, 1-indexed."""
     lines = [f"p tw {g.n} {len(g.edges)}"]
     lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
-    return "\n".join(lines) + "\n"
+    return join_lines(lines)
+
+
+def _read_pace(
+    text: str, header: str, width: int, counted: int, noun: str, body: Callable
+) -> tuple[list[int], int]:
+    """The one reader of PACE header syntax (Dell et al., IPEC 2016), for .gr
+    and .td: it skips blank and ``c`` lines, requires one ``header`` line of
+    ``width`` integers before every other line, passes each other line to
+    ``body(line, *values)``, which says whether it is a ``noun`` line, and
+    requires ``values[counted]`` of those.  Returns the header's integers
+    and line number; a ParseError gets the number of the line it came from."""
+    start = header.split()
+    values = None
+    found = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        try:
+            parts = line.split()
+            if parts[0] == start[0]:
+                if parts[:2] != start or len(parts) != 2 + width:
+                    raise ParseError(f"malformed header: {line!r}")
+                if values is not None:
+                    raise ParseError("duplicate header")
+                values, at = parse_ints(parts[2:]), lineno
+            elif values is None:
+                raise ParseError(f"line before the '{header}' header: {line!r}")
+            elif body(line, *values):
+                found += 1
+                if found > values[counted]:
+                    raise ParseError(f"more {noun} lines than the header's {values[counted]}")
+        except ParseError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+    if values is None:
+        raise ParseError(f"missing '{header}' header")
+    if found != values[counted]:
+        raise ParseError(f"the header says {values[counted]} {noun}s, the file has {found}", line=at)
+    return values, at
 
 
 def parse_gr(text: str) -> Graph:
     """Parse .gr text: distinct edges between distinct vertices in 1..n, as
     many as the header says."""
-    n = None
-    edges = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[:2] != ["p", "tw"]:
-                raise ParseError(f"malformed header: {line!r}", line=lineno)
-            if n is not None:
-                raise ParseError("duplicate header", line=lineno)
-            n, m = parse_ints(parts[2:], lineno)
-            header = lineno
-            continue
+    edges: set[tuple[int, int]] = set()
+
+    def edge_line(line: str, n: int, m: int) -> bool:
         parts = line.split()
         if len(parts) != 2:
-            raise ParseError(f"malformed edge line: {line!r}", line=lineno)
-        if n is None:
-            raise ParseError("edge line before header", line=lineno)
-        u, v = parse_ints(parts, lineno)
+            raise ParseError(f"malformed edge line: {line!r}")
+        u, v = parse_ints(parts)
         if u == v or not (1 <= u <= n and 1 <= v <= n):
-            raise ParseError(f"edge {u} {v} is a self-loop or leaves 1..{n}", line=lineno)
+            raise ParseError(f"edge {u} {v} is a self-loop or leaves 1..{n}")
         edge = (min(u, v), max(u, v))
         if edge in edges:
-            raise ParseError(f"repeated edge {u} {v}", line=lineno)
-        if len(edges) == m:
-            raise ParseError(f"more edge lines than the header's {m}", line=lineno)
+            raise ParseError(f"repeated edge {u} {v}")
         edges.add(edge)
-    if n is None:
-        raise ParseError("missing 'p tw' header")
-    if len(edges) != m:
-        raise ParseError(f"the header says {m} edges, the file has {len(edges)}", line=header)
+        return True
+
+    (n, _), _ = _read_pace(text, "p tw", 2, 1, "edge", edge_line)
     return Graph(n, frozenset(edges))
 
 
@@ -398,28 +422,26 @@ def emit_labels(g: Graph) -> str:
     """Sidecar vertex labels: ``<id> <main|edge|none> <description>``."""
     labels = g.labels or {}
     descriptions = g.descriptions or {}
-    lines = []
-    for v in g.vertices:
-        label = labels.get(v, "none")
-        desc = descriptions.get(v, "-")
-        lines.append(f"{v} {label} {desc}")
-    return "\n".join(lines) + "\n"
+    return join_lines(
+        f"{v} {labels.get(v, 'none')} {descriptions.get(v, '-')}" for v in g.vertices
+    )
 
 
 def parse_labels(text: str) -> tuple[dict[int, str], dict[int, str]]:
+    """Parse .labels text, a line format read by ``formula.read_lines``."""
     labels: dict[int, str] = {}
     descriptions: dict[int, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+
+    def label_line(_, line: str) -> None:
         parts = line.split(maxsplit=2)
         if len(parts) < 2 or parts[1] not in ("main", "edge", "none"):
-            raise ParseError(f"malformed label line: {line!r}", line=lineno)
-        v = parse_ints(parts[:1], lineno)[0]
+            raise ParseError(f"malformed label line: {line!r}")
+        v = parse_ints(parts[:1])[0]
         if v < 1 or v in labels:
             why = "is repeated" if v > 0 else "is not positive"
-            raise ParseError(f"vertex {v} {why}", line=lineno)
+            raise ParseError(f"vertex {v} {why}")
         labels[v] = parts[1]
         descriptions[v] = parts[2] if len(parts) == 3 else "-"
+
+    read_lines(text, label_line)
     return labels, descriptions

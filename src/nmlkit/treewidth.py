@@ -1,5 +1,6 @@
 """Tree decompositions: validation, width, heuristic and exact computation,
-nice form, pseudo-clique theory, and PACE-style .td I/O.
+nice form, pseudo-clique theory, and PACE-style .td I/O, whose header syntax
+``structures._read_pace`` reads, as it does for .gr.
 
 Pseudo-cliques are handled by undoing subdivisions: a degree-2 vertex is
 replaced by an edge between its two neighbours that remembers the path it
@@ -18,8 +19,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ParseError, parse_ints
+from .formula import join_lines
 from .limits import Limits, check
-from .structures import Graph, adjacency_sets
+from .structures import Graph, _read_pace, adjacency_sets
 
 
 @dataclass(frozen=True)
@@ -541,11 +543,12 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
 
 def _unsubdivide(
     adj: dict[int, set[int]], route: dict[tuple[int, int], list[int]], v: int
-) -> tuple[int, int, list[int]]:
-    """Remove the degree-2 vertex ``v`` from ``adj``; return its neighbours
-    a < b and the route a-v-b, read from a.  ``route`` maps each edge (u, w),
-    u < w, to the removed vertices it stands for, read from u; the routes of
-    a-v and v-b leave it, and joining a to b is the caller's choice."""
+) -> bool:
+    """Undo the subdivision at the degree-2 vertex ``v``: remove it from
+    ``adj`` and, unless its neighbours a < b are adjacent already, join them
+    by an edge whose route is a-v-b, read from a; returns whether it did.
+    ``route`` maps each edge (u, w), u < w, to the removed vertices it stands
+    for, read from u; the routes of a-v and v-b leave it."""
     a, b = sorted(adj[v])
     left = route.pop((a, v) if a < v else (v, a))
     right = route.pop((v, b) if v < b else (b, v))
@@ -556,7 +559,12 @@ def _unsubdivide(
     adj[a].discard(v)
     adj[b].discard(v)
     del adj[v]
-    return a, b, left + [v] + right
+    if b in adj[a]:
+        return False
+    adj[a].add(b)
+    adj[b].add(a)
+    route[(a, b)] = left + [v] + right
+    return True
 
 
 def pseudo_clique_paths(
@@ -583,12 +591,8 @@ def pseudo_clique_paths(
         # undoing keeps every other degree, so a degree read now is final
         if len(adj[v]) != 2:
             return None
-        a, b, path = _unsubdivide(adj, route, v)
-        if b in adj[a]:
+        if not _unsubdivide(adj, route, v):
             return None
-        adj[a].add(b)
-        adj[b].add(a)
-        route[(a, b)] = path
     if any(len(adj[m]) != len(mains) - 1 for m in mains):
         return None
     return route
@@ -638,9 +642,7 @@ def normalize_pseudo(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
         for b in touched:
             bags[b] = (bags[b] - path_set) | {j}
         anchor = next(b for b in sorted(bags) if i in bags[b] and j in bags[b])
-        chain_bags = [frozenset({i, path[0], j})]
-        for prev, here in zip(path, path[1:]):
-            chain_bags.append(frozenset({prev, here, j}))
+        chain_bags = [frozenset({prev, here, j}) for prev, here in zip([i] + path, path)]
         attach = anchor
         for bag in chain_bags:
             bags[next_id] = bag
@@ -689,11 +691,7 @@ def pseudo_clique_lower_bound(g: Graph, *, limits: Limits | None = None) -> int:
         changed = False
         for v in sorted(adj):
             if len(adj[v]) == 2:
-                a, b, path = _unsubdivide(adj, route, v)
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-                    route[(a, b)] = path
+                _unsubdivide(adj, route, v)
                 changed = True
                 break
     clique = _max_clique(adj)
@@ -722,7 +720,7 @@ def emit_td(td: TreeDecomposition, n_vertices: int) -> str:
         verts = " ".join(str(v) for v in sorted(td.bags[bid]))
         lines.append(f"b {bid} {verts}".rstrip())
     lines.extend(f"{u} {v}" for u, v in sorted(td.edges))
-    return "\n".join(lines) + "\n"
+    return join_lines(lines)
 
 
 def parse_td(text: str) -> tuple[TreeDecomposition, int]:
@@ -731,48 +729,31 @@ def parse_td(text: str) -> tuple[TreeDecomposition, int]:
     Returns the decomposition and the declared vertex count."""
     bags: dict[int, frozenset[int]] = {}
     edges: set[tuple[int, int]] = set()
-    declared_n = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+
+    def bag_or_edge_line(line: str, n_bags: int, max_bag: int, n: int) -> bool:
         parts = line.split()
-        if parts[0] == "s":
-            if len(parts) != 5 or parts[1] != "td":
-                raise ParseError(f"malformed solution line: {line!r}", line=lineno)
-            if declared_n is not None:
-                raise ParseError("duplicate solution line", line=lineno)
-            n_bags, max_bag, declared_n = parse_ints(parts[2:], lineno)
-            header = lineno
-        elif parts[0] == "b":
-            if declared_n is None:
-                raise ParseError("bag line before solution line", line=lineno)
+        if parts[0] == "b":
             if len(parts) < 2:
-                raise ParseError(f"malformed bag line: {line!r}", line=lineno)
-            bid, *verts = parse_ints(parts[1:], lineno)
+                raise ParseError(f"malformed bag line: {line!r}")
+            bid, *verts = parse_ints(parts[1:])
             if bid in bags:
-                raise ParseError(f"duplicate bag id {bid}", line=lineno)
-            if not all(1 <= v <= declared_n for v in verts):
-                raise ParseError(f"bag {bid} has a vertex outside 1..{declared_n}", line=lineno)
-            if len(bags) == n_bags:
-                raise ParseError(f"more bag lines than the header's {n_bags}", line=lineno)
+                raise ParseError(f"duplicate bag id {bid}")
+            if not all(1 <= v <= n for v in verts):
+                raise ParseError(f"bag {bid} has a vertex outside 1..{n}")
             bags[bid] = frozenset(verts)
-        else:
-            if declared_n is None:
-                raise ParseError("edge line before solution line", line=lineno)
-            if len(parts) != 2:
-                raise ParseError(f"malformed tree-edge line: {line!r}", line=lineno)
-            u, v = parse_ints(parts, lineno)
-            edge = (min(u, v), max(u, v))
-            if edge in edges:
-                raise ParseError(f"repeated tree edge {u} {v}", line=lineno)
-            edges.add(edge)
-    if declared_n is None:
-        raise ParseError("missing 's td' line")
-    if len(bags) != n_bags:
-        raise ParseError(f"the header says {n_bags} bags, the file has {len(bags)}", line=header)
+            return True
+        if len(parts) != 2:
+            raise ParseError(f"malformed tree-edge line: {line!r}")
+        u, v = parse_ints(parts)
+        edge = (min(u, v), max(u, v))
+        if edge in edges:
+            raise ParseError(f"repeated tree edge {u} {v}")
+        edges.add(edge)
+        return False
+
+    (_, max_bag, n), header = _read_pace(text, "s td", 3, 0, "bag", bag_or_edge_line)
     largest = max(map(len, bags.values()), default=0)
     if largest != max_bag:
         raise ParseError(f"the header says the largest bag has {max_bag} vertices, "
                          f"the file's has {largest}", line=header)
-    return TreeDecomposition(bags, frozenset(edges)), declared_n
+    return TreeDecomposition(bags, frozenset(edges)), n

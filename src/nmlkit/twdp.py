@@ -68,7 +68,7 @@ from .formula import (
     sat_bruteforce,
 )
 from .limits import Limits, check
-from .structures import Graph
+from .structures import Graph, primal_graph
 from .treewidth import TreeDecomposition, heuristic_decomposition, validate_decomposition, width
 # not called here: perfbench/layers.py wraps twdp.make_nice by name
 from .treewidth import make_nice  # noqa: F401
@@ -101,14 +101,11 @@ class ConstraintGraph:
 
 
 def constraint_graph(n: int, constraints: Iterable, vertex_of: dict) -> ConstraintGraph:
-    """The constraints over vertices 1..n with their primal graph: the
-    clique over each scope's distinct vertices, whose sorted pairs are
-    already normalised edges (u < v), as the graph keeps them."""
+    """The constraints over vertices 1..n with their primal graph, the clique
+    over each scope's distinct vertices (``structures.primal_graph``)."""
     constraints = tuple(constraints)
-    edges: set[tuple[int, int]] = set()
-    for scope, _ in constraints:
-        edges.update(itertools.combinations(sorted(set(scope)), 2))
-    return ConstraintGraph(Graph(n, frozenset(edges)), constraints, vertex_of)
+    graph = primal_graph(n, [scope for scope, _ in constraints])
+    return ConstraintGraph(graph, constraints, vertex_of)
 
 
 def build_constraint_graph(gamma: Iterable[Formula]) -> ConstraintGraph:

@@ -305,6 +305,24 @@ def test_bench_check_follows_the_verdict(capsys, monkeypatch):
     assert payload["checks"] == [{"name": "chain/5", "passed": False, "detail": "unsat"}]
 
 
+@pytest.mark.parametrize(
+    "family, method, default",
+    [("chain", "exact", "dp"), ("pseudo-clique", "brute", "exact"), ("pseudo-clique", "dp", "exact")],
+)
+def test_bench_method_follows_the_family(capsys, family, method, default):
+    # a method the family does not run is a usage error naming both
+    assert main(["bench", "--family", family, "--sizes", "3", "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"family {family!r} does not run method {method!r}" in captured.err
+    # without --method the family's own method runs, and the row says so
+    assert main(["bench", "--family", family, "--sizes", "3"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[0] == family and row[4] == default and row[6] in ("sat", "ok")
+    assert main(["bench", "--family", family, "--sizes", "3", "--method", default]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[4] == default
+
+
 def test_verify_paper_quick(capsys):
     code = main(["verify-paper", "--quick"])
     out = capsys.readouterr().out
