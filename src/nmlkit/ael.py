@@ -59,16 +59,23 @@ def is_full(
     candidate: FullSetCandidate,
     oracle: Optional[EntailmentOracle] = None,
     refutations: Optional[list[Formula]] = None,
+    negations: Optional[list[Formula]] = None,
 ) -> bool:
     """The candidate is full iff, for each belief atom L-phi, the theory plus
     the candidate's literals entails phi exactly when the atom is positive,
     that is, is unsatisfiable with phi's ``refutation`` exactly then.
-    ``refutations`` are those of the atoms' arguments, in entry order, for a
-    caller that asks about many candidates; they are built here when None."""
+    ``refutations`` are those of the atoms' arguments and ``negations`` the
+    negated atoms, both in entry order, for a caller that asks about many
+    candidates; each is built here when None."""
     oracle = oracle or entailment_oracle("brute")
     if refutations is None:
         refutations = [refutation(bel.arg) for bel, _ in candidate.entries]
-    premises = list(sigma.formulas) + candidate.literals()
+    if negations is None:
+        negations = [lnot(bel) for bel, _ in candidate.entries]
+    premises = [*sigma.formulas, *(
+        bel if positive else negated
+        for (bel, positive), negated in zip(candidate.entries, negations)
+    )]
     for (_, positive), refuted in zip(candidate.entries, refutations):
         if oracle.satisfiable(premises + [refuted]) == positive:
             return False
@@ -85,18 +92,20 @@ def expansion_exists(
     first) and return the full ones, charging ``Limits.search_nodes`` up
     front for all 2^(k+1) - 1 nodes of the decision tree over k belief atoms.
     The oracle compiles the theory's universe once: its formulas and every
-    belief atom's argument."""
+    belief atom's argument.  The atoms' refutations and negations are built
+    once, too, and handed to every ``is_full``."""
     oracle = oracle or entailment_oracle("brute")
     atoms = belief_atoms(sigma)
     check(limits, "search_nodes", (2 << len(atoms)) - 1, "AEL expansion search: node count")
     oracle.compile_universe([*sigma.formulas, *(bel.arg for bel in atoms)])
     refutations = [refutation(bel.arg) for bel in atoms]
+    negations = [lnot(bel) for bel in atoms]
     found = []
     for mask in range(1 << len(atoms)):
         candidate = FullSetCandidate(
             tuple((bel, bool((mask >> i) & 1)) for i, bel in enumerate(atoms))
         )
-        if is_full(sigma, candidate, oracle, refutations):
+        if is_full(sigma, candidate, oracle, refutations, negations):
             found.append(candidate)
     return bool(found), found
 

@@ -72,21 +72,31 @@ class ExtensionWitness:
 
 
 def _blocked(
-    theory: DefaultTheory, chosen: Iterable[int], oracle: EntailmentOracle
+    theory: DefaultTheory,
+    chosen: Iterable[int],
+    oracle: EntailmentOracle,
+    known: frozenset[int] = frozenset(),
+    possible: Optional[frozenset[int]] = None,
 ) -> frozenset[int]:
     """Rules whose negated justification follows from the knowledge base
     plus the conclusions of ``chosen``, that is, whose justification is
     inconsistent with them.  Monotone in ``chosen``; if those premises are
-    inconsistent every rule is blocked, which one query settles."""
+    inconsistent every rule is blocked, which one query settles.  A caller
+    that knows the blocked sets of a subset and a superset of ``chosen``
+    passes them as ``known`` and ``possible``, and only the rules between
+    the two are asked about.  A ``possible`` short of every rule comes from
+    a consistent superset, so ``chosen``'s premises are consistent too."""
     rules = theory.defaults
+    if possible is not None and len(possible) == len(known):
+        return known
     closure = list(theory.knowledge) + [rules[i - 1].conclusion for i in sorted(chosen)]
-    if not oracle.satisfiable(closure):
-        return frozenset(range(1, len(rules) + 1))
-    return frozenset(
-        i
-        for i in range(1, len(rules) + 1)
-        if not oracle.satisfiable([*closure, rules[i - 1].justification])
-    )
+    if possible is None or len(possible) == len(rules):
+        if not oracle.satisfiable(closure):
+            return frozenset(range(1, len(rules) + 1))
+    asked = range(1, len(rules) + 1) if possible is None else sorted(possible - known)
+    return known.union([
+        i for i in asked if not oracle.satisfiable([*closure, rules[i - 1].justification])
+    ])
 
 
 def _least_fixpoint(
@@ -151,12 +161,16 @@ def extension_exists(
         LO = fix(blocked(IN | OPEN))  <=  applied(C)  <=  UP = fix(blocked(IN)).
 
     A witness has applied(C) = C, so the node is pruned when IN is not
-    within UP or when LO meets OUT.  Nodes ``(k, IN, OUT, LO, UP)`` wait on
-    an explicit stack.  The OUT child keeps its parent's UP and the IN child
-    its parent's LO; the other bound is None until the child is popped, so
-    the oracle sees the queries in depth-first order.  A surviving leaf has
-    LO = UP = IN and is confirmed by ``stage_fixpoint``, whose queries are
-    all cache hits by then.  Each popped node counts against
+    within UP or when LO meets OUT.  Nodes ``(k, IN, OUT, LO, UP, FLOOR,
+    CEILING)`` wait on an explicit stack.  The OUT child keeps its parent's
+    UP and the IN child its parent's LO; the other bound is None until the
+    child is popped, so the oracle sees the queries in depth-first order.
+    A child's IN and IN | OPEN both lie between its parent's, so by
+    monotonicity their blocked sets lie between the parent's blocked(IN)
+    (FLOOR) and blocked(IN | OPEN) (CEILING), which every child inherits:
+    ``_blocked`` then asks only about the rules in CEILING - FLOOR.  A
+    surviving leaf has LO = UP = IN and is confirmed by ``stage_fixpoint``.
+    Each popped node counts against
     ``Limits.search_nodes``; m rules give at most 2^(m+1) - 1 nodes.  The
     oracle compiles the theory's universe once: the knowledge and every
     rule's prerequisite, justification and conclusion.
@@ -169,14 +183,11 @@ def extension_exists(
         *(p for r in theory.defaults for p in (r.prerequisite, r.justification, r.conclusion)),
     ])
 
-    def bound(chosen: frozenset[int]) -> frozenset[int]:
-        return _least_fixpoint(theory, _blocked(theory, chosen, oracle), oracle)
-
     witnesses: list[ExtensionWitness] = []
     nodes = 0
-    stack = [(m, frozenset(), frozenset(), None, None)]
+    stack = [(m, frozenset(), frozenset(), None, None, frozenset(), None)]
     while stack:
-        k, chosen, out, lo, up = stack.pop()
+        k, chosen, out, lo, up, floor, ceiling = stack.pop()
         nodes += 1
         if nodes > budget:
             where = f"deciding rule {k}" if k else "confirming a leaf"
@@ -185,9 +196,11 @@ def extension_exists(
                 f"search_nodes={budget} while {where}"
             )
         if lo is None:
-            lo = bound(chosen | frozenset(range(1, k + 1)))
+            ceiling = _blocked(theory, chosen | frozenset(range(1, k + 1)), oracle, floor, ceiling)
+            lo = _least_fixpoint(theory, ceiling, oracle)
         if up is None:
-            up = bound(chosen)
+            floor = _blocked(theory, chosen, oracle, floor, ceiling)
+            up = _least_fixpoint(theory, floor, oracle)
         if not chosen <= up or lo & out:
             continue
         if k == 0:
@@ -200,9 +213,9 @@ def extension_exists(
         # already prunes the OUT child and rule k outside UP the IN child;
         # the OUT child is pushed last, so its subtree is searched first
         if k in up:
-            stack.append((k - 1, chosen | {k}, out, lo, None))
+            stack.append((k - 1, chosen | {k}, out, lo, None, floor, ceiling))
         if k not in lo:
-            stack.append((k - 1, chosen, out | {k}, None, up))
+            stack.append((k - 1, chosen, out | {k}, None, up, floor, ceiling))
     return bool(witnesses), witnesses
 
 

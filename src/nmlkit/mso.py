@@ -52,7 +52,7 @@ from .errors import ResourceLimitError
 from .formula import _LIVE, Node, _make
 from .limits import Limits, check, get_limits
 from .structures import RelationalStructure
-from .twdp import CompiledSet, _run_dp, compile_graph, constraint_graph
+from .twdp import CompiledSet, _run_dp, compile_graph, constraint_graph, vertex_pins
 
 
 class MsoFormula(Node):
@@ -663,7 +663,7 @@ def _guarded(phi: Union[ExistsSO, ForallSO], search: _Run) -> Optional[_Run]:
         for units in runs:
             ev.steps += len(cs.program)
             ev.tick()
-            if _run_dp(cs.program, cs.home, units.items()):
+            if _run_dp(cs.program, vertex_pins(cs.home, units.items())):
                 return True
         return False
 

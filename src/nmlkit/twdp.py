@@ -14,17 +14,21 @@ stops at ``L``, so what occurs only under it gets no vertex.
 A formula set is compiled once (``compile_set``): its constraint graph, one
 min-fill decomposition, and from that the DP *program*
 (``compile_graph``, which also compiles the constraint graph the MSO
-evaluator instantiates from guarded clauses).  A query over it
-only *pins units*: a formula ``f`` pins its vertex to true, a negation
-``!g`` pins ``g``'s vertex to false, and contradictory pins answer unsat at
-once.  This is sound for any query over the compiled set, however little of
-it the query mentions: every operator vertex is a function of its children,
-variables and ``L`` atoms are free leaves, and constants are pinned, so
-every assignment of the leaves extends to exactly one labeling that meets
-all local constraints, and the labelings that meet the pins are exactly the
+evaluator instantiates from guarded clauses).  A query over it only *pins
+slots*: a formula ``f`` pins the home slot of its vertex (the top bag that
+holds it) to the rows where the vertex is true, a negation ``!g`` pins
+``g``'s home slot to the complement, and pins on one slot are ANDed, so
+contradictory pins leave its table empty.  Each formula's pin ``(slot,
+mask)`` is worked out the first time a query names it and memoised on the
+compiled set, so a query's pins cost one lookup per formula.  This is sound
+for any query over the compiled set, however little of it the query
+mentions: every operator vertex is a function of its children, variables
+and ``L`` atoms are free leaves, and constants are pinned, so every
+assignment of the leaves extends to exactly one labeling that meets all
+local constraints, and the labelings that meet the pins are exactly the
 models of the query.  The entailment oracle compiles a theory's *universe*
 once (``EntailmentOracle.compile_universe``) and answers each of its
-queries by pinning units; ``dp_sat`` on its own compiles its set and pins
+queries by pinning slots; ``dp_sat`` on its own compiles its set and pins
 the set's formulas the same way.  A query with a formula outside the
 universe, or a universe wider than ``Limits.dp_width``, is compiled on its
 own.
@@ -37,11 +41,11 @@ time (a labeling is a bitmask, bit i = the i-th smallest vertex of the
 bag), and its *table* is a bitset over those rows.  A bag that shares
 vertices with its parent carries the *link* to it: per labeling of the
 shared vertices, the rows of either bag that give it.  The executor,
-``_run_dp``, is one loop over the program, on ints only: a pin ANDs its
-home table with the rows where the vertex is true (or the complement), and
-a finished table is folded into its parent at once, which keeps the rows
-of the classes the child's table meets; a bottom-up semijoin pass
-(Yannakakis, VLDB 1981; the scheme of Gottlob, Pichler and Wei, AIJ 2010).
+``_run_dp``, is one loop over the program, on ints only: a table opens
+ANDed with its slot's pins, and a finished table is folded into its parent
+at once, which keeps the rows of the classes the child's table meets; a
+bottom-up semijoin pass (Yannakakis, VLDB 1981; the scheme of Gottlob,
+Pichler and Wei, AIJ 2010).
 Children come first and, among siblings, largest subtree first, and a
 parent's table opens at its first finished child, so at most
 log2(bags) + 1 tables are open at once (the heavy-path argument; Bodlaender
@@ -53,7 +57,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import ResourceLimitError
@@ -215,12 +219,15 @@ class CompiledSet:
     give it.  Any other bag has ``parent`` and ``classes`` None.
     ``home[v]`` is ``(slot, rows)`` of the bag where a pin on vertex ``v``
     is checked, the top bag that holds ``v``, with the bitset of its rows
-    that set ``v`` true."""
+    that set ``v`` true.  ``pins`` memoises, per formula a query has named,
+    its pin ``(slot, mask)``: the home slot of its negation-free core and
+    the rows there that make the formula true (``_pins``)."""
 
     cg: ConstraintGraph
     width: int
     program: list[tuple]
     home: dict[int, tuple[int, int]]
+    pins: dict[Formula, tuple[int, int]] = field(default_factory=dict, compare=False)
 
 
 def compile_set(
@@ -257,24 +264,47 @@ def compile_graph(
     return CompiledSet(cg, w, *_plan(cg, td))
 
 
-def _units(
-    vertex_of: dict[Formula, int], gamma: Iterable[Formula]
-) -> Optional[list[tuple[int, bool]]]:
-    """The pins ``(vertex, value)`` that make every formula of ``gamma``
-    true: a formula pins its vertex to true, and a negation ``!g`` pins
-    ``g``'s vertex to false instead (through any number of negations), which
-    is the same, since a vertex of ``!g`` is a function of ``g``'s.  None
-    when some formula's negation-free core has no vertex."""
-    units = []
+def _pins(compiled: CompiledSet, gamma: Iterable[Formula]) -> Optional[dict[int, int]]:
+    """The pins that make every formula of ``gamma`` true on ``compiled``,
+    ANDed per slot: slot -> the rows its pins allow.  A formula's pin is
+    ``(slot, mask)``: the home of its negation-free core's vertex, with the
+    rows where that vertex is true, or their complement under an odd number
+    of negations, since a vertex of ``!g`` is a function of ``g``'s.  Each
+    pin is worked out the first time a query names its formula and then
+    read from ``compiled.pins``.  None when some formula's core has no
+    vertex; the memo is then left as it was."""
+    memo = compiled.pins
+    size = len(memo)
+    pins: dict[int, int] = {}
     for f in gamma:
-        value = True
-        while f.__class__ is App and f.op == "not":
-            f, value = f.args[0], not value
-        v = vertex_of.get(f)
-        if v is None:
-            return None
-        units.append((v, value))
-    return units
+        pin = memo.get(f)
+        if pin is None:
+            core, value = f, True
+            while core.__class__ is App and core.op == "not":
+                core, value = core.args[0], not value
+            v = compiled.cg.vertex_of.get(core)
+            if v is None:
+                for added in list(memo)[size:]:  # a dict keeps insertion order
+                    del memo[added]
+                return None
+            slot, rows = compiled.home[v]
+            pin = memo[f] = slot, rows if value else ~rows
+        slot, mask = pin
+        pins[slot] = pins.get(slot, -1) & mask
+    return pins
+
+
+def vertex_pins(
+    home: dict[int, tuple[int, int]], units: Iterable[tuple[int, bool]]
+) -> dict[int, int]:
+    """The pins of vertices to values (``units``, pairs ``(vertex, value)``)
+    over their ``home`` bags, ANDed per slot as ``_pins`` does for
+    formulas: slot -> the rows where each of its vertices has its value."""
+    pins: dict[int, int] = {}
+    for v, value in units:
+        slot, rows = home[v]
+        pins[slot] = pins.get(slot, -1) & (rows if value else ~rows)
+    return pins
 
 
 def dp_sat(
@@ -286,17 +316,17 @@ def dp_sat(
 ) -> bool:
     """Satisfiability of a formula set by DP over a tree decomposition.
     With ``universe``, a compiled set whose vertices cover every formula of
-    ``gamma`` once its negations are peeled, the formulas are pinned as
-    units on it;
-    otherwise ``gamma`` is compiled on its own (over ``td`` when given) and
-    its formulas pinned on that."""
+    ``gamma`` once its negations are peeled, each formula pins one slot of
+    the universe's program, through the universe's memo of pins
+    (``_pins``); otherwise ``gamma`` is compiled on its own (over ``td``
+    when given) and its formulas pinned on that."""
     gamma = tuple(gamma)
     compiled = universe
-    units = None if compiled is None else _units(compiled.cg.vertex_of, gamma)
-    if units is None:
+    pins = None if compiled is None else _pins(compiled, gamma)
+    if pins is None:
         compiled = compile_set(gamma, td, limits=limits)
-        units = _units(compiled.cg.vertex_of, gamma)
-    return _run_dp(compiled.program, compiled.home, units)
+        pins = _pins(compiled, gamma)
+    return _run_dp(compiled.program, pins)
 
 
 def _rooted(td: TreeDecomposition) -> tuple[list[int], dict[int, Optional[int]]]:
@@ -388,23 +418,17 @@ def _plan(
     return program, home
 
 
-def _run_dp(
-    program: list[tuple], home: dict[int, tuple[int, int]], units: Iterable[tuple[int, bool]]
-) -> bool:
+def _run_dp(program: list[tuple], pins: dict[int, int]) -> bool:
     """One loop over the bag program, on tables that are bitsets over their
-    bag's rows.  A pin ANDs its home table with the rows where its vertex
-    is true, or with their complement, so contradictory pins leave it empty.
-    A table opens, with its pins, at its bag's first finished linked child,
-    or at its own instruction; there it is done, and is folded into its
-    parent at once: the parent keeps the rows in the classes this table
-    meets.  Each finished table thus holds the bag labelings that extend to
-    its subtree, and the set is satisfiable iff the root's is nonempty; an
-    empty table answers unsat at once.  An open table is never empty, so
-    a missing one reads as 0."""
-    pins: dict[int, int] = {}  # slot -> the rows its pins allow
-    for v, value in units:
-        slot, rows = home[v]
-        pins[slot] = pins.get(slot, -1) & (rows if value else ~rows)
+    bag's rows.  ``pins`` maps a slot to the rows its pins allow (``_pins``,
+    ``vertex_pins``); a table opens, ANDed with its slot's pins, at its
+    bag's first finished linked child, or at its own instruction, so
+    contradictory pins leave it empty.  At its own instruction a table is
+    done, and is folded into its parent at once: the parent keeps the rows
+    in the classes this table meets.  Each finished table thus holds the
+    bag labelings that extend to its subtree, and the set is satisfiable
+    iff the root's is nonempty; an empty table answers unsat at once.  An
+    open table is never empty, so a missing one reads as 0."""
     tables: dict[int, int] = {}  # slot -> its open table
     for slot, (full, parent, classes) in enumerate(program):
         table = tables.pop(slot, 0) or full & pins.get(slot, -1)
@@ -456,7 +480,7 @@ class EntailmentOracle:
 
     def compile_universe(self, universe: Iterable[Formula]) -> None:
         """Compile, once, the formulas the coming queries are about: each
-        query then only pins units on the compiled set.  A universe wider
+        query then only pins slots of the compiled set.  A universe wider
         than ``Limits.dp_width`` is dropped, and each query is compiled on
         its own, as is a query with a formula outside the universe.  The
         brute kind ignores the universe."""

@@ -182,6 +182,22 @@ class _CountingOracle(EntailmentOracle):
         return super().satisfiable(formulas)
 
 
+def test_search_nodes_inherit_blocked_rules():
+    # each node asks only about the rules between its parent's blocked(IN)
+    # and blocked(IN | OPEN); asking about every rule at every node made
+    # 17,211 calls on these theories
+    calls = 0
+    for seed in range(300):
+        theory = random_literal_default_theory(random.Random(seed), max_rules=7)
+        oracle = _CountingOracle("twdp")
+        exists, witnesses = extension_exists(theory, oracle)
+        calls += oracle.calls
+        expected = _enumerated_witnesses(theory, entailment_oracle("brute"))
+        assert [w.generating for w in witnesses] == expected
+        assert exists == bool(expected)
+    assert calls == 14462
+
+
 def test_search_work_grows_polynomially_on_lower_bound_family():
     calls = {}
     for n in (4, 5, 6, 8):

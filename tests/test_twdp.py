@@ -256,7 +256,7 @@ def test_oracle_kind_validation():
 
 
 # ---------------------------------------------------------------------------
-# Compiled universes: one decomposition per theory, units per query
+# Compiled universes: one decomposition per theory, slot pins per query
 # ---------------------------------------------------------------------------
 
 
@@ -303,6 +303,106 @@ def test_query_outside_the_universe_is_compiled_on_its_own():
         assert oracle.satisfiable(gamma) == (sat_bruteforce(gamma) is not None)
         assert dp_sat(gamma, universe=oracle._universe) == dp_sat(gamma)
     assert oracle.entails([land(p, q)], lor(p, r)) is True
+
+
+def _negated(f, times):
+    for _ in range(times):
+        f = lnot(f)
+    return f
+
+
+def test_pinned_queries_on_one_universe_match_bruteforce(monkeypatch):
+    # many queries per universe, so that most pins come from the memo,
+    # with up to three negations around each subterm
+    rng = random.Random(2626)
+    compiled = [twdp.compile_set(random_formula_set(rng, max_subformulae=10, allow_believes=True))
+                for _ in range(150)]
+    _no_recompile(monkeypatch)
+    verdicts = []
+    for cs in compiled:
+        subterms = list(cs.cg.vertex_of)
+        for _ in range(8):
+            query = [_negated(f, rng.randint(0, 3))
+                     for f in rng.sample(subterms, rng.randint(1, min(4, len(subterms))))]
+            verdict = dp_sat(query, universe=cs)
+            assert verdict == (sat_bruteforce(query) is not None), query
+            verdicts.append(verdict)
+    assert verdicts.count(True) >= 300 and verdicts.count(False) >= 300
+
+
+def test_a_pin_is_memoised_once(monkeypatch):
+    p, q, r = Var("p"), Var("q"), Var("r")
+    cs = twdp.compile_set([land(p, q), lor(q, r)])
+    _no_recompile(monkeypatch)
+    assert dp_sat([land(p, q), lnot(r)], universe=cs) is True
+    memo = dict(cs.pins)
+    assert set(memo) == {land(p, q), lnot(r)}
+    assert dp_sat([lnot(r), land(p, q)], universe=cs) is True
+    assert dp_sat([land(p, q)], universe=cs) is True
+    assert cs.pins == memo
+
+
+def test_negations_pin_as_their_core(monkeypatch):
+    p, q = Var("p"), Var("q")
+    f = lor(p, q)
+    cs = twdp.compile_set([f])
+    _no_recompile(monkeypatch)
+    slot, rows = cs.home[cs.cg.vertex_of[f]]
+    for times, mask in ((0, rows), (1, ~rows), (2, rows), (3, ~rows)):
+        assert twdp._pins(cs, [_negated(f, times)]) == {slot: mask}
+    assert cs.pins[lnot(lnot(f))] == cs.pins[f]
+    assert cs.pins[lnot(lnot(lnot(f)))] == cs.pins[lnot(f)]
+
+
+def test_contradictory_pins_on_one_slot_answer_false(monkeypatch):
+    p, q = Var("p"), Var("q")
+    f = land(p, lnot(q))
+    cs = twdp.compile_set([f])
+    _no_recompile(monkeypatch)
+    for query in ([f, lnot(f)], [lnot(lnot(f)), lnot(f)], [p, lnot(lnot(lnot(p)))]):
+        (slot, mask), = twdp._pins(cs, query).items()
+        assert cs.program[slot][0] & mask == 0
+        assert dp_sat(query, universe=cs) is False
+
+
+def test_query_outside_the_universe_leaves_the_memo_unchanged(monkeypatch):
+    p, q, r = Var("p"), Var("q"), Var("r")
+    cs = twdp.compile_set([land(p, q)])
+    assert dp_sat([land(p, q)], universe=cs) is True
+    memo = dict(cs.pins)
+    compiled = []
+
+    def counted(*args, _original=twdp.compile_set, **kwargs):
+        compiled.append(args[0])
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(twdp, "compile_set", counted)
+    for gamma in ([lnot(p), r], [q, lor(r, p)], [land(p, q), lnot(lnot(r)), lnot(q)]):
+        assert twdp._pins(cs, gamma) is None
+        assert dp_sat(gamma, universe=cs) == (sat_bruteforce(gamma) is not None)
+        assert cs.pins == memo
+    assert len(compiled) == 3
+
+
+def test_inconsistent_universe_answers_false_to_every_query(monkeypatch):
+    # an oracle's universe holds the theory; when the theory is
+    # inconsistent, every query about it is unsatisfiable
+    rng = random.Random(2627)
+    oracles = []
+    while len(oracles) < 60:
+        sigma = random_formula_set(rng, max_formulas=5, max_subformulae=8)
+        if sat_bruteforce(sigma) is not None:
+            continue
+        extras = random_formula_set(rng, max_formulas=3, max_subformulae=6)
+        oracle = entailment_oracle("twdp")
+        oracle.compile_universe([*sigma, *extras])
+        oracles.append((oracle, sigma, extras))
+    _no_recompile(monkeypatch)
+    for oracle, sigma, extras in oracles:
+        for _ in range(5):
+            asked = [_negated(f, rng.randint(0, 2)) for f in extras if rng.random() < 0.5]
+            assert oracle.satisfiable([*sigma, *asked]) is False
+            assert oracle.entails(sigma, rng.choice(extras)) is True
 
 
 def test_universe_wider_than_the_cap_falls_back_per_query():
@@ -468,7 +568,7 @@ def test_run_dp_matches_bruteforce_on_random_pins():
                 v, value = rng.choice(units)
                 units.append((v, not value))
             query = [formula_of[v] if value else lnot(formula_of[v]) for v, value in units]
-            verdict = twdp._run_dp(cs.program, cs.home, units)
+            verdict = twdp._run_dp(cs.program, twdp.vertex_pins(cs.home, units))
             assert verdict == (sat_bruteforce(query) is not None), (kind, gamma, units)
             verdicts.append(verdict)
             pinned = dict(units)
@@ -595,6 +695,6 @@ def test_several_constraints_per_head_vertex_match_bruteforce():
         heads = [scope[0] for scope, _ in constraints]
         several += len(heads) > len(set(heads))
         compiled = twdp.compile_graph(twdp.constraint_graph(cg.graph.n, constraints, cg.vertex_of))
-        assert twdp._run_dp(compiled.program, compiled.home, []) == (
+        assert twdp._run_dp(compiled.program, twdp.vertex_pins(compiled.home, [])) == (
             sat_bruteforce(formulas) is not None), formulas
     assert several >= 150
