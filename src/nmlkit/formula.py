@@ -18,13 +18,13 @@ orders, and the decompositions built from them, do not depend on identity.
 Every pass over the subterm set goes through one explicit-stack walk,
 ``number_subterms``: subformulas, atoms, the propositional and basis checks,
 the DP's constraint graph and the structure builders' element ids.  The
-parser reads binary connectives in one precedence loop and prefix runs in
-another.  Three parts still recurse, one frame per level of the formula:
-``evaluate``, the truth-table reference, because a fold over the walk made
-``sat_bruteforce`` 25-120 % slower; ``_fmt``, the printer, because element
-labels print every subformula whole, so an iterative printer would turn a
-too-wide input from a quick resource-limit exit into minutes of printing; and
-the parser's descent through parentheses, at three frames per level.
+parser is one loop over a token list that ends in a sentinel, and keeps the
+groups it has open, ``(`` and ``X3(``, on its own stack.  Two parts still
+recurse, one frame per level of the formula: ``evaluate``, the truth-table
+reference, because a fold over the walk made ``sat_bruteforce`` 25-120 %
+slower; and ``_fmt``, the printer, because element labels print every
+subformula whole, so an iterative printer would turn a too-wide input from a
+quick resource-limit exit into minutes of printing.
 """
 from __future__ import annotations
 
@@ -435,125 +435,129 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of ``text``, ``(kind, text, position)``, without whitespace
+    and comments, ending in the sentinel ``("end", "", len(text))``."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+    match = _TOKEN_RE.match
+    pos, n = 0, len(text)
+    while pos < n:
+        m = match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", position=pos)
         kind = m.lastgroup
         if kind != "ws":
             tokens.append((kind, m.group(), pos))
         pos = m.end()
+    tokens.append(("end", "", n))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, mode: str, basis: Basis):
-        if mode not in ("prop", "ae"):
-            raise ValueError(f"mode must be 'prop' or 'ae', got {mode!r}")
-        self.tokens = _tokenize(text)
-        self.mode = mode
-        self.basis = basis
-        self.i = 0
+def _expected(token: tuple[str, str, int], value: str) -> ParseError:
+    kind, text, pos = token
+    if kind == "end":
+        return ParseError(f"expected {value!r} at end of input")
+    return ParseError(f"expected {value!r}, got {text!r}", position=pos)
 
-    def peek(self) -> Optional[tuple[str, str, int]]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("syntax error at end of input")
-        self.i += 1
-        return tok
-
-    def expect(self, value: str) -> None:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"expected {value!r} at end of input")
-        if tok[1] != value:
-            raise ParseError(f"expected {value!r}, got {tok[1]!r}", position=tok[2])
-        self.i += 1
-
-    def need(self, op: str, pos: int) -> str:
-        if op not in self.basis:
-            raise ParseError(f"connective {op!r} not in basis", position=pos)
-        return op
-
-    def parse(self) -> Formula:
-        f = self.binary()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected {tok[1]!r}", position=tok[2])
-        return f
-
-    def binary(self) -> Formula:
-        """Binary connectives by precedence climbing over the printer's
-        ``_LEVEL`` table, with an explicit operator stack: implication groups
-        to the right, the others to the left."""
-        operands = [self.unary()]
-        pending: list[str] = []  # operators still waiting for their right operand
-        while (tok := self.peek()) and tok[1] in _OP_OF_SYMBOL:
-            op = self.need(_OP_OF_SYMBOL[tok[1]], tok[2])
-            self.i += 1
-            # pending operators that bind tighter are applied first, and so
-            # are those of the same level unless it is right-grouped ``->``
-            bind = _LEVEL[op] + (op == "imp")
-            while pending and _LEVEL[pending[-1]] >= bind:
-                right = operands.pop()
-                operands.append(App(pending.pop(), (operands.pop(), right)))
-            pending.append(op)
-            operands.append(self.unary())
-        f = operands.pop()
-        while pending:
-            f = App(pending.pop(), (operands.pop(), f))
-        return f
-
-    def unary(self) -> Formula:
-        """A run of ``!`` and ``L`` prefixes, read in a loop, then an atom."""
-        prefixes = []
-        while (tok := self.peek()) and (tok[1] == "!" or tok[0] == "bel"):
-            if tok[1] == "!":
-                self.need("not", tok[2])
-            elif self.mode != "ae":
-                raise ParseError("belief operator 'L' is not allowed in prop mode", position=tok[2])
-            prefixes.append(tok[1] == "!")
-            self.i += 1
-        f = self.atom()
-        for negation in reversed(prefixes):
-            f = App("not", (f,)) if negation else Believes(f)
-        return f
-
-    def atom(self) -> Formula:
-        kind, value, pos = self.next()
-        if kind == "true":
-            self.need("true", pos)
-            return TRUE
-        if kind == "false":
-            self.need("false", pos)
-            return FALSE
-        if kind == "ident":
-            return Var(value)
-        if value == "(":
-            f = self.binary()
-            self.expect(")")
-            return f
-        if kind == "x3":
-            self.need("xor3", pos)
-            self.expect("(")
-            a = self.binary()
-            self.expect(",")
-            b = self.binary()
-            self.expect(",")
-            c = self.binary()
-            self.expect(")")
-            return App("xor3", (a, b, c))
-        raise ParseError(f"unexpected {value!r}", position=pos)
+def _not_in_basis(op: str, pos: int) -> ParseError:
+    return ParseError(f"connective {op!r} not in basis", position=pos)
 
 
 def parse_formula(text: str, mode: str = "prop", basis: Basis = DEFAULT_BASIS) -> Formula:
-    """Parse a formula; ``mode='prop'`` rejects the belief operator ``L``."""
-    return _Parser(text, mode, basis).parse()
+    """Parse a formula; ``mode='prop'`` rejects the belief operator ``L``.
+
+    One loop over the token list, with the open groups, ``(`` and ``X3(``,
+    on its own stack.  An operand is a run of ``!`` and ``L`` prefixes, then
+    an atom or a group; binary connectives are read by precedence climbing
+    over the printer's ``_LEVEL`` table, with an operator stack per group:
+    implication groups to the right, the others to the left.  The whole
+    text is tokenized first, so an unknown character is raised before any
+    other problem; every other check is made as its token is read, so of
+    several problems the leftmost is raised."""
+    if mode not in ("prop", "ae"):
+        raise ValueError(f"mode must be 'prop' or 'ae', got {mode!r}")
+    tokens = _tokenize(text)
+    names = basis.names
+    # enclosing groups: (operands, pending, prefixes, args), where args is
+    # None for ``(`` and the arguments read so far for ``X3(``
+    groups: list[tuple] = []
+    operands: list[Formula] = []  # left operands of the pending operators
+    pending: list[str] = []  # operators still waiting for their right operand
+    i = 0
+    while True:
+        kind, value, pos = tokens[i]
+        i += 1
+        prefixes = []  # of the operand being read: True for ``!``, False for ``L``
+        while value == "!" or kind == "bel":
+            if value == "!":
+                if "not" not in names:
+                    raise _not_in_basis("not", pos)
+            elif mode != "ae":
+                raise ParseError("belief operator 'L' is not allowed in prop mode", position=pos)
+            prefixes.append(value == "!")
+            kind, value, pos = tokens[i]
+            i += 1
+        if kind == "ident":
+            f = Var(value)
+        elif value == "(" or kind == "x3":
+            args = None
+            if kind == "x3":
+                if "xor3" not in names:
+                    raise _not_in_basis("xor3", pos)
+                if tokens[i][1] != "(":
+                    raise _expected(tokens[i], "(")
+                i += 1
+                args = []
+            groups.append((operands, pending, prefixes, args))
+            operands, pending = [], []
+            continue
+        elif kind == "true" or kind == "false":
+            if kind not in names:
+                raise _not_in_basis(kind, pos)
+            f = TRUE if kind == "true" else FALSE
+        elif kind == "end":
+            raise ParseError("syntax error at end of input")
+        else:
+            raise ParseError(f"unexpected {value!r}", position=pos)
+        # f is an operand without its prefixes; a binary connective after it
+        # opens the next operand, anything else ends the innermost group
+        while True:
+            for negation in reversed(prefixes):
+                f = App("not", (f,)) if negation else Believes(f)
+            kind, value, pos = tokens[i]
+            op = _OP_OF_SYMBOL.get(value)
+            if op is not None:
+                if op not in names:
+                    raise _not_in_basis(op, pos)
+                i += 1
+                # pending operators that bind tighter are applied first, and
+                # so are those of the same level unless it is right-grouped ``->``
+                bind = _LEVEL[op] + (op == "imp")
+                while pending and _LEVEL[pending[-1]] >= bind:
+                    f = App(pending.pop(), (operands.pop(), f))
+                operands.append(f)
+                pending.append(op)
+                break
+            while pending:
+                f = App(pending.pop(), (operands.pop(), f))
+            if not groups:
+                if kind != "end":
+                    raise ParseError(f"unexpected {value!r}", position=pos)
+                return f
+            operands, pending, prefixes, args = groups.pop()
+            if args is not None:
+                args.append(f)
+                if len(args) < 3:
+                    if value != ",":
+                        raise _expected(tokens[i], ",")
+                    i += 1
+                    groups.append((operands, pending, prefixes, args))
+                    operands, pending = [], []
+                    break
+                f = App("xor3", tuple(args))
+            if value != ")":
+                raise _expected(tokens[i], ")")
+            i += 1
 
 
 def read_lines(

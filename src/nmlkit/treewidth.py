@@ -170,7 +170,9 @@ def _greedy_elimination(
     - removing v, whose neighbors are a clique by then, takes
       ``|N(a) - N[v]| = |N(a)| - |N(v)|`` from each neighbor a's fill (1
       from its degree);
-    - a vertex of fill 0 has no missing pair, so its pair loop is skipped.
+    - a vertex of count 0 has no missing pair (fill) or no neighbor
+      (degree), so only its removal moves a count, and each neighbor's
+      count moves at once, without the table of deltas.
     A vertex whose count changed is pushed again, as a recount would push
     it, so the heap yields the same (count, id) minimum at every step and
     the order and bags are those of recounting every touched vertex."""
@@ -190,27 +192,35 @@ def _greedy_elimination(
         nbrs = adj.pop(v)
         del current[v]
         bags.append(frozenset(nbrs | {v}))
-        delta = dict.fromkeys(nbrs, 0)
-        if k:  # a vertex of fill or degree 0 has no pair to join
+        size = len(nbrs)
+        if not k:  # no pair to join: only v's removal moves a count
             for a in nbrs:
                 na = adj[a]
-                for b in nbrs - na:
-                    if b == a:
-                        continue
-                    nb = adj[b]
-                    if fill:
-                        common = na & nb
-                        for w in common:
-                            if w != v:
-                                delta[w] = delta.get(w, 0) - 1
-                        delta[a] += len(na) - len(common)
-                        delta[b] += len(nb) - len(common)
-                    else:
-                        delta[a] += 1
-                        delta[b] += 1
-                    na.add(b)
-                    nb.add(a)
-        size = len(nbrs)
+                d = len(na) - size if fill else 1
+                na.discard(v)
+                if d:
+                    current[a] -= d
+                    heapq.heappush(heap, (current[a], a))
+            continue
+        delta = dict.fromkeys(nbrs, 0)
+        for a in nbrs:
+            na = adj[a]
+            for b in nbrs - na:
+                if b == a:
+                    continue
+                nb = adj[b]
+                if fill:
+                    common = na & nb
+                    for w in common:
+                        if w != v:
+                            delta[w] = delta.get(w, 0) - 1
+                    delta[a] += len(na) - len(common)
+                    delta[b] += len(nb) - len(common)
+                else:
+                    delta[a] += 1
+                    delta[b] += 1
+                na.add(b)
+                nb.add(a)
         for a in nbrs:
             na = adj[a]
             delta[a] -= len(na) - size if fill else 1
@@ -230,18 +240,25 @@ def elimination_order(g: Graph, method: str) -> list[int]:
 def _tree_from_elimination(order: list[int], bags: list[frozenset[int]]) -> TreeDecomposition:
     """Bag i+1 is ``bags[i]``, the closed neighborhood of ``order[i]`` when it
     was eliminated; it hangs off the bag of that vertex's first subsequently
-    eliminated neighbor, or off the next bag if it has none.  An empty graph
-    gets one empty bag."""
+    eliminated neighbor, or off the next bag if it has none.  Each edge is
+    written (child, parent), and a parent's id is larger than its child's,
+    so ascending ids visit children first and the last bag is the root.  An
+    empty graph gets one empty bag."""
     if not order:
         return TreeDecomposition({1: frozenset()}, frozenset())
+    n = len(order)
     pos = {v: i for i, v in enumerate(order)}
     edges: set[tuple[int, int]] = set()
-    for i, (v, bag) in enumerate(zip(order, bags)):
-        later = [pos[u] for u in bag if u != v]
-        if later:
-            edges.add((i + 1, min(later) + 1))
-        elif i + 1 < len(order):
-            edges.add((i + 1, i + 2))
+    for i, bag in enumerate(bags):
+        first = n  # the position of the first later neighbor, n if none
+        for u in bag:
+            p = pos[u]
+            if i < p < first:
+                first = p
+        if first == n:
+            first = i + 1
+        if first < n:
+            edges.add((i + 1, first + 1))
     return TreeDecomposition(dict(enumerate(bags, start=1)), frozenset(edges))
 
 

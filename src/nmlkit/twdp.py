@@ -35,7 +35,12 @@ own.
 
 The program, built by ``_plan``, is one instruction per bag of the rooted
 decomposition, after each tree edge between a bag and a superset of it has
-been contracted.  A bag's *rows* are every labeling of the bag that meets
+been contracted.  The tree is read in the form min-fill writes it
+(``treewidth._tree_from_elimination``): each edge is (child, parent) and a
+parent's id is the larger, so ascending ids run children first and the
+root is the elimination root, the last bag.  A caller's decomposition is
+put in that form once, where ``compile_graph`` validates it
+(``_oriented``).  A bag's *rows* are every labeling of the bag that meets
 each local constraint whose scope it covers, enumerated once at compile
 time (a labeling is a bitmask, bit i = the i-th smallest vertex of the
 bag), and its *table* is a bitset over those rows.  A bag that shares
@@ -209,14 +214,18 @@ class CompiledSet:
 
     The program has one instruction ``(full, parent, classes)`` per bag,
     children first and, among siblings, largest subtree first, so the
-    root's is the last.  A bag's *rows* are its labelings that meet every
-    constraint whose scope it covers (``_rows``), and its table is a bitset
-    over them, bit j for row j; ``full`` is the table of all its rows.  A
-    bag that shares vertices with its parent carries the link to it:
-    ``parent`` is the parent's slot (its index in the program) and
-    ``classes`` has one ``(below, above)`` per labeling of the shared
-    vertices, the bitsets of this bag's rows and of the parent's rows that
-    give it.  Any other bag has ``parent`` and ``classes`` None.
+    root's is the last.  Parents are read off the decomposition's edges,
+    (child, parent) with the child's id the smaller, so the root is the
+    elimination root of min-fill's decomposition, which is written that
+    way; a caller's is put in that form once (``_oriented``).  A bag's
+    *rows* are its labelings that meet every constraint whose scope it
+    covers (``_rows``), and its table is a bitset over them, bit j for row
+    j; ``full`` is the table of all its rows.  A bag that shares vertices
+    with its parent carries the link to it: ``parent`` is the parent's slot
+    (its index in the program) and ``classes`` has one ``(below, above)``
+    per labeling of the shared vertices, the bitsets of this bag's rows and
+    of the parent's rows that give it.  Any other bag has ``parent`` and
+    ``classes`` None.
     ``home[v]`` is ``(slot, rows)`` of the bag where a pin on vertex ``v``
     is checked, the top bag that holds ``v``, with the bitset of its rows
     that set ``v`` true.  ``pins`` memoises, per formula a query has named,
@@ -250,8 +259,9 @@ def compile_graph(
     """Decomposition (``td``, or min-fill when None) and bag program of a
     constraint graph.  A caller's ``td`` is checked first with
     ``validate_decomposition``, whose first problem is raised as a
-    ``ValueError`` (as is its own for a bag vertex outside the graph);
-    min-fill's is valid by construction.  Raises ``ResourceLimitError``
+    ``ValueError`` (as is its own for a bag vertex outside the graph), and
+    then put in the form ``_plan`` reads (``_oriented``); min-fill's is
+    valid and in that form by construction.  Raises ``ResourceLimitError``
     when the decomposition is wider than ``Limits.dp_width``."""
     if td is None:
         td = heuristic_decomposition(cg.graph, "min_fill")
@@ -259,6 +269,7 @@ def compile_graph(
         problems = validate_decomposition(cg.graph, td)
         if problems:
             raise ValueError("invalid decomposition: " + problems[0])
+        td = _oriented(td)
     w = width(td)
     check(limits, "dp_width", w, "treewidth DP: decomposition width")
     return CompiledSet(cg, w, *_plan(cg, td))
@@ -329,9 +340,15 @@ def dp_sat(
     return _run_dp(compiled.program, pins)
 
 
-def _rooted(td: TreeDecomposition) -> tuple[list[int], dict[int, Optional[int]]]:
-    """The bag ids of ``td``, children first, rooted at the smallest, and
-    the parent of each."""
+def _oriented(td: TreeDecomposition) -> TreeDecomposition:
+    """A valid decomposition in the form ``_plan`` reads: every edge is
+    (child, parent) with the child's id the smaller, as
+    ``_tree_from_elimination`` writes them.  One in that form is returned as
+    it is.  Any other is rooted at its smallest bag id, and its bags are
+    numbered 1, 2, ... in the reverse of a depth-first walk from there, so
+    children come before their parents and the root is the last."""
+    if len(dict(td.edges)) == len(td.edges) and all(c < p for c, p in td.edges):
+        return td
     adj = td.neighbors()
     root = min(td.bags)
     parent: dict[int, Optional[int]] = {root: None}
@@ -343,8 +360,12 @@ def _rooted(td: TreeDecomposition) -> tuple[list[int], dict[int, Optional[int]]]
             if c != parent[b]:
                 parent[c] = b
                 stack.append(c)
-    order.reverse()
-    return order, parent
+    order.reverse()  # children first, the root last
+    new = {b: i for i, b in enumerate(order, start=1)}
+    return TreeDecomposition(
+        {new[b]: td.bags[b] for b in order},
+        frozenset((new[b], new[parent[b]]) for b in order[:-1]),
+    )
 
 
 def _plan(
@@ -352,7 +373,10 @@ def _plan(
 ) -> tuple[list[tuple], dict[int, tuple[int, int]]]:
     """The bag program and vertex homes (see ``CompiledSet``) of ``td``,
     which must be a valid decomposition of ``cg.graph``: nothing is checked
-    here.  The tree is rooted at its smallest bag id.  A bag that is a
+    here, and must be in the form ``_oriented`` gives: each bag's parent is
+    read off the edges, (child, parent) with the child's id the smaller, so
+    ascending ids visit children first and the root is the largest id; for
+    min-fill's decomposition that is the elimination root.  A bag that is a
     subset of its parent's, or whose parent's is a subset of it, is
     contracted into its parent, which then holds the larger of the two: the
     decomposition stays valid and no wider, and the program gets one
@@ -363,7 +387,8 @@ def _plan(
     most log2(bags) + 1 tables open (``_run_dp``).  A vertex's home is its
     top bag, the one whose parent does not hold it."""
     bags = dict(td.bags)  # a parent's bag grows when it takes in a superset child
-    order, parent = _rooted(td)
+    parent = dict(td.edges)  # child -> parent
+    order = sorted(bags)
     root = order[-1]
     scope_of: dict[int, list] = {}  # vertex -> the constraints it heads
     for c in cg.constraints:
@@ -375,7 +400,7 @@ def _plan(
     info: dict[int, tuple] = {}  # bag left -> its _bag
     for b in order:
         bag = bags[b]
-        above = parent[b]
+        above = parent.get(b)
         if above is not None and (bag <= bags[above] or bags[above] <= bag):
             if not bag <= bags[above]:
                 bags[above] = bag

@@ -475,9 +475,8 @@ WIDE = " & ".join(f"x{i}" for i in range(10_000))
         # printed one frame per level
         (["struct", "build", "--kind", "prop", "--labels", "-o", "{out}"], WIDE, "", "recursion"),
         (["mso", "eval", "--kind", "prop", "--name", "sat"], WIDE, "mso_steps=200000", "mso_steps"),
-        (["fmt", "check-sat"], "(" * 5000 + "x" + ")" * 5000, "", "recursion"),
     ],
-    ids=["wide-struct", "wide-mso", "deep-fmt"],
+    ids=["wide-struct", "wide-mso"],
 )
 def test_deep_or_wide_input_is_a_resource_limit(
     tmp_path, capsys, monkeypatch, fresh_recursion_limit, command, text, limits, hit
@@ -508,6 +507,19 @@ def test_deep_negation_solves(tmp_path, capsys, fresh_recursion_limit):
     # prefix runs are read in a loop and the DP's walk keeps its own stack
     f = tmp_path / "deep.fs"
     f.write_text("!" * 5000 + "x\n")
+    code, payload = run_json(capsys, ["fmt", "check-sat", str(f), "--json"])
+    assert code == 0 and payload["satisfiable"] is True
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 5000 + "x" + ")" * 5000, "".join(f"(x{i} & " for i in range(5000)) + "y" + ")" * 5000],
+    ids=["parens", "nested-and"],
+)
+def test_deep_parentheses_solve(tmp_path, capsys, fresh_recursion_limit, text):
+    # groups are parsed on the parser's own stack
+    f = tmp_path / "deep.fs"
+    f.write_text(text + "\n")
     code, payload = run_json(capsys, ["fmt", "check-sat", str(f), "--json"])
     assert code == 0 and payload["satisfiable"] is True
 

@@ -69,6 +69,80 @@ def test_parse_connective_outside_basis():
         parse_formula("p ^ q", basis=Basis({"and", "or", "not"}))
 
 
+_END = "syntax error at end of input"
+_NOT_IN = "connective {!r} not in basis (at position {})"
+
+
+@pytest.mark.parametrize(
+    "text, mode, basis, message, position",
+    [
+        # input that ends where an operand is due
+        ("", "prop", None, _END, None),
+        ("p &", "prop", None, _END, None),
+        ("p <->", "prop", None, _END, None),
+        ("p -> ", "prop", None, _END, None),
+        ("(", "prop", None, _END, None),
+        ("!", "prop", None, _END, None),
+        ("p & !", "prop", None, _END, None),
+        ("L", "ae", None, _END, None),
+        ("X3(a,", "prop", None, _END, None),
+        ("X3(a, b,", "prop", None, _END, None),
+        # a closing token that is missing, at end of input or against another
+        ("(p", "prop", None, "expected ')' at end of input", None),
+        ("(p q", "prop", None, "expected ')', got 'q' (at position 3)", 3),
+        ("(p, q)", "prop", None, "expected ')', got ',' (at position 2)", 2),
+        ("X3(a", "prop", None, "expected ',' at end of input", None),
+        ("X3(a b", "prop", None, "expected ',', got 'b' (at position 5)", 5),
+        ("X3(a, b)", "prop", None, "expected ',', got ')' (at position 7)", 7),
+        ("X3(a, b, c", "prop", None, "expected ')' at end of input", None),
+        ("X3(a, b, c, d)", "prop", None, "expected ')', got ',' (at position 10)", 10),
+        ("X3", "prop", None, "expected '(' at end of input", None),
+        ("X3 a", "prop", None, "expected '(', got 'a' (at position 3)", 3),
+        # a token that cannot come where it is
+        ("p q", "prop", None, "unexpected 'q' (at position 2)", 2),
+        ("p )", "prop", None, "unexpected ')' (at position 2)", 2),
+        ("p & )", "prop", None, "unexpected ')' (at position 4)", 4),
+        ("&p", "prop", None, "unexpected '&' (at position 0)", 0),
+        ("()", "prop", None, "unexpected ')' (at position 1)", 1),
+        ("(p))", "prop", None, "unexpected ')' (at position 3)", 3),
+        # the whole text is tokenized before it is parsed
+        ("p $ q", "prop", None, "unexpected character '$' (at position 2)", 2),
+        ("p & P", "prop", None, "unexpected character 'P' (at position 4)", 4),
+        ("& $", "prop", None, "unexpected character '$' (at position 2)", 2),
+        ("L p & q $", "ae", None, "unexpected character '$' (at position 8)", 8),
+        # the belief operator in prop mode
+        ("L p", "prop", None, "belief operator 'L' is not allowed in prop mode (at position 0)", 0),
+        ("p | !L q", "prop", None, "belief operator 'L' is not allowed in prop mode (at position 5)", 5),
+        # each connective outside the basis
+        ("!p", "prop", {"and"}, _NOT_IN.format("not", 0), 0),
+        ("p & q", "prop", {"or"}, _NOT_IN.format("and", 2), 2),
+        ("p | q", "prop", {"and"}, _NOT_IN.format("or", 2), 2),
+        ("p ^ q", "prop", {"and"}, _NOT_IN.format("xor", 2), 2),
+        ("p -> q", "prop", {"and"}, _NOT_IN.format("imp", 2), 2),
+        ("p <-> q", "prop", {"and"}, _NOT_IN.format("iff", 2), 2),
+        ("T", "prop", {"and"}, _NOT_IN.format("true", 0), 0),
+        ("F", "prop", {"and"}, _NOT_IN.format("false", 0), 0),
+        ("X3(a, b, c)", "prop", {"and"}, _NOT_IN.format("xor3", 0), 0),
+        # of several problems, the leftmost is named
+        ("p -> q -> r", "prop", {"and"}, _NOT_IN.format("imp", 2), 2),
+        ("p | T & !q", "prop", {"or"}, _NOT_IN.format("true", 4), 4),
+        ("!T", "prop", {"and"}, _NOT_IN.format("not", 0), 0),
+        ("X3(T, p, q)", "prop", {"and"}, _NOT_IN.format("xor3", 0), 0),
+        ("(p -> q) & r", "prop", {"or"}, _NOT_IN.format("imp", 3), 3),
+        ("p & X3(!a, b, c)", "prop", {"or"}, _NOT_IN.format("and", 2), 2),
+        ("p | (q & !r)", "prop", {"and", "or"}, _NOT_IN.format("not", 9), 9),
+        ("!L p", "prop", {"and"}, _NOT_IN.format("not", 0), 0),
+        ("L !p", "prop", {"and"}, "belief operator 'L' is not allowed in prop mode (at position 0)", 0),
+    ],
+)
+def test_parse_error_messages_and_positions(text, mode, basis, message, position):
+    with pytest.raises(ParseError) as raised:
+        parse_formula(text, mode, DEFAULT_BASIS if basis is None else Basis(basis))
+    assert str(raised.value) == message
+    assert raised.value.position == position
+    assert raised.value.line is None
+
+
 def test_parse_precedence_and_associativity():
     # implication is right-associative, the others left-associative
     assert parse_formula("p -> q -> r") == limp(Var("p"), limp(Var("q"), Var("r")))

@@ -398,7 +398,8 @@ def _recount_greedy(adj, method):
     """The greedy elimination as a recount: after each elimination, count
     again every vertex it touched (the closed neighborhood and, for fill,
     every common neighbor of an added edge) from scratch.  Returns the
-    order and each vertex's closed neighborhood as it went."""
+    order, each vertex's closed neighborhood as it went and its count when
+    it went."""
     def count(v):
         if method == "min_degree":
             return len(adj[v])
@@ -408,12 +409,13 @@ def _recount_greedy(adj, method):
     current = {v: count(v) for v in adj}
     heap = [(k, v) for v, k in current.items()]
     heapq.heapify(heap)
-    order, bags = [], []
+    order, bags, counts = [], [], []
     while heap:
         k, v = heapq.heappop(heap)
         if v not in adj or current[v] != k:
             continue
         order.append(v)
+        counts.append(k)
         touched = adj[v] | {v}
         bags.append(frozenset(touched))
         added = treewidth._eliminate(adj, v)
@@ -427,14 +429,41 @@ def _recount_greedy(adj, method):
                 if current[w] != k2:
                     current[w] = k2
                     heapq.heappush(heap, (k2, w))
-    return order, bags
+    return order, bags, counts
 
 
 def _greedy_matches_the_recount(g):
+    """Checks both methods against the recount; returns the counts min-fill
+    eliminated its vertices at."""
+    counts_of = {}
     for method in ("min_fill", "min_degree"):
-        order, bags = _recount_greedy(g.adjacency(), method)
+        order, bags, counts_of[method] = _recount_greedy(g.adjacency(), method)
         assert elimination_order(g, method) == order
         assert heuristic_decomposition(g, method) == treewidth._tree_from_elimination(order, bags)
+    return counts_of["min_fill"]
+
+
+def _forest(rng, n):
+    # each vertex hangs off an earlier one, or starts a new tree
+    return make_graph(n, [(v, rng.randint(1, v - 1)) for v in range(2, n + 1) if rng.random() < 0.9])
+
+
+def _path_with_pendants(rng, n):
+    edges = [(i, i + 1) for i in range(1, n)]
+    m = n
+    for i in range(1, n + 1):
+        for _ in range(rng.randint(0, 2)):
+            m += 1
+            edges.append((i, m))
+    return make_graph(m, edges)
+
+
+def _disjoint_cliques(rng, k):
+    edges, n = [], 0
+    for size in (rng.randint(1, 6) for _ in range(k)):
+        edges += [(n + i, n + j) for i in range(1, size + 1) for j in range(i + 1, size + 1)]
+        n += size
+    return make_graph(n, edges)
 
 
 def test_incremental_counts_match_the_recount():
@@ -446,6 +475,14 @@ def test_incremental_counts_match_the_recount():
         gamma = random_formula_set(rng, max_formulas=10, max_subformulae=rng.randint(4, 60))
         _greedy_matches_the_recount(build_constraint_graph(gamma).graph)
     _greedy_matches_the_recount(build_constraint_graph(chain(60)).graph)
+    # graphs where most vertices go at fill 0, which skip the table of deltas
+    fills = []
+    for _ in range(100):
+        fills += _greedy_matches_the_recount(_forest(rng, rng.randint(1, 40)))
+        fills += _greedy_matches_the_recount(_path_with_pendants(rng, rng.randint(1, 20)))
+        fills += _greedy_matches_the_recount(_disjoint_cliques(rng, rng.randint(1, 6)))
+    fills += _greedy_matches_the_recount(build_constraint_graph(chain(200)).graph)
+    assert fills.count(0) > 0.9 * len(fills)
 
 
 def test_min_fill_counts_each_vertex_once(monkeypatch):

@@ -633,6 +633,35 @@ def test_caller_and_min_fill_decompositions_give_one_program():
         assert (given.program, given.home, given.width) == (own.program, own.home, own.width)
 
 
+def test_caller_decomposition_in_any_form_matches_bruteforce():
+    # min-fill's decomposition with its bag ids shuffled and every edge
+    # flipped is seldom in the (child, parent) form, so compile_graph mostly
+    # roots it by walking it from its smallest bag
+    rng = random.Random(73)
+    walked = verdicts = 0
+    for _ in range(200):
+        gamma = random_formula_set(rng, max_formulas=5, max_subformulae=20, allow_believes=True)
+        cg = build_constraint_graph(gamma)
+        own = heuristic_decomposition(cg.graph, "min_fill")
+        ids = list(own.bags)
+        rng.shuffle(ids)
+        new = dict(zip(own.bags, ids))
+        td = TreeDecomposition({new[b]: bag for b, bag in own.bags.items()},
+                               frozenset((new[p], new[c]) for c, p in own.edges))
+        walked += twdp._oriented(td) is not td
+        assert dp_sat(gamma, td) == dp_sat(gamma)
+        cs = twdp.compile_set(gamma, td)
+        formula_of = {v: f for f, v in cs.cg.vertex_of.items()}
+        for _ in range(4):
+            units = [(rng.choice(list(formula_of)), rng.random() < 0.5)
+                     for _ in range(rng.randint(0, 4))]
+            query = [formula_of[v] if value else lnot(formula_of[v]) for v, value in units]
+            verdict = twdp._run_dp(cs.program, twdp.vertex_pins(cs.home, units))
+            assert verdict == (sat_bruteforce(query) is not None), (gamma, units)
+            verdicts += verdict
+    assert walked >= 150 and 100 <= verdicts <= 700
+
+
 def test_decomposition_missing_a_scope_is_rejected():
     # every vertex of p & q (1: p, 2: q, 3: p & q) is in a bag, but no bag
     # holds p and q together
