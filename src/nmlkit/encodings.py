@@ -204,8 +204,8 @@ def _op_expr(op: str, args: list[MsoFormula]) -> MsoFormula:
     raise ValueError(f"unknown connective {op!r}")
 
 
-def assignment_constraint(basis: Basis, set_var: str = "M") -> MsoFormula:
-    """Open formula: the set variable is truth-functionally consistent.
+def assignment_constraint(basis: Basis) -> MsoFormula:
+    """Open formula: the set variable ``M`` is truth-functionally consistent.
 
     Constants take their fixed value; an element whose argument slots are
     filled by y1..yk takes the connective's value on their memberships.
@@ -218,15 +218,15 @@ def assignment_constraint(basis: Basis, set_var: str = "M") -> MsoFormula:
         parts.append(
             Imp(
                 RelAtom(const_rel(op), ("x",)),
-                Iff(SetAtom(set_var, "x"), TOP if op == "true" else BOTTOM),
+                Iff(SetAtom("M", "x"), TOP if op == "true" else BOTTOM),
             )
         )
     for op, arity in _proper(basis):
         guard = conj(
             RelAtom(conn_rel(op, i), (yvars[i - 1], "x")) for i in range(1, arity + 1)
         )
-        value = _op_expr(op, [SetAtom(set_var, yvars[i - 1]) for i in range(1, arity + 1)])
-        parts.append(Imp(guard, Iff(SetAtom(set_var, "x"), value)))
+        value = _op_expr(op, [SetAtom("M", yvars[i - 1]) for i in range(1, arity + 1)])
+        parts.append(Imp(guard, Iff(SetAtom("M", "x"), value)))
     body: MsoFormula = conj(parts)
     for v in reversed(yvars):
         body = ForallFO(v, body)

@@ -2,6 +2,10 @@
 nice form, pseudo-clique theory, and PACE-style .td I/O, whose header syntax
 ``structures._read_pace`` reads, as it does for .gr.
 
+One tree walk (``_walk``) serves validation, ``make_nice`` and
+``_oriented``, which puts a caller's decomposition in the (child, parent)
+form that ``_tree_from_elimination`` writes and the treewidth DP reads.
+
 Pseudo-cliques are handled by undoing subdivisions: a degree-2 vertex is
 replaced by an edge between its two neighbours that remembers the path it
 stands for.  Recognition undoes every non-main; the lower bound undoes
@@ -57,16 +61,23 @@ def width(td: TreeDecomposition) -> int:
     return max(len(b) for b in td.bags.values()) - 1
 
 
-def _reachable(adj: dict[int, set[int]], start: int, within: set[int]) -> set[int]:
-    """Bags reachable from ``start`` through bags of ``within``."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        for other in adj[frontier.pop()]:
-            if other in within and other not in seen:
-                seen.add(other)
-                frontier.append(other)
-    return seen
+def _walk(
+    adj: dict[int, set[int]], start: int, within: Optional[set[int]] = None
+) -> dict[int, Optional[int]]:
+    """Each bag reachable from ``start`` through bags of ``within`` (any bag
+    when None), mapped to the bag it was reached from (``start`` to None),
+    in the order reached: depth first, a bag's neighbours in ascending id.
+    Every bag is reached after the one it was reached from, so on a tree the
+    reverse order visits children first."""
+    walk: dict[int, Optional[int]] = {start: None}
+    stack = [start]
+    while stack:
+        b = stack.pop()
+        for other in sorted(adj[b]):
+            if other not in walk and (within is None or other in within):
+                walk[other] = b
+                stack.append(other)
+    return walk
 
 
 def _tree_violations(
@@ -85,9 +96,9 @@ def _tree_violations(
             f"(tree) {len(ids)} bags need {max(len(ids) - 1, 0)} tree edges, found {len(td.edges)}"
         )
     elif ids:
-        seen = _reachable(adj, min(ids), ids)
-        if seen != ids:
-            missing = min(ids - seen)
+        walk = _walk(adj, min(ids))
+        if len(walk) != len(ids):
+            missing = min(ids - walk.keys())
             problems.append(f"(tree) bag {missing} is disconnected from the rest")
     return problems, adj
 
@@ -114,10 +125,10 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
         if len(bids) <= 1:
             continue
         first = min(bids)
-        seen = _reachable(adj, first, bids)
-        if seen != bids:
+        walk = _walk(adj, first, bids)
+        if len(walk) != len(bids):
             problems.append(
-                f"(iii) bags {first} and {min(bids - seen)} both hold vertex {v} but are not connected through it"
+                f"(iii) bags {first} and {min(bids - walk.keys())} both hold vertex {v} but are not connected through it"
             )
     return problems
 
@@ -260,6 +271,23 @@ def _tree_from_elimination(order: list[int], bags: list[frozenset[int]]) -> Tree
         if first < n:
             edges.add((i + 1, first + 1))
     return TreeDecomposition(dict(enumerate(bags, start=1)), frozenset(edges))
+
+
+def _oriented(td: TreeDecomposition) -> TreeDecomposition:
+    """A valid decomposition in the form ``_tree_from_elimination`` writes:
+    every edge is (child, parent) with the child's id the smaller.  One in
+    that form is returned as it is.  Any other is rooted at its smallest bag
+    id, and its bags are numbered 1, 2, ... in the reverse of the walk from
+    there (``_walk``), so children come before their parents and the root is
+    the last."""
+    if len(dict(td.edges)) == len(td.edges) and all(c < p for c, p in td.edges):
+        return td
+    parent = _walk(td.neighbors(), min(td.bags))
+    new = {b: i for i, b in enumerate(reversed(parent), start=1)}
+    return TreeDecomposition(
+        {new[b]: td.bags[b] for b in new},
+        frozenset((new[b], new[p]) for b, p in parent.items() if p is not None),
+    )
 
 
 def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
@@ -523,21 +551,11 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
         node = new_node(frozenset(), (), _LEAF)
         return chain(node, frozenset(), to_bag)
 
-    # iterative post-order over the original tree
-    parent = {root_old: None}
-    dfs_order = [root_old]
-    stack = [root_old]
-    while stack:
-        b = stack.pop()
-        for other in sorted(adj[b]):
-            if other != parent[b]:
-                parent[other] = b
-                dfs_order.append(other)
-                stack.append(other)
+    parent = _walk(adj, root_old)
     built: dict[int, int] = {}
-    for old in reversed(dfs_order):
+    for old in reversed(parent):  # children first
         bag = td.bags[old]
-        kids_old = [c for c in sorted(adj[old]) if parent.get(c) == old]
+        kids_old = [c for c in sorted(adj[old]) if parent[c] == old]
         if not kids_old:
             built[old] = leaf_chain(bag)
             continue

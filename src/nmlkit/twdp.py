@@ -40,7 +40,8 @@ been contracted.  The tree is read in the form min-fill writes it
 parent's id is the larger, so ascending ids run children first and the
 root is the elimination root, the last bag.  A caller's decomposition is
 put in that form once, where ``compile_graph`` validates it
-(``_oriented``).  A bag's *rows* are every labeling of the bag that meets
+(``treewidth._oriented``, which roots it by the one tree walk of
+``treewidth``).  A bag's *rows* are every labeling of the bag that meets
 each local constraint whose scope it covers, enumerated once at compile
 time (a labeling is a bitmask, bit i = the i-th smallest vertex of the
 bag), and its *table* is a bitset over those rows.  A bag that shares
@@ -78,7 +79,7 @@ from .formula import (
 )
 from .limits import Limits, check
 from .structures import Graph, primal_graph
-from .treewidth import TreeDecomposition, heuristic_decomposition, validate_decomposition, width
+from .treewidth import TreeDecomposition, _oriented, heuristic_decomposition, validate_decomposition, width
 # not called here: perfbench/layers.py wraps twdp.make_nice by name
 from .treewidth import make_nice  # noqa: F401
 
@@ -217,15 +218,15 @@ class CompiledSet:
     root's is the last.  Parents are read off the decomposition's edges,
     (child, parent) with the child's id the smaller, so the root is the
     elimination root of min-fill's decomposition, which is written that
-    way; a caller's is put in that form once (``_oriented``).  A bag's
-    *rows* are its labelings that meet every constraint whose scope it
-    covers (``_rows``), and its table is a bitset over them, bit j for row
-    j; ``full`` is the table of all its rows.  A bag that shares vertices
-    with its parent carries the link to it: ``parent`` is the parent's slot
-    (its index in the program) and ``classes`` has one ``(below, above)``
-    per labeling of the shared vertices, the bitsets of this bag's rows and
-    of the parent's rows that give it.  Any other bag has ``parent`` and
-    ``classes`` None.
+    way; a caller's is put in that form once (``treewidth._oriented``).
+    A bag's *rows* are its labelings that meet every constraint whose scope
+    it covers (``_rows``), and its table is a bitset over them, bit j for
+    row j; ``full`` is the table of all its rows.  A bag that shares
+    vertices with its parent carries the link to it: ``parent`` is the
+    parent's slot (its index in the program) and ``classes`` has one
+    ``(below, above)`` per labeling of the shared vertices, the bitsets of
+    this bag's rows and of the parent's rows that give it.  Any other bag
+    has ``parent`` and ``classes`` None.
     ``home[v]`` is ``(slot, rows)`` of the bag where a pin on vertex ``v``
     is checked, the top bag that holds ``v``, with the bitset of its rows
     that set ``v`` true.  ``pins`` memoises, per formula a query has named,
@@ -260,9 +261,10 @@ def compile_graph(
     constraint graph.  A caller's ``td`` is checked first with
     ``validate_decomposition``, whose first problem is raised as a
     ``ValueError`` (as is its own for a bag vertex outside the graph), and
-    then put in the form ``_plan`` reads (``_oriented``); min-fill's is
-    valid and in that form by construction.  Raises ``ResourceLimitError``
-    when the decomposition is wider than ``Limits.dp_width``."""
+    then put in the form ``_plan`` reads (``treewidth._oriented``);
+    min-fill's is valid and in that form by construction.  Raises
+    ``ResourceLimitError`` when the decomposition is wider than
+    ``Limits.dp_width``."""
     if td is None:
         td = heuristic_decomposition(cg.graph, "min_fill")
     else:
@@ -283,9 +285,9 @@ def _pins(compiled: CompiledSet, gamma: Iterable[Formula]) -> Optional[dict[int,
     of negations, since a vertex of ``!g`` is a function of ``g``'s.  Each
     pin is worked out the first time a query names its formula and then
     read from ``compiled.pins``.  None when some formula's core has no
-    vertex; the memo is then left as it was."""
+    vertex; the pins memoised before it stay, as a pin depends only on the
+    compiled set and its formula."""
     memo = compiled.pins
-    size = len(memo)
     pins: dict[int, int] = {}
     for f in gamma:
         pin = memo.get(f)
@@ -295,8 +297,6 @@ def _pins(compiled: CompiledSet, gamma: Iterable[Formula]) -> Optional[dict[int,
                 core, value = core.args[0], not value
             v = compiled.cg.vertex_of.get(core)
             if v is None:
-                for added in list(memo)[size:]:  # a dict keeps insertion order
-                    del memo[added]
                 return None
             slot, rows = compiled.home[v]
             pin = memo[f] = slot, rows if value else ~rows
@@ -340,52 +340,24 @@ def dp_sat(
     return _run_dp(compiled.program, pins)
 
 
-def _oriented(td: TreeDecomposition) -> TreeDecomposition:
-    """A valid decomposition in the form ``_plan`` reads: every edge is
-    (child, parent) with the child's id the smaller, as
-    ``_tree_from_elimination`` writes them.  One in that form is returned as
-    it is.  Any other is rooted at its smallest bag id, and its bags are
-    numbered 1, 2, ... in the reverse of a depth-first walk from there, so
-    children come before their parents and the root is the last."""
-    if len(dict(td.edges)) == len(td.edges) and all(c < p for c, p in td.edges):
-        return td
-    adj = td.neighbors()
-    root = min(td.bags)
-    parent: dict[int, Optional[int]] = {root: None}
-    order, stack = [], [root]
-    while stack:
-        b = stack.pop()
-        order.append(b)
-        for c in adj[b]:
-            if c != parent[b]:
-                parent[c] = b
-                stack.append(c)
-    order.reverse()  # children first, the root last
-    new = {b: i for i, b in enumerate(order, start=1)}
-    return TreeDecomposition(
-        {new[b]: td.bags[b] for b in order},
-        frozenset((new[b], new[parent[b]]) for b in order[:-1]),
-    )
-
-
 def _plan(
     cg: ConstraintGraph, td: TreeDecomposition
 ) -> tuple[list[tuple], dict[int, tuple[int, int]]]:
     """The bag program and vertex homes (see ``CompiledSet``) of ``td``,
     which must be a valid decomposition of ``cg.graph``: nothing is checked
-    here, and must be in the form ``_oriented`` gives: each bag's parent is
-    read off the edges, (child, parent) with the child's id the smaller, so
-    ascending ids visit children first and the root is the largest id; for
-    min-fill's decomposition that is the elimination root.  A bag that is a
-    subset of its parent's, or whose parent's is a subset of it, is
-    contracted into its parent, which then holds the larger of the two: the
-    decomposition stays valid and no wider, and the program gets one
-    instruction per bag left.  Each constraint is checked in every bag that
-    covers its scope, which keeps the rows of a wide bag few.  The bags are
-    emitted children first and, among siblings, largest subtree first, so
-    that folding each table into its parent as soon as it is done leaves at
-    most log2(bags) + 1 tables open (``_run_dp``).  A vertex's home is its
-    top bag, the one whose parent does not hold it."""
+    here, and must be in the form ``treewidth._oriented`` gives: each bag's
+    parent is read off the edges, (child, parent) with the child's id the
+    smaller, so ascending ids visit children first and the root is the
+    largest id; for min-fill's decomposition that is the elimination root.
+    A bag that is a subset of its parent's, or whose parent's is a subset
+    of it, is contracted into its parent, which then holds the larger of the
+    two: the decomposition stays valid and no wider, and the program gets
+    one instruction per bag left.  Each constraint is checked in every bag
+    that covers its scope, which keeps the rows of a wide bag few.  The bags
+    are emitted children first and, among siblings, largest subtree first,
+    so that folding each table into its parent as soon as it is done leaves
+    at most log2(bags) + 1 tables open (``_run_dp``).  A vertex's home is
+    its top bag, the one whose parent does not hold it."""
     bags = dict(td.bags)  # a parent's bag grows when it takes in a superset child
     parent = dict(td.edges)  # child -> parent
     order = sorted(bags)

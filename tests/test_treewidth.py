@@ -529,6 +529,29 @@ def test_make_nice_records_kinds_and_numbers_children_first():
                 assert all(kid < bid for kid in nice.children[bid])
 
 
+def test_make_nice_on_decompositions_not_in_child_parent_form():
+    # bag ids shuffled and edges flipped, and the same read back from .td
+    # text, where each edge is (min, max): make_nice roots either at its
+    # smallest bag, whatever the ids and edge directions say
+    rng = random.Random(17)
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(1, 20), rng.random() * 0.5)
+        own = heuristic_decomposition(g, rng.choice(("min_fill", "min_degree")))
+        ids = list(own.bags)
+        rng.shuffle(ids)
+        new = dict(zip(own.bags, ids))
+        shuffled = TreeDecomposition({new[b]: bag for b, bag in own.bags.items()},
+                                     frozenset((new[p], new[c]) for c, p in own.edges))
+        parsed, _ = parse_td(emit_td(shuffled, g.n))
+        for td in (shuffled, parsed):
+            nice = make_nice(td)
+            assert width(nice) == width(td)
+            assert nice.bags[nice.root] == td.bags[min(td.bags)]
+            assert validate_decomposition(g, nice) == []
+            for bid in nice.bags:
+                assert nice.kinds[bid] == _kind_from_bags(nice, bid)
+
+
 def test_make_nice_rejects_invalid():
     with pytest.raises(ValueError):
         make_nice(TreeDecomposition({1: frozenset({1}), 2: frozenset({2})}, frozenset()))
