@@ -528,14 +528,27 @@ def _defined_set(svar: str, var: str, psi: MsoFormula, rest: MsoFormula) -> _Run
     binds ``S`` to the elements where ``psi`` holds, found in universe
     order, then runs ``rest``.  None, with ``psi``'s watch, when ``psi`` is
     undetermined at some element: it reads an unassigned membership of an
-    enclosing set."""
+    enclosing set.
+
+    When ``psi`` is an existential block with a relation-atom conjunct over
+    x (``_guard_of``), ``psi`` is False at every element that no tuple of
+    that relation holds at x's position: the block then runs no candidate
+    or refutes each one.  ``S`` starts False everywhere, and ``psi`` runs
+    only at the other elements."""
     psi_run, rest_run = _compile(psi), _compile(rest)
+    guard = _guard_of(var, psi)
 
     def run(ev):
         ev.tick()
         fo = ev.fo
-        members = {}
-        for e in ev.structure.universe:
+        universe = ev.structure.universe
+        if guard is None:
+            members, candidates = {}, universe
+        else:
+            held = ev.index(*guard)
+            members = dict.fromkeys(universe, False)
+            candidates = [e for e in universe if (e,) in held]
+        for e in candidates:
             fo[var] = e  # bound names are apart: nothing reads it after
             v = psi_run(ev)
             if v is None:
@@ -545,6 +558,19 @@ def _defined_set(svar: str, var: str, psi: MsoFormula, rest: MsoFormula) -> _Run
         return rest_run(ev)
 
     return run
+
+
+def _guard_of(var: str, psi: MsoFormula) -> Optional[tuple[str, tuple[int]]]:
+    """``(rel, (position,))`` of the first relation-atom conjunct over
+    ``var`` when ``psi`` is an existential first-order block, else None."""
+    if not isinstance(psi, ExistsFO):
+        return None
+    while isinstance(psi, ExistsFO):
+        psi = psi.body
+    for part in _flatten_and(psi):
+        if isinstance(part, RelAtom) and var in part.args:
+            return part.rel, (part.args.index(var),)
+    return None
 
 
 def _conjuncts(phi: MsoFormula, positive: bool) -> list[MsoFormula]:

@@ -524,11 +524,21 @@ def _count_compiled(monkeypatch, name):
     return calls
 
 
-def random_definitional_mso(rng):
+def random_definitional_mso(rng, guarded=False):
     """``QS V0. Q u. exists D (... & forall x (x in D <-> psi) & ...)``, the
     definition in either orientation, ``psi`` over ``x``, the enclosing
-    ``u`` and the enclosing set ``V0``, the other conjuncts over ``D``."""
-    psi = random_mso(rng, rng.randint(1, 3), ["x", "u"], ["V0"])
+    ``u`` and the enclosing set ``V0``, the other conjuncts over ``D``.
+    ``guarded`` makes ``psi`` an existential block with a relation atom over
+    ``x`` among its conjuncts."""
+    if guarded:
+        atom = RelAtom(rng.choice(["R", "S"]), tuple(rng.choice(["x", "u", "y"]) for _ in range(2)))
+        if "x" not in atom.args:
+            atom = RelAtom("U", ("x",))
+        parts = [atom, random_mso(rng, rng.randint(0, 2), ["x", "u", "y"], ["V0"])]
+        rng.shuffle(parts)
+        psi = ExistsFO("y", And(tuple(parts)))
+    else:
+        psi = random_mso(rng, rng.randint(1, 3), ["x", "u"], ["V0"])
     member = SetAtom("D", "x")
     definition = ForallFO("x", Iff(member, psi) if rng.random() < 0.5 else Iff(psi, member))
     parts = [definition] + [random_mso(rng, rng.randint(1, 3), ["u"], ["V0", "D"])
@@ -542,19 +552,20 @@ def random_definitional_mso(rng):
 def test_defined_sets_match_bruteforce(monkeypatch):
     defined = _count_compiled(monkeypatch, "_defined_set")
     rng = random.Random(181818)
-    checked = 0
-    for _ in range(400):
-        n = rng.randint(1, 4)
-        s = random_structure(rng, n)
-        phi = random_definitional_mso(rng)
-        try:
-            expected = eval_mso_bruteforce(s, phi)
-        except ResourceLimitError:
-            continue
-        assert eval_mso(s, phi) == expected, to_text(phi)
-        checked += 1
-    assert checked >= 300
-    assert defined[0] >= 300  # D is computed, not searched, unless simplified away
+    for guarded in (False, True):
+        checked = defined[0] = 0
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            s = random_structure(rng, n)
+            phi = random_definitional_mso(rng, guarded)
+            try:
+                expected = eval_mso_bruteforce(s, phi)
+            except ResourceLimitError:
+                continue
+            assert eval_mso(s, phi) == expected, to_text(phi)
+            checked += 1
+        assert checked >= 300
+        assert defined[0] >= 300  # D is computed, not searched, unless simplified away
 
 
 def test_defined_set_reads_an_undetermined_enclosing_set():
@@ -645,6 +656,49 @@ def test_extension_on_the_printed_lower_family_is_polynomial_in_steps(monkeypatc
         u = len(s.universe)
         steps = evaluators[-1].steps
         assert steps <= 1.5 * u ** 3 <= Limits().mso_steps, (n, steps)
+
+
+def test_defined_set_runs_psi_only_where_its_guard_holds(monkeypatch):
+    # the extension sentence defines its conclusion set by
+    # psi = exists y (y in G & concl(x, y)), False wherever concl has no
+    # tuple with x first: psi runs only at the other elements, in fewer
+    # steps than at every element, with the verdicts of the stage search
+    # over the brute-force entailment oracle
+    from nmlkit import mso
+    from nmlkit.dl import extension_exists
+    from nmlkit.encodings import mso_encoding
+    from nmlkit.families import gen_dl_lower
+    from nmlkit.randgen import random_literal_default_theory
+    from nmlkit.structures import build_dl_structure
+    from nmlkit.twdp import EntailmentOracle
+
+    evaluators = []
+    original = mso._Evaluator.__init__
+
+    def recorded(self, *args):
+        original(self, *args)
+        evaluators.append(self)
+
+    monkeypatch.setattr(mso._Evaluator, "__init__", recorded)
+    rng = random.Random(29)
+    theories = [gen_dl_lower(n, "printed") for n in range(3, 7)]
+    theories += [random_literal_default_theory(rng) for _ in range(60)]
+    structures = [build_dl_structure(th) for th in theories]
+    phi = mso_encoding("extension")
+    runs = []
+    for th, s in zip(theories, structures):
+        verdict = eval_mso(s, phi)
+        assert verdict == extension_exists(th, EntailmentOracle("brute"))[0], th
+        runs.append((verdict, evaluators[-1].steps))
+    monkeypatch.setattr(mso, "_guard_of", lambda var, psi: None)
+    mso._compiled.cache_clear()
+    fewer = []
+    for s, (verdict, steps) in zip(structures, runs):
+        assert eval_mso(s, phi) == verdict
+        assert steps <= evaluators[-1].steps
+        fewer.append(steps < evaluators[-1].steps)
+    assert all(fewer[:4]) and sum(fewer) >= 40, fewer
+    mso._compiled.cache_clear()
 
 
 # ---------------------------------------------------------------------------

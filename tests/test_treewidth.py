@@ -272,6 +272,38 @@ def test_worklist_reductions_match_the_rescan():
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         g = gen_pseudo_clique(PseudoCliqueSpec(n, {p: rng.randint(0, 3) for p in pairs}))
         _reductions_agree(g, rng.randint(0, n))
+    for n in range(8, 13):
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        g = gen_pseudo_clique(PseudoCliqueSpec(n, {p: rng.randint(0, 2) for p in pairs}))
+        _reductions_agree(g, rng.randint(0, n))
+
+
+def test_kept_fill_counts_match_the_recount(monkeypatch):
+    # after every elimination, each count the reductions or min-fill keep
+    # equals the count made from scratch on the graph that is left
+    eliminations = [0]
+
+    def checked(adj, v, counts, fill=True, _original=treewidth._eliminate_counted):
+        out = _original(adj, v, counts, fill)
+        for w, k in counts.items():
+            assert k == (treewidth._fill_count(adj, w) if fill else len(adj[w]))
+        eliminations[0] += 1
+        return out
+
+    monkeypatch.setattr(treewidth, "_eliminate_counted", checked)
+    rng = random.Random(47)
+    for _ in range(300):
+        n = rng.randint(0, 25)
+        g = random_graph(rng, n, rng.random() * rng.choice((0.2, 0.5, 1.0)))
+        treewidth._reduce(g.adjacency(), rng.randint(0, n))
+        for method in ("min_fill", "min_degree"):
+            heuristic_decomposition(g, method)
+    for _ in range(20):
+        n = rng.randint(3, 8)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        g = gen_pseudo_clique(PseudoCliqueSpec(n, {p: rng.randint(0, 2) for p in pairs}))
+        treewidth._reduce(g.adjacency(), rng.randint(0, n))
+    assert eliminations[0] > 3000
 
 
 def _exact_is_decomposition_of_its_order(g):
@@ -333,6 +365,17 @@ def test_reduction_work_on_a_pseudo_clique(monkeypatch):
     assert exact_treewidth(g)[0] == 7
     bound = 4 * g.n
     assert calls[0] <= bound < rescan[0], (calls[0], rescan[0])
+
+
+def test_reduction_checks_per_vertex_on_pseudo_cliques(monkeypatch):
+    # kept fill counts leave a touched vertex that no rule can admit out of
+    # the heap, so the checks per vertex stay near constant as the mains grow
+    calls = _count_reducibility_checks(monkeypatch)
+    for n in (10, 20, 40):
+        g = gen_pseudo_clique(PseudoCliqueSpec(n, 1))
+        calls[0] = 0
+        assert exact_treewidth(g)[0] == n - 1
+        assert calls[0] <= 3 * g.n, (n, calls[0] / g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +674,65 @@ def test_lower_bound_examples():
         longest = min(3, (64 - n) // len(pairs))  # at most 64 vertices, the clique cap
         g = gen_pseudo_clique(PseudoCliqueSpec(n, {p: rng.randint(0, longest) for p in pairs}))
         assert pseudo_clique_lower_bound(g) == n
+
+
+def _rescan_unsubdivide(g):
+    """The subdivisions undone by a rescan: after every undo, scan the
+    vertices again from the smallest for one of degree 2."""
+    adj = g.adjacency()
+    route = {e: [] for e in g.edges}
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(adj):
+            if len(adj[v]) == 2:
+                treewidth._unsubdivide(adj, route, v)
+                changed = True
+                break
+    return adj
+
+
+def _subdivided(rng, k, p):
+    # a random graph with some edges replaced by chains of degree-2 vertices
+    base = random_graph(rng, k, p)
+    edges, n = [], k
+    for a, b in sorted(base.edges):
+        chain_len = rng.choice((0, 0, 1, 2, 3))
+        ids = [a] + list(range(n + 1, n + chain_len + 1)) + [b]
+        n += chain_len
+        edges += zip(ids, ids[1:])
+    return make_graph(n, edges)
+
+
+def test_lower_bound_heap_matches_the_rescan(monkeypatch):
+    undone, cliqued = [], []
+
+    def recorded(adj, route, v, _original=treewidth._unsubdivide):
+        undone.append(v)
+        return _original(adj, route, v)
+
+    def seen(adj, _original=treewidth._max_clique):
+        cliqued.append({v: set(ns) for v, ns in adj.items()})
+        return _original(adj)
+
+    monkeypatch.setattr(treewidth, "_unsubdivide", recorded)
+    monkeypatch.setattr(treewidth, "_max_clique", seen)
+    rng = random.Random(48)
+    graphs = [_subdivided(rng, rng.randint(1, 12), rng.random() * 0.7) for _ in range(400)]
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        graphs.append(gen_pseudo_clique(PseudoCliqueSpec(n, {p: rng.randint(0, 3) for p in pairs})))
+    limits = Limits(clique_vertices=200)
+    for g in graphs:
+        undone.clear()
+        got = pseudo_clique_lower_bound(g, limits=limits)
+        order = list(undone)
+        undone.clear()
+        left = _rescan_unsubdivide(g)
+        assert order == undone
+        assert cliqued[-1] == left
+        assert got == len(treewidth._max_clique(left))
 
 
 def test_lower_bound_cap():
