@@ -4,7 +4,9 @@ Families: ``chain`` (the implication chain of ``families.chain``, solved by
 the treewidth DP or, with method ``brute``, by the truth-table oracle) and
 ``pseudo-clique`` (exact treewidth of ``gen_pseudo_clique(n, 2)``).
 
-Columns: family,param,n_vertices,width,method,wall_ms,verdict.  Rows that hit
+Columns: family,param,n_vertices,width,method,wall_ms,verdict.  A chain
+row's size and width are those of the graph ``dp_sat`` compiles, the chain
+under its own assertions (``twdp.build_constraint_graph``).  Rows that hit
 a resource cap are recorded with verdict ``resource-limit`` and the run
 continues.
 """
@@ -59,7 +61,8 @@ def run_bench(family: str, sizes: list[int], method: Optional[str] = None) -> li
     for size in sizes:
         if family == "chain":
             gamma = chain(size)
-            cs = compile_set(gamma, limits=Limits())  # untimed, default caps: sizes the row
+            # untimed, default caps: the asserted compile dp_sat makes sizes the row
+            cs = compile_set(gamma, limits=Limits(), asserted=True)
             n, w = cs.cg.graph.n, cs.width
         else:
             g = gen_pseudo_clique(PseudoCliqueSpec(size, 2))

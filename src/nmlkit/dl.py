@@ -125,6 +125,8 @@ def stage_fixpoint(
     theory: DefaultTheory,
     candidate: Iterable[int],
     oracle: Optional[EntailmentOracle] = None,
+    *,
+    blocked: Optional[frozenset[int]] = None,
 ) -> tuple[bool, frozenset[int]]:
     """Run the iterative stage construction against a candidate generating
     set.
@@ -133,13 +135,17 @@ def stage_fixpoint(
     base upward: a rule fires once its prerequisite follows from what has
     been applied, unless its negated justification follows from knowledge+C.
     Returns (applied == candidate, applied).  If knowledge+C is inconsistent
-    every negated justification follows, so nothing is applicable.
+    every negated justification follows, so nothing is applicable.  A caller
+    that already knows the candidate's blocked set passes it as ``blocked``,
+    and it is not asked for again.
     """
     oracle = oracle or entailment_oracle("brute")
     candidate = frozenset(candidate)
     if not candidate <= set(range(1, len(theory.defaults) + 1)):
         raise ValueError("candidate contains unknown rule indices")
-    applied = _least_fixpoint(theory, _blocked(theory, candidate, oracle), oracle)
+    if blocked is None:
+        blocked = _blocked(theory, candidate, oracle)
+    applied = _least_fixpoint(theory, blocked, oracle)
     return applied == candidate, applied
 
 
@@ -169,7 +175,8 @@ def extension_exists(
     monotonicity their blocked sets lie between the parent's blocked(IN)
     (FLOOR) and blocked(IN | OPEN) (CEILING), which every child inherits:
     ``_blocked`` then asks only about the rules in CEILING - FLOOR.  A
-    surviving leaf has LO = UP = IN and is confirmed by ``stage_fixpoint``.
+    surviving leaf has LO = UP = IN and is confirmed by ``stage_fixpoint``
+    under its FLOOR, which there is blocked(IN).
     Each popped node counts against
     ``Limits.search_nodes``; m rules give at most 2^(m+1) - 1 nodes.  The
     oracle compiles the theory's universe once: the knowledge and every
@@ -206,7 +213,7 @@ def extension_exists(
         if k == 0:
             # stage_fixpoint is looked up at call time, so a wrapper
             # installed on this module sees every leaf
-            if stage_fixpoint(theory, chosen, oracle)[0]:
+            if stage_fixpoint(theory, chosen, oracle, blocked=floor)[0]:
                 witnesses.append(ExtensionWitness(chosen))
             continue
         # the children's bounds nest inside the parent's, so rule k in LO

@@ -12,7 +12,7 @@ and the ``.labels`` sidecar by ``formula.read_lines``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .errors import ParseError, parse_ints
@@ -277,14 +277,21 @@ def build_ael_structure(sigma: Iterable[Formula], basis: Basis = None) -> Relati
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 1..n with optional vertex labels
-    (``main``/``edge``/``none``) and descriptions."""
+    (``main``/``edge``/``none``) and descriptions.  Each edge must be a pair
+    (u, v) of vertices in 1..n with u < v, and each labelled vertex lie in
+    1..n; a ValueError says which does not.  ``checked=False`` skips that
+    check, for a builder whose edges are such pairs by construction
+    (``primal_graph``)."""
 
     n: int
     edges: frozenset[tuple[int, int]]
     labels: Optional[dict[int, str]] = None
     descriptions: Optional[dict[int, str]] = None
+    checked: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, checked: bool):
+        if not checked:
+            return
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop at {u}")
@@ -323,12 +330,13 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]], labels=None, descriptio
 
 def primal_graph(n: int, scopes: Iterable[tuple[int, ...]]) -> Graph:
     """The graph on 1..n with a clique over each scope's distinct vertices,
-    whose sorted pairs are already normalised edges (u < v): the Gaifman
-    graph of a structure, or the constraint graph of the treewidth DP."""
+    whose sorted pairs are already normalised edges (u < v), so ``Graph``
+    does not check them again: the Gaifman graph of a structure, or the
+    constraint graph of the treewidth DP.  Every scope must lie in 1..n."""
     edges: set[tuple[int, int]] = set()
     for scope in scopes:
         edges.update(itertools.combinations(sorted(set(scope)), 2))
-    return Graph(n, frozenset(edges))
+    return Graph(n, frozenset(edges), checked=False)
 
 
 def gaifman_graph(s: RelationalStructure) -> Graph:

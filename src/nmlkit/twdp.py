@@ -18,20 +18,30 @@ evaluator instantiates from guarded clauses).  A query over it only *pins
 slots*: a formula ``f`` pins the home slot of its vertex (the top bag that
 holds it) to the rows where the vertex is true, a negation ``!g`` pins
 ``g``'s home slot to the complement, and pins on one slot are ANDed, so
-contradictory pins leave its table empty.  Each formula's pin ``(slot,
-mask)`` is worked out the first time a query names it and memoised on the
-compiled set, so a query's pins cost one lookup per formula.  This is sound
-for any query over the compiled set, however little of it the query
-mentions: every operator vertex is a function of its children, variables
-and ``L`` atoms are free leaves, and constants are pinned, so every
-assignment of the leaves extends to exactly one labeling that meets all
-local constraints, and the labelings that meet the pins are exactly the
-models of the query.  The entailment oracle compiles a theory's *universe*
-once (``EntailmentOracle.compile_universe``) and answers each of its
-queries by pinning slots; ``dp_sat`` on its own compiles its set and pins
-the set's formulas the same way.  A query with a formula outside the
-universe, or a universe wider than ``Limits.dp_width``, is compiled on its
-own.
+contradictory pins leave its table empty.  This is sound for any query
+over the compiled set, however little of it the query mentions: every
+operator vertex is a function of its children, variables and ``L`` atoms
+are free leaves, and constants are pinned, so every assignment of the
+leaves extends to exactly one labeling that meets all local constraints,
+and the labelings that meet the pins are exactly the models of the query.
+The entailment oracle compiles a theory's *universe* once
+(``EntailmentOracle.compile_universe``) and answers each of its queries by
+pinning slots; each formula's pin ``(slot, mask)`` is worked out the first
+time a query names it and memoised on the compiled universe, so a query's
+pins cost one lookup per formula.
+
+``dp_sat`` without a universe, and the oracle for a query with a formula
+outside its universe or when the universe is wider than
+``Limits.dp_width``, compiles the set on its own and *under its own
+assertions*: each formula is true, so an operator root that is no proper
+subterm of the set's formulas is a constant, not a variable (the unit clause of a
+Tseitin encoding, Tseitin 1968, substituted away).  It gets no vertex and
+no pin, and its constraint keeps, over its arguments alone, the rows of its
+truth table that make its formula true (``build_constraint_graph``).  On an
+implication chain this halves the vertices and narrows the width from 2 to
+1.  The formulas that kept a vertex are pinned as above, with no memo on a
+compiled set that answers one query.  A caller's decomposition decomposes
+the plain graph, which universes and the MSO evaluator's graphs keep too.
 
 The program, built by ``_plan``, is one instruction per bag of the rooted
 decomposition, after each tree edge between a bag and a superset of it has
@@ -93,6 +103,12 @@ _TRUTH_TABLES: dict[str, Rows] = {
     )
     for op, arity in CONNECTIVE_ARITY.items()
 }
+# (connective, value) -> the input rows of its truth table that give value
+_ASSERTED_ROWS: dict[tuple[str, bool], Rows] = {
+    (op, value): tuple(row[1:] for row in rows if row[0] == value)
+    for op, rows in _TRUTH_TABLES.items()
+    for value in (False, True)
+}
 
 
 @dataclass(frozen=True)
@@ -100,9 +116,11 @@ class ConstraintGraph:
     """A formula set's subterm vertices (``vertex_of``), its local
     constraints and their primal graph.  Each constraint is ``(scope,
     rows)``: from a formula set, an operator's ``(v, *kids)`` with its
-    connective's truth table, or a constant's ``(v,)`` with its one value;
-    from a guarded MSO clause (``mso``), the memberships of one instance.  A
-    vertex may head, as the first of its scope, any number of constraints.
+    connective's truth table, a constant's ``(v,)`` with its one value, or
+    a folded root's ``(*kids)`` with the rows that give it its asserted
+    value (``build_constraint_graph``); from a guarded MSO clause
+    (``mso``), the memberships of one instance.  A vertex may head, as the
+    first of its scope, any number of constraints.
     ``vertex_of`` is empty for a graph that no formula set numbered."""
 
     graph: Graph
@@ -118,20 +136,57 @@ def constraint_graph(n: int, constraints: Iterable, vertex_of: dict) -> Constrai
     return ConstraintGraph(graph, constraints, vertex_of)
 
 
-def build_constraint_graph(gamma: Iterable[Formula]) -> ConstraintGraph:
+def _core(f: Formula) -> tuple[Formula, bool]:
+    """``f`` with its negations peeled, and the value that core takes when
+    ``f`` is true: False under an odd number of them."""
+    value = True
+    while f.__class__ is App and f.op == "not":
+        f, value = f.args[0], not value
+    return f, value
+
+
+def build_constraint_graph(gamma: Iterable[Formula], *, asserted: bool = False) -> ConstraintGraph:
     """Subterm graph of a formula set with local constraints: operator nodes
     are held to their connective's truth table and constants to their
     value.  The set's own formulas are not pinned here; a query pins them
     (``dp_sat``).  Vertices are numbered in post-order of first occurrence;
     the walk stops at ``L`` nodes, which are opaque atoms, so a subterm that
-    occurs only under ``L`` gets no vertex."""
-    vertex_of = number_subterms(gamma, beliefs=False)
+    occurs only under ``L`` gets no vertex.
+
+    With ``asserted``, every formula of the set is taken to be true, and an
+    operator with arguments that is the core of a formula (``_core``) and
+    no proper subterm of any formula's core is *folded*: it and the negations
+    around it get no vertex, and its constraint ranges over its arguments
+    alone, keeping the rows of its truth table where it takes its core's
+    value (none when the set asserts both values).  This is the unit clause
+    of a Tseitin encoding substituted away.  Any other core keeps its
+    vertex, and the query still pins it (``dp_sat``)."""
+    if not asserted:
+        vertex_of = number_subterms(gamma, beliefs=False)
+        folded: dict[Formula, Optional[bool]] = {}
+    else:
+        roots: list[Formula] = []
+        folded = {}  # candidate core -> the value the set asserts, None for both
+        for f in gamma:
+            core, value = _core(f)
+            if core.__class__ is App and core.args:
+                roots.extend(core.args)
+                folded[core] = value if folded.get(core, value) is value else None
+            else:
+                roots.append(core)
+        # the vertices are the subterms of every argument and leaf core, so
+        # a candidate among them is some other core's subterm and is kept
+        vertex_of = number_subterms(roots, beliefs=False)
     constraints = []
     for f, v in vertex_of.items():
         if f.__class__ is App:
             constraints.append(((v, *[vertex_of[a] for a in f.args]), _TRUTH_TABLES[f.op]))
         elif f.__class__ is Const:
             constraints.append(((v,), ((int(f.value),),)))
+    for core, value in folded.items():
+        if core not in vertex_of:
+            rows = () if value is None else _ASSERTED_ROWS[core.op, value]
+            constraints.append((tuple([vertex_of[a] for a in core.args]), rows))
     return constraint_graph(len(vertex_of), constraints, vertex_of)
 
 
@@ -229,9 +284,10 @@ class CompiledSet:
     has ``parent`` and ``classes`` None.
     ``home[v]`` is ``(slot, rows)`` of the bag where a pin on vertex ``v``
     is checked, the top bag that holds ``v``, with the bitset of its rows
-    that set ``v`` true.  ``pins`` memoises, per formula a query has named,
-    its pin ``(slot, mask)``: the home slot of its negation-free core and
-    the rows there that make the formula true (``_pins``)."""
+    that set ``v`` true.  On a universe, ``pins`` memoises, per formula a
+    query has named, its pin ``(slot, mask)``: the home slot of its
+    negation-free core and the rows there that make the formula true
+    (``_pins``)."""
 
     cg: ConstraintGraph
     width: int
@@ -245,10 +301,14 @@ def compile_set(
     td: Optional[TreeDecomposition] = None,
     *,
     limits: Limits | None = None,
+    asserted: bool = False,
 ) -> CompiledSet:
-    """Constraint graph, decomposition and bag program of a formula set
-    (``compile_graph``)."""
-    return compile_graph(build_constraint_graph(gamma), td, limits=limits)
+    """Constraint graph (``build_constraint_graph``, under the set's own
+    assertions with ``asserted``), decomposition and bag program
+    (``compile_graph``) of a formula set.  A set compiled with ``asserted``
+    answers only the query that asserts it, and ``td`` must decompose the
+    graph of the same compile."""
+    return compile_graph(build_constraint_graph(gamma, asserted=asserted), td, limits=limits)
 
 
 def compile_graph(
@@ -280,21 +340,18 @@ def compile_graph(
 def _pins(compiled: CompiledSet, gamma: Iterable[Formula]) -> Optional[dict[int, int]]:
     """The pins that make every formula of ``gamma`` true on ``compiled``,
     ANDed per slot: slot -> the rows its pins allow.  A formula's pin is
-    ``(slot, mask)``: the home of its negation-free core's vertex, with the
-    rows where that vertex is true, or their complement under an odd number
-    of negations, since a vertex of ``!g`` is a function of ``g``'s.  Each
-    pin is worked out the first time a query names its formula and then
-    read from ``compiled.pins``.  None when some formula's core has no
-    vertex; the pins memoised before it stay, as a pin depends only on the
-    compiled set and its formula."""
+    ``(slot, mask)``: the home of its core's vertex (``_core``), with the
+    rows where that vertex takes the core's value, since a vertex of ``!g``
+    is a function of ``g``'s.  Each pin is worked out the first time a
+    query names its formula and then read from ``compiled.pins``.  None
+    when some formula's core has no vertex; the pins memoised before it
+    stay, as a pin depends only on the compiled set and its formula."""
     memo = compiled.pins
     pins: dict[int, int] = {}
     for f in gamma:
         pin = memo.get(f)
         if pin is None:
-            core, value = f, True
-            while core.__class__ is App and core.op == "not":
-                core, value = core.args[0], not value
+            core, value = _core(f)
             v = compiled.cg.vertex_of.get(core)
             if v is None:
                 return None
@@ -329,14 +386,21 @@ def dp_sat(
     With ``universe``, a compiled set whose vertices cover every formula of
     ``gamma`` once its negations are peeled, each formula pins one slot of
     the universe's program, through the universe's memo of pins
-    (``_pins``); otherwise ``gamma`` is compiled on its own (over ``td``
-    when given) and its formulas pinned on that."""
+    (``_pins``).  Otherwise ``gamma`` is compiled on its own: over ``td``
+    when given, on the plain constraint graph that ``td`` decomposes, and
+    else under its own assertions (``build_constraint_graph``), where a
+    folded formula is a constraint and needs no pin.  The core of each
+    formula that kept a vertex is then pinned to its value on that compiled
+    set (``vertex_pins``), with no memo on a set that answers one query."""
     gamma = tuple(gamma)
     compiled = universe
     pins = None if compiled is None else _pins(compiled, gamma)
     if pins is None:
-        compiled = compile_set(gamma, td, limits=limits)
-        pins = _pins(compiled, gamma)
+        compiled = compile_set(gamma, td, limits=limits, asserted=td is None)
+        vertex_of = compiled.cg.vertex_of
+        cores = [_core(f) for f in gamma]
+        pins = vertex_pins(compiled.home,
+                           [(vertex_of[c], value) for c, value in cores if c in vertex_of])
     return _run_dp(compiled.program, pins)
 
 

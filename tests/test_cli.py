@@ -273,7 +273,7 @@ def test_bench_chain_csv(tmp_path, capsys):
     assert len(lines) == 3 and all("sat" in line for line in lines[1:])
     # a row's size and width are those of the set the DP compiles
     for line, m in zip(lines[1:], (50, 100)):
-        compiled = compile_set(chain(m))
+        compiled = compile_set(chain(m), asserted=True)
         assert line.split(",")[2:4] == [str(compiled.cg.graph.n), str(compiled.width)]
     capsys.readouterr()
 

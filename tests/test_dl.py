@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from nmlkit import dl
 from nmlkit.dl import (
     DefaultRule,
     DefaultTheory,
@@ -184,8 +185,9 @@ class _CountingOracle(EntailmentOracle):
 
 def test_search_nodes_inherit_blocked_rules():
     # each node asks only about the rules between its parent's blocked(IN)
-    # and blocked(IN | OPEN); asking about every rule at every node made
-    # 17,211 calls on these theories
+    # and blocked(IN | OPEN), and a leaf is confirmed under its FLOOR;
+    # asking about every rule at every node made 17,211 calls on these
+    # theories, and working out blocked(IN) again at each leaf 14,462
     calls = 0
     for seed in range(300):
         theory = random_literal_default_theory(random.Random(seed), max_rules=7)
@@ -195,7 +197,34 @@ def test_search_nodes_inherit_blocked_rules():
         expected = _enumerated_witnesses(theory, entailment_oracle("brute"))
         assert [w.generating for w in witnesses] == expected
         assert exists == bool(expected)
-    assert calls == 14462
+    assert calls == 13478
+
+
+def test_leaf_is_confirmed_under_its_floor(monkeypatch):
+    # at a surviving leaf the search's FLOOR is blocked(IN), so the leaf's
+    # stage_fixpoint is handed it and asks no blocked query of its own; it
+    # is still called once per surviving leaf
+    leaves = []
+
+    def confirm(theory, candidate, oracle=None, *, blocked=None, _original=dl.stage_fixpoint):
+        brute = entailment_oracle("brute")
+        assert blocked == dl._blocked(theory, frozenset(candidate), brute)
+        got = _original(theory, candidate, oracle, blocked=blocked)
+        assert got == _original(theory, candidate, brute)
+        leaves.append(got[0])
+        return got
+
+    monkeypatch.setattr(dl, "stage_fixpoint", confirm)
+    confirmed = 0
+    for seed in range(200):
+        theory = random_literal_default_theory(random.Random(seed), max_rules=6)
+        exists, witnesses = extension_exists(theory, entailment_oracle("twdp"))
+        assert len(witnesses) == leaves.count(True)
+        confirmed += len(leaves)
+        leaves.clear()
+    assert confirmed >= 100
+    assert extension_exists(gen_dl_lower(4), entailment_oracle("twdp"))[0]
+    assert leaves == [True]
 
 
 def test_search_work_grows_polynomially_on_lower_bound_family():

@@ -28,6 +28,7 @@ from nmlkit.structures import (
     make_graph,
     parse_gr,
     parse_labels,
+    primal_graph,
 )
 
 
@@ -209,6 +210,27 @@ def test_graph_type_validation():
             Graph(3, frozenset(), labels={v: "main"})
         with pytest.raises(ValueError, match=f"vertex {v} outside 1..3"):
             Graph(3, frozenset(), descriptions={v: "x"})
+
+
+def test_primal_graph_is_built_unchecked(monkeypatch):
+    # its edges are sorted pairs of distinct in-range vertices by
+    # construction, so Graph does not walk them again; a direct Graph, a
+    # make_graph and a .gr file still do
+    rng = random.Random(41)
+    for _ in range(100):
+        n = rng.randint(1, 12)
+        scopes = [tuple(rng.choices(range(1, n + 1), k=rng.randint(1, 4)))
+                  for _ in range(rng.randint(0, 8))]
+        pairs = [(u, v) for scope in scopes for u in scope for v in scope]
+        assert primal_graph(n, scopes) == make_graph(n, pairs)
+    checked = []
+    original = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__",
+                        lambda self, flag: checked.append(flag) or original(self, flag))
+    primal_graph(3, [(1, 2, 3)])
+    make_graph(3, [(3, 1)])
+    parse_gr("p tw 2 1\n1 2\n")
+    assert checked == [False, True, True]
 
 
 def test_builders_print_nothing(monkeypatch):

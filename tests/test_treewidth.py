@@ -595,6 +595,36 @@ def test_make_nice_on_decompositions_not_in_child_parent_form():
                 assert nice.kinds[bid] == _kind_from_bags(nice, bid)
 
 
+def test_make_nice_numbering_golden():
+    # node for node, the nice form of a decomposition rooted at bag 1 whose
+    # root has two children: children before parents, the tree walked from
+    # the root with each bag's neighbours in ascending id
+    td = TreeDecomposition(
+        {1: frozenset({1, 2}), 2: frozenset({2, 3}), 3: frozenset({1, 4}), 4: frozenset({3, 5})},
+        frozenset({(1, 2), (3, 1), (2, 4)}),
+    )
+    nice = make_nice(td)
+    golden = [  # id: kind, vertex, bag, children
+        (1, "leaf", None, [], ()),
+        (2, "introduce", 3, [3], (1,)),
+        (3, "introduce", 5, [3, 5], (2,)),
+        (4, "leaf", None, [], ()),
+        (5, "introduce", 1, [1], (4,)),
+        (6, "introduce", 4, [1, 4], (5,)),
+        (7, "forget", 5, [3], (3,)),
+        (8, "introduce", 2, [2, 3], (7,)),
+        (9, "forget", 3, [2], (8,)),
+        (10, "introduce", 1, [1, 2], (9,)),
+        (11, "forget", 4, [1], (6,)),
+        (12, "introduce", 2, [1, 2], (11,)),
+        (13, "join", None, [1, 2], (10, 12)),
+    ]
+    assert nice.root == 13
+    assert [(b, *nice.kinds[b], sorted(nice.bags[b]), nice.children[b])
+            for b in sorted(nice.bags)] == golden
+    assert nice.edges == {(c, b) for b, *_, kids in golden for c in kids}
+
+
 def test_make_nice_rejects_invalid():
     with pytest.raises(ValueError):
         make_nice(TreeDecomposition({1: frozenset({1}), 2: frozenset({2})}, frozenset()))

@@ -71,7 +71,11 @@ def test_dp_sat_matches_bruteforce():
 
 
 def test_dp_sat_width_cap():
-    gamma = chain(30)
+    # asserted, chain(30) folds to a path of width 1; each asserted xor3
+    # root folds to a triangle over its arguments, so this chain keeps width 2
+    xs = [Var(f"x{i}") for i in range(32)]
+    gamma = [lxor3(*xs[i:i + 3]) for i in range(30)]
+    assert twdp.compile_set(gamma, asserted=True).width == 2
     with pytest.raises(ResourceLimitError, match="width"):
         dp_sat(gamma, limits=Limits(dp_width=1))
 
@@ -742,3 +746,125 @@ def test_several_constraints_per_head_vertex_match_bruteforce():
         assert twdp._run_dp(compiled.program, twdp.vertex_pins(compiled.home, [])) == (
             sat_bruteforce(formulas) is not None), formulas
     assert several >= 150
+
+
+# ---------------------------------------------------------------------------
+# A set compiled under its own assertions: asserted operator roots fold
+# ---------------------------------------------------------------------------
+
+
+def _proper_subterms(f):
+    """Every subterm strictly below ``f``, not entering ``L``."""
+    below, stack = set(), list(f.args) if isinstance(f, App) else []
+    while stack:
+        g = stack.pop()
+        if g not in below:
+            below.add(g)
+            stack.extend(g.args if isinstance(g, App) else ())
+    return below
+
+
+def _fold_case(rng, kind):
+    """A random set with the shape ``kind`` added: a negated root, a
+    repeated one, a root that is a subterm of an earlier or a later formula,
+    repeated arguments or xor3, leaves that never fold, or 0-ary roots."""
+    gamma = random_formula_set(rng, max_formulas=4, max_subformulae=10, allow_believes=True)
+    operators = [g for f in gamma for g in (f, *_proper_subterms(f))
+                 if isinstance(g, App) and g.op != "not" and g.args]
+    p, q, r = Var("p"), Var("q"), Var("r")
+    if kind == "negated" and operators:
+        gamma.append(_negated(rng.choice(operators), rng.randint(1, 3)))
+    elif kind == "repeated":
+        gamma.append(_negated(rng.choice(gamma), rng.choice((0, 0, 1, 2))))
+    elif kind == "subterm" and operators:
+        gamma.insert(rng.randint(0, len(gamma)), rng.choice(operators))
+    elif kind == "arguments":
+        gamma += rng.sample([land(p, p), lor(p, lnot(p)), lxor3(p, q, r), lxor3(p, p, q),
+                             lnot(lxor3(q, r, r)), liff(q, q)], 2)
+    elif kind == "leaves":
+        gamma += rng.sample([p, lnot(q), Const(True), Const(False), lnot(Const(False)),
+                             Believes(land(p, q)), lnot(Believes(r))], 2)
+    elif kind == "nullary":
+        gamma.append(_negated(App(rng.choice(("true", "false")), ()), rng.randint(0, 1)))
+    rng.shuffle(gamma)
+    return gamma
+
+
+def test_asserted_compile_matches_bruteforce_and_the_plain_graph():
+    # the folded cores are exactly the operator cores with arguments that
+    # are no proper subterm of any core; every other core keeps its vertex
+    # and is pinned, and the verdict is the truth table's and that of the
+    # same set over a decomposition of its plain graph
+    rng = random.Random(3030)
+    kinds = ("negated", "repeated", "subterm", "arguments", "leaves", "nullary")
+    seen = dict.fromkeys(("folded under !", "kept and pinned", "contradictory root",
+                          "repeated root", "leaf root", "0-ary root", "sat", "unsat"), 0)
+    for i in range(2400):
+        gamma = _fold_case(rng, kinds[i % len(kinds)])
+        cores = [twdp._core(f) for f in gamma]
+        below = set().union(*(_proper_subterms(c) for c, _ in cores))
+        folds = {c for c, _ in cores if isinstance(c, App) and c.args and c not in below}
+        compiled = twdp.compile_set(gamma, asserted=True)
+        assert folds.isdisjoint(compiled.cg.vertex_of), gamma
+        assert set(compiled.cg.vertex_of) == below | {c for c, _ in cores if c not in folds}
+        for f, (core, value) in zip(gamma, cores):
+            seen["folded under !"] += core in folds and f is not core
+            seen["kept and pinned"] += isinstance(core, App) and core in below
+            seen["leaf root"] += isinstance(core, (Var, Const, Believes))
+            seen["0-ary root"] += isinstance(core, App) and not core.args
+        seen["contradictory root"] += any((c, not v) in cores for c, v in cores if c in folds)
+        seen["repeated root"] += len(set(gamma)) < len(gamma)
+        expected = sat_bruteforce(gamma) is not None
+        seen["sat" if expected else "unsat"] += 1
+        assert dp_sat(gamma) == expected, gamma
+        plain = heuristic_decomposition(build_constraint_graph(gamma).graph, "min_fill")
+        assert dp_sat(gamma, plain) == expected, gamma
+    assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize("gamma", [
+    [App("false", ())], [App("true", ())], [lnot(App("true", ()))], [lnot(App("false", ()))],
+    [App("true", ()), App("false", ())], [Const(False)], [lnot(Const(False))],
+])
+def test_nullary_roots_and_constants_keep_their_vertex(gamma):
+    # a 0-ary root has no arguments to range over, so it is pinned like a
+    # constant instead of folding to a constraint with an empty scope
+    compiled = twdp.compile_set(gamma, asserted=True)
+    assert set(compiled.cg.vertex_of) == {twdp._core(f)[0] for f in gamma}
+    assert dp_sat(gamma) == (sat_bruteforce(gamma) is not None)
+
+
+def test_asserted_chain_work_and_width():
+    # each asserted link x(i) -> x(i+1) folds to a constraint over its two
+    # variables: a path of m vertices, width 1 against the plain graph's 2,
+    # with the plain program's work, 2m - 3
+    def compiled(m):
+        return twdp.compile_set(chain(m), asserted=True)
+
+    def work(program):
+        return len(program) + sum(parent is not None for _, parent, _ in program)
+
+    small, large = compiled(1000), compiled(2000)
+    assert (small.cg.graph.n, large.cg.graph.n) == (1000, 2000)
+    assert (work(small.program), work(large.program)) == (1997, 3997)
+    assert work(large.program) <= 2.05 * work(small.program)
+    assert (small.width, large.width) == (1, 1)
+    assert twdp.compile_set(chain(1000)).width == 2
+
+
+@pytest.mark.parametrize("size", [100, 300, 1000, 3000])
+def test_peak_live_tables_logarithmic_on_asserted_banded_sets(size):
+    # the bound of test_peak_live_tables_logarithmic_on_banded_sets, on the
+    # program dp_sat runs for the same set, read off the program order as
+    # harness.peak_live_tables reads it
+    gamma = _banded(random.Random(size), size)
+    program = twdp.compile_set(gamma, asserted=True).program
+    assert len(program) >= size // 3
+    live, peak = set(), 0
+    for slot, (_, parent, _) in enumerate(program):
+        live.add(slot)
+        if parent is not None:
+            live.add(parent)
+        peak = max(peak, len(live))
+        live.remove(slot)
+    assert peak <= math.log2(len(program)) + 2
