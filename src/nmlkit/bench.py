@@ -1,21 +1,18 @@
-"""Benchmark runner: timed rows over instance families, emitted as CSV.
+"""Benchmark runner: timed rows over instance families, each checked.
 
 Families: ``chain`` (the implication chain of ``families.chain``, solved by
 the treewidth DP or, with method ``brute``, by the truth-table oracle) and
 ``pseudo-clique`` (exact treewidth of ``gen_pseudo_clique(n, 2)``).
 
-Columns: family,param,n_vertices,width,method,wall_ms,verdict.  A chain
-row's size and width are those of the graph ``dp_sat`` compiles, the chain
-under its own assertions (``twdp.build_constraint_graph``).  Rows that hit
-a resource cap are recorded with verdict ``resource-limit`` and the run
-continues.
+A chain row's size and width are those of the graph ``dp_sat`` compiles,
+the chain under its own assertions (``twdp.build_constraint_graph``).  Rows
+that hit a resource cap are recorded with verdict ``resource-limit`` and the
+run continues.
 """
 from __future__ import annotations
 
-import csv
-import io
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ResourceLimitError
@@ -27,7 +24,6 @@ from .twdp import compile_set, dp_sat
 
 # the methods each family runs, its default first
 METHODS = {"chain": ("dp", "brute"), "pseudo-clique": ("exact",)}
-CSV_FIELDS = ("family", "param", "n_vertices", "width", "method", "wall_ms", "verdict")
 
 
 @dataclass
@@ -39,12 +35,11 @@ class BenchRow:
     method: str
     wall_ms: float
     verdict: str
+    passed: bool
 
-    def as_record(self) -> dict:
-        record = asdict(self)
-        record["width"] = "" if self.width is None else self.width
-        record["wall_ms"] = f"{self.wall_ms:.2f}"
-        return record
+    def line(self) -> str:
+        return (f"{'PASS' if self.passed else 'FAIL'}  {self.family}/{self.param}: {self.verdict} "
+                f"by {self.method}, n={self.n_vertices} width={self.width} [{self.wall_ms:.2f} ms]")
 
 
 def run_bench(family: str, sizes: list[int], method: Optional[str] = None) -> list[BenchRow]:
@@ -79,14 +74,10 @@ def run_bench(family: str, sizes: list[int], method: Optional[str] = None) -> li
         except ResourceLimitError:
             verdict = "resource-limit"
         ms = (time.perf_counter() - t0) * 1000
-        rows.append(BenchRow(family, size, n, w, method, ms, verdict))
+        # chain(m) is satisfiable by construction, and a pseudo-clique on m
+        # mains has treewidth m - 1 (criterion 1); a row cut by a resource
+        # cap decided nothing and passes
+        passed = verdict == "resource-limit" or (
+            verdict == "sat" if family == "chain" else w == size - 1)
+        rows.append(BenchRow(family, size, n, w, method, ms, verdict, passed))
     return rows
-
-
-def rows_to_csv(rows: list[BenchRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row.as_record())
-    return buf.getvalue()

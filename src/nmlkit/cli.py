@@ -10,16 +10,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import shlex
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
 from .ael import expansion_exists, format_ae_theory, parse_ae_theory
-from .bench import METHODS, rows_to_csv, run_bench
+from .bench import METHODS, run_bench
 from .dl import extension_exists, format_default_theory, parse_default_theory
-from .encodings import expansion_existence, extension_existence, mso_encoding
+from .encodings import mso_encoding
 from .errors import NmlkitError, ResourceLimitError
 from .families import PseudoCliqueSpec, gen_ael_lower, gen_dl_lower, gen_imp_lower, gen_pseudo_clique
 from .formula import (
@@ -119,7 +121,7 @@ def _cmd_check_sat(args, report: _Report) -> list[str]:
     if args.oracle == "brute":
         witness = sat_bruteforce(formulas)
         satisfiable = witness is not None
-        witness_obj = {atom_label(k): v for k, v in witness.items()} if witness else None
+        witness_obj = None if witness is None else {atom_label(k): v for k, v in witness.items()}
     else:
         satisfiable = dp_sat(formulas)
         witness_obj = None
@@ -142,44 +144,31 @@ def _cmd_check_imp(args, report: _Report) -> list[str]:
 def _cmd_dl(args, report: _Report) -> list[str]:
     theory = parse_default_theory(_read(args.file, report), BASIS)
     t0 = time.perf_counter()
-    if args.method == "mso":
-        verdict = eval_mso(build_dl_structure(theory, BASIS), extension_existence(BASIS))
-        witnesses: list[list[int]] = []
-        report.result = {"exists": verdict, "witnesses": witnesses, "method": "mso"}
-        lines = [f"exists: {verdict} (model checking; no witnesses enumerated)"]
-    else:
-        oracle = entailment_oracle(args.oracle)
-        exists, found = extension_exists(theory, oracle)
-        witnesses = [sorted(w.generating) for w in found]
-        report.result = {"exists": exists, "witnesses": witnesses, "method": "enum"}
-        _report_universe_width(oracle, report)
-        lines = [f"exists: {exists}"] + [f"generating defaults: {w}" for w in witnesses]
+    oracle = entailment_oracle(args.oracle)
+    exists, found = extension_exists(theory, oracle)
     report.timings["solve"] = (time.perf_counter() - t0) * 1000
-    return lines
+    witnesses = [sorted(w.generating) for w in found]
+    report.result = {"exists": exists, "witnesses": witnesses}
+    _report_universe_width(oracle, report)
+    return [f"exists: {exists}"] + [f"generating defaults: {w}" for w in witnesses]
 
 
 def _cmd_ael(args, report: _Report) -> list[str]:
     sigma = parse_ae_theory(_read(args.file, report), BASIS)
     t0 = time.perf_counter()
-    if args.method == "mso":
-        verdict = eval_mso(build_ael_structure(sigma.formulas, BASIS), expansion_existence(BASIS))
-        report.result = {"exists": verdict, "full_sets": [], "method": "mso"}
-        lines = [f"exists: {verdict} (model checking; no full sets enumerated)"]
-    else:
-        oracle = entailment_oracle(args.oracle)
-        exists, found = expansion_exists(sigma, oracle)
-        full_sets = [
-            [
-                {"Lphi": format_formula(bel), "sign": "+" if positive else "-"}
-                for bel, positive in candidate.entries
-            ]
-            for candidate in found
-        ]
-        report.result = {"exists": exists, "full_sets": full_sets, "method": "fullsets"}
-        _report_universe_width(oracle, report)
-        lines = [f"exists: {exists}"] + [f"full set: {c}" for c in found]
+    oracle = entailment_oracle(args.oracle)
+    exists, found = expansion_exists(sigma, oracle)
     report.timings["solve"] = (time.perf_counter() - t0) * 1000
-    return lines
+    full_sets = [
+        [
+            {"Lphi": format_formula(bel), "sign": "+" if positive else "-"}
+            for bel, positive in candidate.entries
+        ]
+        for candidate in found
+    ]
+    report.result = {"exists": exists, "full_sets": full_sets}
+    _report_universe_width(oracle, report)
+    return [f"exists: {exists}"] + [f"full set: {c}" for c in found]
 
 
 def _report_universe_width(oracle, report: _Report) -> None:
@@ -314,31 +303,11 @@ def _cmd_verify(args, report: _Report) -> list[str]:
 
 def _cmd_bench(args, report: _Report) -> list[str]:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    if not sizes:
+        raise ValueError("--sizes names no instance size")
     rows = run_bench(args.family, sizes, method=args.method)
-    text = rows_to_csv(rows)
-    if args.csv:
-        Path(args.csv).write_text(text)
-        out = [f"wrote {len(rows)} rows to {args.csv}"]
-    else:
-        out = text.rstrip("\n").splitlines()
-    report.result = {
-        "checks": [
-            {"name": f"{r.family}/{r.param}", "passed": _bench_row_passed(r), "detail": r.verdict}
-            for r in rows
-        ]
-    }
-    return out
-
-
-def _bench_row_passed(r) -> bool:
-    """chain(m) is satisfiable by construction, and a pseudo-clique on m
-    mains has treewidth m - 1 (criterion 1); a row cut by a resource cap
-    decided nothing and passes."""
-    if r.verdict == "resource-limit":
-        return True
-    if r.family == "chain":
-        return r.verdict == "sat"
-    return r.width == r.param - 1
+    report.result = {"rows": [asdict(r) for r in rows]}
+    return [r.line() for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = leaf(group("dl", "default logic"), "solve", _cmd_dl)
     p.add_argument("file", help=".dt file")
-    p.add_argument("--method", choices=("enum", "mso"), default="enum")
     p.add_argument("--oracle", choices=("brute", "twdp"), default="brute")
 
     p = leaf(group("ael", "autoepistemic logic"), "solve", _cmd_ael)
     p.add_argument("file", help=".ae file")
-    p.add_argument("--method", choices=("fullsets", "mso"), default="fullsets")
     p.add_argument("--oracle", choices=("brute", "twdp"), default="brute")
 
     p = leaf(group("struct", "relational structures"), "build", _cmd_struct, output)
@@ -437,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=tuple(METHODS), required=True)
     p.add_argument("--sizes", required=True, help="comma-separated instance sizes")
     p.add_argument("--method", help="chain: dp (default) or brute; pseudo-clique: exact")
-    p.add_argument("--csv", help="write the CSV summary to this path")
     return parser
 
 
@@ -449,9 +415,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         # a bad NMLKIT_LIMITS entry is a usage error even where no limit is read
         get_limits()
         lines = args.handler(args, report)
+        if args.json:
+            print(report.to_json())
+        else:
+            for line in lines:
+                print(line)
     except (ResourceLimitError, RecursionError) as exc:
-        # the printer, the truth-table evaluator and the parser's descent
-        # through parentheses still recurse, and meet Python's recursion limit
+        # the printer (formula._fmt) and the truth-table evaluator
+        # (formula.evaluate) still recurse, and meet Python's recursion limit
         # on very deep input (or on wide input's printed labels): a resource limit too
         report.limits_hit.append(str(exc))
         if args.json:
@@ -459,14 +430,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): the rest and the exit flush go to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return report.exit_code
     except (OSError, NmlkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(report.to_json())
-    else:
-        for line in lines:
-            print(line)
     return report.exit_code
 
 

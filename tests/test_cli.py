@@ -41,11 +41,19 @@ def test_dl_solve_negative_verdict_exits_zero(tmp_path, capsys):
     assert code == 0 and payload["exists"] is False
 
 
-def test_dl_solve_mso_method(tmp_path, capsys):
-    f = tmp_path / "ex1.dt"
-    f.write_text("d: T ; p ; q\n")
-    code, payload = run_json(capsys, ["dl", "solve", str(f), "--method", "mso", "--json"])
-    assert code == 0 and payload["exists"] is True
+def test_mso_eval_decides_extension_existence(tmp_path, capsys):
+    # model checking has one entry point, `mso eval`; `solve` only enumerates
+    f = tmp_path / "t.dt"
+    for text, exists in (("d: T ; p ; q\n", True), ("d: T ; p ; !p\n", False)):
+        f.write_text(text)
+        code, payload = run_json(
+            capsys, ["mso", "eval", str(f), "--kind", "dl", "--name", "extension", "--json"]
+        )
+        assert code == 0 and payload["holds"] is exists
+    for logic in ("dl", "ael"):
+        with pytest.raises(SystemExit):
+            main([logic, "solve", str(f), "--method", "mso"])
+    capsys.readouterr()
 
 
 def test_ael_solve_json(tmp_path, capsys):
@@ -66,6 +74,11 @@ def test_fmt_check_sat_and_imp(tmp_path, capsys):
     code, payload = run_json(capsys, ["fmt", "check-sat", str(fs), "--oracle", "brute", "--json"])
     assert code == 0 and payload["satisfiable"] is True
     assert payload["witness"] == {"p": False, "q": True}
+    # the empty model is a witness, not its absence
+    for text in ("T\n", ""):
+        fs.write_text(text)
+        code, payload = run_json(capsys, ["fmt", "check-sat", str(fs), "--oracle", "brute", "--json"])
+        assert code == 0 and payload["satisfiable"] is True and payload["witness"] == {}
     imp = tmp_path / "a.imp"
     imp.write_text("p: p\np: p -> q\nc: q\n")
     code, payload = run_json(capsys, ["fmt", "check-imp", str(imp), "--json"])
@@ -171,6 +184,54 @@ def test_gen_dl_ael_imp_lower(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, counts",
+    [
+        (["gen", "pseudo-clique", "-n", "3", "-k", "1"], {"n_vertices": 6, "n_edges": 6}),
+        (["gen", "dl-lower", "-n", "2"], {"n_rules": 3}),
+        (["gen", "ael-lower", "-k", "2"], {"n_formulas": 3}),
+        (["gen", "imp-lower", "--kind", "cnf_dnf", "-n", "3"], {"n_premises": 6, "n_conclusions": 1}),
+    ],
+    ids=["pseudo-clique", "dl-lower", "ael-lower", "imp-lower"],
+)
+def test_gen_json_report(capsys, command, counts):
+    # without -o the report is the whole of stdout
+    code, payload = run_json(capsys, command + ["--json"])
+    assert code == 0 and {k: payload[k] for k in counts} == counts
+
+
+def test_report_schema_rejects_an_undeclared_key():
+    report = {"command": "nmlkit", "timings_ms": {}, "limits_hit": [], "satisfiabel": True}
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, SCHEMA)
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: every write fails with EPIPE."""
+
+    def __init__(self, f):
+        self.fileno = f.fileno
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "command", [["tw", "compute", "{gr}", "--json"], ["gen", "dl-lower", "-n", "2"]],
+    ids=["json-report", "gen-artifact"],
+)
+def test_closed_stdout_ends_quietly(tmp_path, capsys, monkeypatch, command):
+    # `nmlkit ... | head -1`: no traceback, and not the exit code of a usage error
+    gr = tmp_path / "g.gr"
+    gr.write_text("p tw 2 1\n1 2\n")
+    with open(tmp_path / "stdout", "w") as f:
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout(f))
+        code = main([a.format(gr=gr) for a in command])
+        monkeypatch.undo()
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_dl_solve_lower_bound_n5_twdp(tmp_path, capsys):
     # 15 rules: 2^15 candidates by enumeration, a few hundred queries by search
     f = tmp_path / "d5.dt"
@@ -230,6 +291,12 @@ def test_mso_eval_subcommand(tmp_path, capsys):
         ["mso", "eval", str(ae), "--kind", "ae", "--name", "full-exists", "--json"],
     )
     assert code == 0 and payload["holds"] is False
+    ae.write_text("L p -> p\n")
+    code, payload = run_json(
+        capsys,
+        ["mso", "eval", str(ae), "--kind", "ae", "--name", "full-exists", "--json"],
+    )
+    assert code == 0 and payload["holds"] is True
     code, payload = run_json(
         capsys,
         ["mso", "eval", str(ae), "--kind", "ae", "--name", "struc", "--json"],
@@ -264,17 +331,24 @@ def test_missing_file_is_usage_error(capsys):
     capsys.readouterr()
 
 
-def test_bench_chain_csv(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    code = main(["bench", "--family", "chain", "--sizes", "50,100", "--csv", str(out)])
+def test_bench_chain_rows(capsys):
+    code, payload = run_json(capsys, ["bench", "--family", "chain", "--sizes", "50,100", "--json"])
     assert code == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "family,param,n_vertices,width,method,wall_ms,verdict"
-    assert len(lines) == 3 and all("sat" in line for line in lines[1:])
+    rows = payload["rows"]
+    assert [(r["family"], r["param"], r["method"], r["verdict"], r["passed"]) for r in rows] == [
+        ("chain", 50, "dp", "sat", True),
+        ("chain", 100, "dp", "sat", True),
+    ]
     # a row's size and width are those of the set the DP compiles
-    for line, m in zip(lines[1:], (50, 100)):
-        compiled = compile_set(chain(m), asserted=True)
-        assert line.split(",")[2:4] == [str(compiled.cg.graph.n), str(compiled.width)]
+    for row in rows:
+        compiled = compile_set(chain(row["param"]), asserted=True)
+        assert (row["n_vertices"], row["width"]) == (compiled.cg.graph.n, compiled.width)
+    # plain mode prints one line per row
+    assert main(["bench", "--family", "chain", "--sizes", "50,100"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["PASS  chain/50", "PASS  chain/100"]
+    with pytest.raises(SystemExit):
+        main(["bench", "--family", "chain", "--sizes", "5", "--csv", "bench.csv"])
     capsys.readouterr()
 
 
@@ -285,24 +359,36 @@ def test_bench_chain_rejects_a_nonpositive_size(capsys, size):
     assert captured.out == "" and "m must be positive" in captured.err
 
 
+@pytest.mark.parametrize("sizes", ["", " , "])
+def test_bench_rejects_an_empty_size_list(capsys, sizes):
+    assert main(["bench", "--family", "chain", "--sizes", sizes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--sizes" in captured.err
+
+
 def test_bench_brute_sat_records_limit_row(capsys):
-    code = main(["bench", "--family", "chain", "--method", "brute", "--sizes", "26,4"])
-    out = capsys.readouterr().out
+    argv = ["bench", "--family", "chain", "--method", "brute", "--sizes", "26,4", "--json"]
+    code, payload = run_json(capsys, argv)
     assert code == 0
-    assert "resource-limit" in out and ",sat" in out
+    assert [(r["param"], r["verdict"], r["passed"]) for r in payload["rows"]] == [
+        (26, "resource-limit", True),
+        (4, "sat", True),
+    ]
 
 
 def test_bench_check_follows_the_verdict(capsys, monkeypatch):
     argv = ["bench", "--family", "chain", "--sizes", "5", "--json"]
     code, payload = run_json(capsys, argv)
-    assert code == 0 and [c["passed"] for c in payload["checks"]] == [True]
+    assert code == 0 and [r["passed"] for r in payload["rows"]] == [True]
     code, payload = run_json(capsys, ["bench", "--family", "pseudo-clique", "--sizes", "3", "--json"])
-    assert code == 0 and [c["passed"] for c in payload["checks"]] == [True]
+    assert code == 0 and [(r["width"], r["passed"]) for r in payload["rows"]] == [(2, True)]
     # chain(m) is satisfiable by construction, so an unsat row fails its check
     monkeypatch.setattr("nmlkit.bench.dp_sat", lambda *args, **kwargs: False)
     code, payload = run_json(capsys, argv)
     assert code == 0
-    assert payload["checks"] == [{"name": "chain/5", "passed": False, "detail": "unsat"}]
+    assert [(r["verdict"], r["passed"]) for r in payload["rows"]] == [("unsat", False)]
+    assert main(argv[:-1]) == 0
+    assert capsys.readouterr().out.startswith("FAIL  chain/5: unsat")
 
 
 @pytest.mark.parametrize(
@@ -316,11 +402,11 @@ def test_bench_method_follows_the_family(capsys, family, method, default):
     assert captured.out == "" and "Traceback" not in captured.err
     assert f"family {family!r} does not run method {method!r}" in captured.err
     # without --method the family's own method runs, and the row says so
-    assert main(["bench", "--family", family, "--sizes", "3"]) == 0
-    row = capsys.readouterr().out.splitlines()[1].split(",")
-    assert row[0] == family and row[4] == default and row[6] in ("sat", "ok")
-    assert main(["bench", "--family", family, "--sizes", "3", "--method", default]) == 0
-    assert capsys.readouterr().out.splitlines()[1].split(",")[4] == default
+    code, payload = run_json(capsys, ["bench", "--family", family, "--sizes", "3", "--json"])
+    (row,) = payload["rows"]
+    assert row["family"] == family and row["method"] == default and row["verdict"] in ("sat", "ok")
+    argv = ["bench", "--family", family, "--sizes", "3", "--method", default, "--json"]
+    assert [r["method"] for r in run_json(capsys, argv)[1]["rows"]] == [default]
 
 
 def test_verify_paper_quick(capsys):
