@@ -412,24 +412,25 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     report = _Report(argv)
     try:
-        # a bad NMLKIT_LIMITS entry is a usage error even where no limit is read
-        get_limits()
-        lines = args.handler(args, report)
-        if args.json:
-            print(report.to_json())
-        else:
-            for line in lines:
-                print(line)
-    except (ResourceLimitError, RecursionError) as exc:
-        # the printer (formula._fmt) and the truth-table evaluator
-        # (formula.evaluate) still recurse, and meet Python's recursion limit
-        # on very deep input (or on wide input's printed labels): a resource limit too
-        report.limits_hit.append(str(exc))
-        if args.json:
-            print(report.to_json())
-        else:
-            print(f"resource limit: {exc}", file=sys.stderr)
-        return 3
+        try:
+            # a bad NMLKIT_LIMITS entry is a usage error even where no limit is read
+            get_limits()
+            lines = args.handler(args, report)
+            if args.json:
+                print(report.to_json())
+            else:
+                for line in lines:
+                    print(line)
+        except (ResourceLimitError, RecursionError) as exc:
+            # the printer (formula._fmt) and the truth-table evaluator
+            # (formula.evaluate) still recurse, and meet Python's recursion limit
+            # on very deep input (or on wide input's printed labels): a resource limit too
+            report.limits_hit.append(str(exc))
+            report.exit_code = 3
+            if args.json:
+                print(report.to_json())
+            else:
+                print(f"resource limit: {exc}", file=sys.stderr)
     except BrokenPipeError:
         # the reader closed stdout (``| head``): the rest and the exit flush go to devnull
         devnull = os.open(os.devnull, os.O_WRONLY)

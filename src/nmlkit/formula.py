@@ -11,9 +11,10 @@ and one interning routine, ``_make``, over one table of live nodes,
 ``_LIVE``: each constructor returns the live node with its kind and fields
 when there is one, so equal nodes are one object and ``==`` is ``is``.  A
 node's fields are fixed once it is made, and a copy or an unpickled node is
-the live node.  The hash stays structural (``hash((op, args))``,
-``hash((arg,))``, ``hash((name,))``, ``hash((value,))``), so set iteration
-orders, and the decompositions built from them, do not depend on identity.
+the live node.  So a node hashes by identity, as ``object`` does (Filliâtre
+and Conchon, hash-consing, 2006), and a set of nodes iterates in an order
+that changes from run to run: every order the toolkit builds on is read
+from a list or an insertion-ordered dict.
 
 Every pass over the subterm set goes through one explicit-stack walk,
 ``number_subterms``: subformulas, atoms, the propositional and basis checks,
@@ -102,17 +103,13 @@ class Node:
     """Base class of the interned syntax nodes, formula nodes here and the
     MSO nodes of ``mso``.  A node class names its fields in ``_fields`` and
     in ``__slots__``.  ``_make`` builds a node and enters it in ``_LIVE``;
-    after that its fields cannot be set or deleted.  ``__hash__`` returns
-    the hash of the field values stored when the node was made, so hashing
-    does not walk the tree, and ``==`` is the inherited identity: equal
-    nodes are one object.  ``__reduce__`` rebuilds through the constructor,
-    so a copy or an unpickled node is the live node."""
+    after that its fields cannot be set or deleted.  Equal nodes are one
+    object, so ``==`` and ``hash`` are the inherited identity ones, and
+    neither walks the tree.  ``__reduce__`` rebuilds through the
+    constructor, so a copy or an unpickled node is the live node."""
 
-    __slots__ = ("_hash", "__weakref__")
+    __slots__ = ("__weakref__",)
     _fields: tuple[str, ...] = ()
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -137,10 +134,9 @@ _LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _make(cls: type, key: object, values: tuple) -> Node:
-    """A new node of ``cls`` with field ``values``, hashed as their tuple
-    and entered in the table under ``key``."""
+    """A new node of ``cls`` with field ``values``, entered in the table
+    under ``key``."""
     node = object.__new__(cls)
-    object.__setattr__(node, "_hash", hash(values))
     for name, value in zip(cls._fields, values):
         object.__setattr__(node, name, value)
     _LIVE[key] = node

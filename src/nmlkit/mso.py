@@ -28,7 +28,7 @@ Two evaluators share the same semantics:
 
 MSO nodes are interned like formula nodes, through ``formula.Node`` and
 ``formula._make``: equal sentences are one object, so comparing two nodes
-is ``is`` and hashing one reads the hash stored when it was made.  The
+is ``is`` and hashing one is ``object``'s identity hash.  The
 free variables of a node and the compiled form of a sentence are kept in
 bounded ``functools.lru_cache`` tables keyed by the node.
 

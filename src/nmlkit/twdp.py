@@ -74,7 +74,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import ResourceLimitError
 from .formula import (
@@ -558,14 +558,20 @@ class EntailmentOracle:
         none (brute kind, no universe, or one wider than the cap)."""
         return None if self._universe is None else self._universe.width
 
-    def satisfiable(self, formulas: Iterable[Formula]) -> bool:
+    def satisfiable(self, formulas: Sequence[Formula]) -> bool:
+        """Satisfiability of ``formulas``, cached under the set of them.  A
+        miss is decided over the formulas without repeats, in the caller's
+        order, which is the order a query outside the universe is compiled
+        in: a set of nodes iterates in an order that changes from run to
+        run (``formula``)."""
         key = ("sat", frozenset(formulas))
         hit = self._cache.get(key)
         if hit is None:
+            gamma = tuple(dict.fromkeys(formulas))
             if self.kind == "brute":
-                hit = sat_bruteforce(key[1], limits=self.limits) is not None
+                hit = sat_bruteforce(gamma, limits=self.limits) is not None
             else:
-                hit = dp_sat(key[1], limits=self.limits, universe=self._universe)
+                hit = dp_sat(gamma, limits=self.limits, universe=self._universe)
             self._cache[key] = hit
         return hit
 

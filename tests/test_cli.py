@@ -217,18 +217,26 @@ class _ClosedStdout:
 
 
 @pytest.mark.parametrize(
-    "command", [["tw", "compute", "{gr}", "--json"], ["gen", "dl-lower", "-n", "2"]],
-    ids=["json-report", "gen-artifact"],
+    "command,limits,expected",
+    [
+        (["tw", "compute", "{gr}", "--json"], "", 0),
+        (["gen", "dl-lower", "-n", "2"], "", 0),
+        (["fmt", "check-sat", "{fs}", "--oracle", "brute", "--json"], "brute_atoms=1", 3),
+    ],
+    ids=["json-report", "gen-artifact", "limit-report"],
 )
-def test_closed_stdout_ends_quietly(tmp_path, capsys, monkeypatch, command):
-    # `nmlkit ... | head -1`: no traceback, and not the exit code of a usage error
-    gr = tmp_path / "g.gr"
+def test_closed_stdout_ends_quietly(tmp_path, capsys, monkeypatch, command, limits, expected):
+    # `nmlkit ... | head -1`: no traceback, and the run's own exit code, not
+    # that of a usage error; a resource-limit report too
+    gr, fs = tmp_path / "g.gr", tmp_path / "s.fs"
     gr.write_text("p tw 2 1\n1 2\n")
+    fs.write_text("!x1\n!x2\n!x3\n")
+    monkeypatch.setenv("NMLKIT_LIMITS", limits)
     with open(tmp_path / "stdout", "w") as f:
         monkeypatch.setattr(sys, "stdout", _ClosedStdout(f))
-        code = main([a.format(gr=gr) for a in command])
+        code = main([a.format(gr=gr, fs=fs) for a in command])
         monkeypatch.undo()
-    assert code == 0
+    assert code == expected
     assert capsys.readouterr().err == ""
 
 

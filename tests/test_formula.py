@@ -272,19 +272,32 @@ def test_app_arity_checked():
         App("and", (Var("p"),))
 
 
-def test_cached_hash_equals_field_hash():
-    rng = random.Random(31)
-    for _ in range(200):
-        f = random_formula(rng, ["p", "q", "r"], max_depth=4, allow_believes=True)
-        for s in subformulae(f):
-            if isinstance(s, App):
-                assert hash(s) == hash((s.op, s.args))
-            elif isinstance(s, Believes):
-                assert hash(s) == hash((s.arg,))
-            elif isinstance(s, Var):
-                assert hash(s) == hash((s.name,))
-            else:
-                assert hash(s) == hash((s.value,))
+def _node_classes(cls=formula.Node):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _node_classes(sub)
+
+
+def test_nodes_hash_by_identity():
+    # equal nodes are one object, so the identity hash is a valid hash: a
+    # copy built apart is the node, and finds it in a dict and a set
+    from nmlkit import mso
+    from nmlkit.encodings import mso_encoding
+
+    for seed in range(200):
+        f = random_formula(random.Random(seed), ["p", "q", "r"], max_depth=4, allow_believes=True)
+        g = random_formula(random.Random(seed), ["p", "q", "r"], max_depth=4, allow_believes=True)
+        assert f is g
+        table, members = {s: i for i, s in enumerate(subformulae(f))}, set(subformulae(f))
+        for i, s in enumerate(subformulae(g)):
+            assert table[s] == i and s in members
+    a, b = mso_encoding("extension"), mso_encoding("extension")
+    assert a is b and {a: 1}[b] == 1 and b in {a}
+    classes = set(_node_classes())
+    assert {Var, Const, App, Believes, mso.ExistsSO, mso.RelAtom} <= classes
+    for cls in classes:
+        assert cls.__hash__ is object.__hash__, cls
+        assert "_hash" not in getattr(cls, "__slots__", ())
 
 
 def _conjunct_chain(n):

@@ -388,8 +388,8 @@ def test_sentence_is_compiled_once(monkeypatch):
 
 
 def test_sentence_hash_is_computed_once():
-    # hashing a node reads the hash its constructor stored, so a sentence
-    # far deeper than the recursion limit hashes at once; equal sentences
+    # a node hashes by identity, so a sentence far deeper than the
+    # recursion limit hashes at once; equal sentences
     # built apart are one node, which a dict finds
     def deep():
         phi = SetAtom("X", "x")

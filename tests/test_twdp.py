@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -868,3 +872,56 @@ def test_peak_live_tables_logarithmic_on_asserted_banded_sets(size):
         peak = max(peak, len(live))
         live.remove(slot)
     assert peak <= math.log2(len(program)) + 2
+
+
+# Prints every set the twdp oracle compiles (its vertices in order, and its
+# program) and every verdict, over seeded queries: without a universe, outside
+# a compiled universe, and from DL and AEL enumeration.
+_ORDER_PROBE = """
+import random
+from nmlkit import twdp
+from nmlkit.ael import expansion_exists
+from nmlkit.dl import extension_exists
+from nmlkit.formula import format_formula
+from nmlkit.randgen import random_ae_theory, random_formula_set, random_literal_default_theory
+
+compile_graph = twdp.compile_graph
+
+def traced(cg, *args, **kwargs):
+    compiled = compile_graph(cg, *args, **kwargs)
+    print([format_formula(f) for f in cg.vertex_of], compiled.program)
+    return compiled
+
+twdp.compile_graph = traced
+oracle = twdp.entailment_oracle("twdp")
+for seed in range(20):
+    print(oracle.satisfiable(random_formula_set(random.Random(seed), max_formulas=4)))
+for seed in range(10):
+    rng = random.Random(seed)
+    universe, outside = random_formula_set(rng), random_formula_set(rng, variables=["p", "u", "v"])
+    oracle = twdp.entailment_oracle("twdp")
+    oracle.compile_universe(universe)
+    print(oracle.satisfiable([*universe, *outside]), oracle.satisfiable(universe))
+for seed in range(30):
+    theory = random_literal_default_theory(random.Random(seed), max_rules=5)
+    exists, witnesses = extension_exists(theory, twdp.entailment_oracle("twdp"))
+    print(exists, [sorted(w.generating) for w in witnesses])
+for seed in range(30):
+    exists, full = expansion_exists(random_ae_theory(random.Random(seed)), twdp.entailment_oracle("twdp"))
+    print(exists, [str(c) for c in full])
+"""
+
+
+def test_oracle_compile_order_does_not_depend_on_the_hash_seed():
+    # nodes hash by identity, so a set of them iterates in no fixed order;
+    # each compile must follow its caller's order, the same under any seed
+    outputs = []
+    for seed in ("1", "2", "3"):
+        env = {k: v for k, v in os.environ.items() if k != "NMLKIT_LIMITS"}
+        env.update(PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", _ORDER_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0].count("\n") > 90
+    assert outputs[0] == outputs[1] == outputs[2]
