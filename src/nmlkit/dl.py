@@ -31,7 +31,7 @@ from .formula import (
     read_lines,
 )
 from .limits import Limits, get_limits
-from .twdp import EntailmentOracle, entailment_oracle
+from .twdp import EntailmentOracle, entailment_oracle, refutation
 
 
 @dataclass(frozen=True)
@@ -100,11 +100,12 @@ def _blocked(
 
 
 def _least_fixpoint(
-    theory: DefaultTheory, blocked: frozenset[int], oracle: EntailmentOracle
+    theory: DefaultTheory, blocked: frozenset[int], oracle: EntailmentOracle, refuted: list
 ) -> frozenset[int]:
     """Rules applied from the knowledge base upward: an unblocked rule fires
-    once its prerequisite follows from what has been applied.  Antitone in
-    ``blocked``."""
+    once its prerequisite follows from what has been applied, that is, once
+    that is unsatisfiable with ``refuted[i - 1]``, the ``refutation`` of rule
+    i's prerequisite, built once per theory.  Antitone in ``blocked``."""
     rules = theory.defaults
     base = list(theory.knowledge)
     applied: set[int] = set()
@@ -115,7 +116,7 @@ def _least_fixpoint(
         for i in range(1, len(rules) + 1):
             if i in applied or i in blocked:
                 continue
-            if oracle.entails(derived, rules[i - 1].prerequisite):
+            if not oracle.satisfiable([*derived, refuted[i - 1]]):
                 applied.add(i)
                 changed = True
     return frozenset(applied)
@@ -145,7 +146,8 @@ def stage_fixpoint(
         raise ValueError("candidate contains unknown rule indices")
     if blocked is None:
         blocked = _blocked(theory, candidate, oracle)
-    applied = _least_fixpoint(theory, blocked, oracle)
+    refuted = [refutation(r.prerequisite) for r in theory.defaults]
+    applied = _least_fixpoint(theory, blocked, oracle, refuted)
     return applied == candidate, applied
 
 
@@ -190,6 +192,7 @@ def extension_exists(
         *(p for r in theory.defaults for p in (r.prerequisite, r.justification, r.conclusion)),
     ])
 
+    refuted = [refutation(r.prerequisite) for r in theory.defaults]
     witnesses: list[ExtensionWitness] = []
     nodes = 0
     stack = [(m, frozenset(), frozenset(), None, None, frozenset(), None)]
@@ -204,10 +207,10 @@ def extension_exists(
             )
         if lo is None:
             ceiling = _blocked(theory, chosen | frozenset(range(1, k + 1)), oracle, floor, ceiling)
-            lo = _least_fixpoint(theory, ceiling, oracle)
+            lo = _least_fixpoint(theory, ceiling, oracle, refuted)
         if up is None:
             floor = _blocked(theory, chosen, oracle, floor, ceiling)
-            up = _least_fixpoint(theory, floor, oracle)
+            up = _least_fixpoint(theory, floor, oracle, refuted)
         if not chosen <= up or lo & out:
             continue
         if k == 0:

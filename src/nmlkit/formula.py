@@ -414,37 +414,38 @@ def _fmt(f: Formula, parent_level: int) -> str:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<iff><->)
-  | (?P<imp>->)
-  | (?P<x3>X3)
-  | (?P<true>T(?![a-zA-Z0-9_]))
-  | (?P<false>F(?![a-zA-Z0-9_]))
-  | (?P<bel>L(?![a-zA-Z0-9_]))
-  | (?P<ident>[a-z][a-zA-Z0-9_]*)
-  | (?P<punct>[!&|^(),])
-    """,
-    re.VERBOSE,
-)
+# The pieces of a line, in the order tried: whitespace, a comment, each
+# connective, ``T``, ``F`` and ``L`` alone or with the identifier character
+# that follows them (an error), an identifier, and any other one character.
+_TOKEN_RE = re.compile(r"\s+|#[^\n]*|<->|->|X3|[TFL][a-zA-Z0-9_]?|[a-z][a-zA-Z0-9_]*|.", re.DOTALL)
+_KIND = {"<->": "iff", "->": "imp", "X3": "x3", "T": "true", "F": "false", "L": "bel", " ": "ws",
+         **dict.fromkeys("!&|^(),", "punct")}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """The tokens of ``text``, ``(kind, text, position)``, without whitespace
-    and comments, ending in the sentinel ``("end", "", len(text))``."""
+    and comments, ending in the sentinel ``("end", "", len(text))``.  One
+    ``findall`` cuts the whole text into pieces (``_TOKEN_RE``), so a piece's
+    position is the sum of the lengths before it.  Its kind is read from
+    ``_KIND``, else it is an identifier if it starts with a lowercase letter
+    and whitespace or a comment if it starts with one; any other piece is an
+    unexpected character."""
     tokens = []
-    match = _TOKEN_RE.match
-    pos, n = 0, len(text)
-    while pos < n:
-        m = match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", position=pos)
-        kind = m.lastgroup
+    pos = 0
+    for piece in _TOKEN_RE.findall(text):
+        kind = _KIND.get(piece)
+        if kind is None:
+            c = piece[0]
+            if "a" <= c <= "z":
+                kind = "ident"
+            elif c.isspace() or c == "#":
+                kind = "ws"
+            else:
+                raise ParseError(f"unexpected character {c!r}", position=pos)
         if kind != "ws":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", n))
+            tokens.append((kind, piece, pos))
+        pos += len(piece)
+    tokens.append(("end", "", pos))
     return tokens
 
 

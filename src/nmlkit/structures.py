@@ -329,13 +329,21 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]], labels=None, descriptio
 
 
 def primal_graph(n: int, scopes: Iterable[tuple[int, ...]]) -> Graph:
-    """The graph on 1..n with a clique over each scope's distinct vertices,
-    whose sorted pairs are already normalised edges (u < v), so ``Graph``
-    does not check them again: the Gaifman graph of a structure, or the
-    constraint graph of the treewidth DP.  Every scope must lie in 1..n."""
+    """The graph on 1..n with a clique over each scope's distinct vertices:
+    the Gaifman graph of a structure, or the constraint graph of the
+    treewidth DP.  Every scope must lie in 1..n.  A scope of two vertices,
+    most of them, adds its ordered pair at once; a wider one adds the
+    pairs of its sorted distinct vertices.  Either way each edge is already
+    normalised (u < v), so ``Graph`` does not check them again."""
     edges: set[tuple[int, int]] = set()
+    add = edges.add
     for scope in scopes:
-        edges.update(itertools.combinations(sorted(set(scope)), 2))
+        if len(scope) == 2:
+            u, v = scope
+            if u != v:
+                add((u, v) if u < v else (v, u))
+        else:
+            edges.update(itertools.combinations(sorted(set(scope)), 2))
     return Graph(n, frozenset(edges), checked=False)
 
 

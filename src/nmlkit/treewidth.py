@@ -296,19 +296,24 @@ def _tree_from_elimination(order: list[int], bags: list[frozenset[int]]) -> Tree
 
 def _oriented(td: TreeDecomposition) -> TreeDecomposition:
     """A valid decomposition in the form ``_tree_from_elimination`` writes:
-    every edge is (child, parent) with the child's id the smaller.  One in
-    that form is returned as it is.  Any other is rooted at its smallest bag
-    id, and its bags are numbered 1, 2, ... in the reverse of the walk from
-    there (``_walk``), so children come before their parents and the root is
-    the last."""
+    bags numbered 1, 2, ... and every edge (child, parent) with the child's
+    id the smaller.  One in that form is returned as it is, and one whose
+    edges are is renumbered in the order of its ids.  Any other is rooted at
+    its smallest bag id, and its bags are numbered in the reverse of the
+    walk from there (``_walk``), so children come before their parents and
+    the root is the last."""
+    ids = sorted(td.bags)
     if len(dict(td.edges)) == len(td.edges) and all(c < p for c, p in td.edges):
-        return td
-    parent = _walk(td.neighbors(), min(td.bags))
-    new = {b: i for i, b in enumerate(reversed(parent), start=1)}
-    return TreeDecomposition(
-        {new[b]: td.bags[b] for b in new},
-        frozenset((new[b], new[p]) for b, p in parent.items() if p is not None),
-    )
+        if ids[0] == 1 and ids[-1] == len(ids):
+            return td
+        edges = td.edges
+    else:
+        parent = _walk(td.neighbors(), ids[0])
+        ids = list(reversed(parent))
+        edges = [(b, p) for b, p in parent.items() if p is not None]
+    new = {b: i for i, b in enumerate(ids, start=1)}
+    return TreeDecomposition({new[b]: td.bags[b] for b in ids},
+                             frozenset((new[c], new[p]) for c, p in edges))
 
 
 def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:

@@ -46,10 +46,12 @@ the plain graph, which universes and the MSO evaluator's graphs keep too.
 The program, built by ``_plan``, is one instruction per bag of the rooted
 decomposition, after each tree edge between a bag and a superset of it has
 been contracted.  The tree is read in the form min-fill writes it
-(``treewidth._tree_from_elimination``): each edge is (child, parent) and a
-parent's id is the larger, so ascending ids run children first and the
-root is the elimination root, the last bag.  A caller's decomposition is
-put in that form once, where ``compile_graph`` validates it
+(``treewidth._tree_from_elimination``): bags numbered 1..k, each edge
+(child, parent) and a parent's id the larger, so ascending ids run children
+first and the root is the elimination root, bag k.  The planner keeps what
+it knows of bag b in lists, at b - 1, and a vertex's position in a bag is
+its index in the bag's sorted tuple.  A caller's decomposition is put in
+that form once, where ``compile_graph`` validates it
 (``treewidth._oriented``, which roots it by the one tree walk of
 ``treewidth``).  A bag's *rows* are every labeling of the bag that meets
 each local constraint whose scope it covers, enumerated once at compile
@@ -409,61 +411,63 @@ def _plan(
 ) -> tuple[list[tuple], dict[int, tuple[int, int]]]:
     """The bag program and vertex homes (see ``CompiledSet``) of ``td``,
     which must be a valid decomposition of ``cg.graph``: nothing is checked
-    here, and must be in the form ``treewidth._oriented`` gives: each bag's
-    parent is read off the edges, (child, parent) with the child's id the
-    smaller, so ascending ids visit children first and the root is the
-    largest id; for min-fill's decomposition that is the elimination root.
-    A bag that is a subset of its parent's, or whose parent's is a subset
-    of it, is contracted into its parent, which then holds the larger of the
+    here, and must be in the form ``treewidth._oriented`` gives: bags
+    numbered 1..k, and each bag's parent read off the edges, (child, parent)
+    with the child's id the smaller, so ascending ids visit children first
+    and the root is bag k; for min-fill's decomposition that is the
+    elimination root.  Every record of a bag sits in a list at its id - 1.
+    A bag that is a subset of its parent's, or whose parent's is a subset of
+    it, is contracted into its parent, which then holds the larger of the
     two: the decomposition stays valid and no wider, and the program gets
     one instruction per bag left.  Each constraint is checked in every bag
-    that covers its scope, which keeps the rows of a wide bag few.  The bags
-    are emitted children first and, among siblings, largest subtree first,
-    so that folding each table into its parent as soon as it is done leaves
-    at most log2(bags) + 1 tables open (``_run_dp``).  A vertex's home is
-    its top bag, the one whose parent does not hold it."""
-    bags = dict(td.bags)  # a parent's bag grows when it takes in a superset child
-    parent = dict(td.edges)  # child -> parent
-    order = sorted(bags)
-    root = order[-1]
+    that covers its scope, which keeps the rows of a wide bag few; a vertex's
+    position in a bag is its index in the bag's sorted tuple.  The bags are
+    emitted children first and, among siblings, largest subtree first, so
+    that folding each table into its parent as soon as it is done leaves at
+    most log2(bags) + 1 tables open (``_run_dp``).  A vertex's home is its
+    top bag, the one whose parent does not hold it."""
+    n = len(td.bags)
+    bags = [td.bags[b] for b in range(1, n + 1)]  # a parent's grows as it takes in a superset
+    parent: list[Optional[int]] = [None] * n
+    for c, p in td.edges:
+        parent[c - 1] = p - 1
     scope_of: dict[int, list] = {}  # vertex -> the constraints it heads
     for c in cg.constraints:
         scope_of.setdefault(c[0][0], []).append(c)
-    kids: dict[int, list[int]] = {}  # bag -> its children left after contraction
-    size: dict[int, int] = {}  # bag left -> the bags left in its subtree
-    vertices: dict[int, tuple[int, ...]] = {}  # bag left -> its vertices, sorted
-    rows_of: dict[int, tuple[int, ...]] = {}  # bag left, until its parent's turn -> its rows
-    info: dict[int, tuple] = {}  # bag left -> its _bag
-    for b in order:
-        bag = bags[b]
-        above = parent.get(b)
+    kids: list[list[int]] = [[] for _ in bags]  # its children left after contraction
+    size = [1] * n  # of a bag left: the bags left in its subtree
+    vertices: list[tuple[int, ...]] = [()] * n  # of a bag left: its vertices, sorted
+    rows_of: list[tuple[int, ...]] = [()] * n  # of a bag left: its rows
+    info: list[Optional[tuple]] = [None] * n  # of a bag left: its _bag
+    for b, bag in enumerate(bags):
+        above = parent[b]
         if above is not None and (bag <= bags[above] or bags[above] <= bag):
             if not bag <= bags[above]:
                 bags[above] = bag
-            kids.setdefault(above, []).extend(kids.pop(b, ()))
+            kids[above] += kids[b]
             continue
         vertices[b] = here = tuple(sorted(bag))
-        pos_of = {v: i for i, v in enumerate(here)}
         checks = []
         for v in here:
             for scope, rows in scope_of.get(v, ()):
                 if bag.issuperset(scope):
-                    checks.append(_compile(rows, tuple(map(pos_of.__getitem__, scope))))
+                    checks.append(_compile(rows, tuple(map(here.index, scope))))
         rows_of[b] = rows = _rows(len(here), tuple(checks))
-        size[b] = 1
-        for c in kids.get(b, ()):
-            info[c] = _bag(rows_of.pop(c), rows, tuple(map(pos_of.get, vertices[c])))
+        for c in kids[b]:
+            targets = tuple([here.index(v) if v in bag else None for v in vertices[c]])
+            info[c] = _bag(rows_of[c], rows, targets)
             size[b] += size[c]
         if above is not None:
-            kids.setdefault(above, []).append(b)
-    info[root] = _bag(rows_of.pop(root), None, (None,) * len(vertices[root]))
+            kids[above].append(b)
+    root = n - 1
+    info[root] = _bag(rows_of[root], None, (None,) * len(vertices[root]))
 
     # parents first, smallest subtree first, filling the program from its
     # end: each bag's slot is one below the last one taken, so the program
     # runs children first, largest subtree first
-    program: list[tuple] = [()] * len(info)
+    slot = n - info.count(None)
+    program: list[tuple] = [()] * slot
     home: dict[int, tuple[int, int]] = {}
-    slot = len(info)
     stack = [(root, None)]  # bag, its parent's slot
     while stack:
         b, above = stack.pop()
@@ -472,7 +476,7 @@ def _plan(
         program[slot] = (full, None if classes is None else above, classes)
         for i, where in homes:
             home[vertices[b][i]] = (slot, where)
-        below = kids.get(b, ())
+        below = kids[b]
         if len(below) > 1:
             below = sorted(below, key=size.__getitem__, reverse=True)
         stack.extend([(c, slot) for c in below])

@@ -133,6 +133,17 @@ _NOT_IN = "connective {!r} not in basis (at position {})"
         ("p | (q & !r)", "prop", {"and", "or"}, _NOT_IN.format("not", 9), 9),
         ("!L p", "prop", {"and"}, _NOT_IN.format("not", 0), 0),
         ("L !p", "prop", {"and"}, "belief operator 'L' is not allowed in prop mode (at position 0)", 0),
+        # characters that start no token, among them T, F and L glued to an
+        # identifier character
+        ("Tx", "prop", None, "unexpected character 'T' (at position 0)", 0),
+        ("F1", "prop", None, "unexpected character 'F' (at position 0)", 0),
+        ("L_", "ae", None, "unexpected character 'L' (at position 0)", 0),
+        ("LT", "ae", None, "unexpected character 'L' (at position 0)", 0),
+        ("_p", "prop", None, "unexpected character '_' (at position 0)", 0),
+        ("3p", "prop", None, "unexpected character '3' (at position 0)", 0),
+        ("p <- q", "prop", None, "unexpected character '<' (at position 2)", 2),
+        ("p - q", "prop", None, "unexpected character '-' (at position 2)", 2),
+        ("p & \u00e9", "prop", None, "unexpected character '\u00e9' (at position 4)", 4),
     ],
 )
 def test_parse_error_messages_and_positions(text, mode, basis, message, position):
@@ -141,6 +152,31 @@ def test_parse_error_messages_and_positions(text, mode, basis, message, position
     assert str(raised.value) == message
     assert raised.value.position == position
     assert raised.value.line is None
+
+
+@pytest.mark.parametrize(
+    "text, tokens",
+    [
+        ("X3a", [("x3", "X3", 0), ("ident", "a", 2)]),
+        ("T&F|L p", [("true", "T", 0), ("punct", "&", 1), ("false", "F", 2),
+                     ("punct", "|", 3), ("bel", "L", 4), ("ident", "p", 6)]),
+        ("x3 <->q_1->!r^(a,b)", [
+            ("ident", "x3", 0), ("iff", "<->", 3), ("ident", "q_1", 6), ("imp", "->", 9),
+            ("punct", "!", 11), ("ident", "r", 12), ("punct", "^", 13), ("punct", "(", 14),
+            ("ident", "a", 15), ("punct", ",", 16), ("ident", "b", 17), ("punct", ")", 18),
+        ]),
+        # any Unicode whitespace separates tokens, and a comment runs to the
+        # end of its line
+        ("p\x1c& q", [("ident", "p", 0), ("punct", "&", 2), ("ident", "q", 4)]),
+        ("p\xa0\u2003q", [("ident", "p", 0), ("ident", "q", 3)]),
+        ("p\t&\nq", [("ident", "p", 0), ("punct", "&", 2), ("ident", "q", 4)]),
+        ("p # note", [("ident", "p", 0)]),
+        ("p # note\n& q", [("ident", "p", 0), ("punct", "&", 9), ("ident", "q", 11)]),
+        ("", []),
+    ],
+)
+def test_tokenize_golden(text, tokens):
+    assert formula._tokenize(text) == tokens + [("end", "", len(text))]
 
 
 def test_parse_precedence_and_associativity():
@@ -243,9 +279,10 @@ def test_count_bound_by_node_count():
 
 def test_print_parse_roundtrip_random():
     rng = random.Random(2024)
-    for _ in range(300):
-        f = random_formula(rng, ["p", "q", "r"], max_depth=4, allow_believes=True)
-        assert parse_formula(format_formula(f), mode="ae") == f
+    for mode in ("prop", "ae"):
+        for _ in range(300):
+            f = random_formula(rng, ["p", "q", "r"], max_depth=4, allow_believes=mode == "ae")
+            assert parse_formula(format_formula(f), mode=mode) is f
 
 
 def test_implies_matches_sat_reduction():

@@ -28,6 +28,7 @@ from nmlkit.formula import (
     lor,
     lxor,
     lxor3,
+    parse_formula,
     sat_bruteforce,
 )
 from nmlkit.harness import dp_scaling, peak_live_tables, program_work
@@ -654,6 +655,55 @@ def test_td_round_trip_keeps_min_fill_program():
         parsed, _ = parse_td(text)
         assert twdp._oriented(parsed) is parsed
         assert twdp.compile_set(gamma, parsed).program == own.program
+
+
+def test_plan_golden():
+    # node for node, the program and homes of a set whose min-fill
+    # decomposition (bags 1-9, each edge (child, parent)) has:
+    # - bag 6 = {3, 6, 7, 8}, a superset of its parent bag 7 = {6, 7, 8},
+    #   so bag 7 and, in turn, bags 8 and 9 take it in; the root slot 5 holds it;
+    # - three linked children of the root: bag 5 (slot 3) and bag 2 (slot 1)
+    #   with two bags in their subtrees, bag 3 (slot 4) with one, run largest
+    #   subtree first;
+    # - bag 1 = {1}, the constant F, which shares nothing with its parent
+    #   bag 2 = {2, 3, 7} and so has no link
+    # Vertices: F 1, p 2, q 3, !q 4, r 5, q | r 6, q & p 7, (q | r <-> q & p) 8
+    # and the third formula 9.
+    gamma = [parse_formula(t) for t in ("F", "p", "!q ^ (q | r <-> q & p)", "r")]
+    cs = twdp.compile_set(gamma)
+    assert cs.program == [
+        (1, None, None),
+        (15, 5, ((3, 17), (4, 34), (8, 136))),
+        (15, 3, ((1, 1), (4, 2), (8, 4), (2, 8))),
+        (15, 5, ((2, 5), (1, 10), (8, 80), (4, 160))),
+        (15, 5, ((4, 65), (10, 130), (1, 20))),
+        (255, None, None),
+    ]
+    assert cs.home == {1: (0, 0), 2: (1, 10), 3: (5, 170), 4: (3, 10), 5: (4, 12),
+                       6: (5, 195), 7: (5, 204), 8: (5, 240), 9: (2, 12)}
+    # a caller's copy of that decomposition with its bag ids permuted and
+    # every edge flipped is rooted at its smallest id, new bag 1 = {4, 8, 9}
+    own = heuristic_decomposition(cs.cg.graph, "min_fill")
+    new = dict(zip(range(1, 10), (7, 3, 9, 1, 5, 8, 2, 6, 4)))
+    td = TreeDecomposition({new[b]: bag for b, bag in own.bags.items()},
+                           frozenset((new[p], new[c]) for c, p in own.edges))
+    walked = twdp.compile_set(gamma, td)
+    assert walked.program == [
+        (1, None, None),
+        (15, 3, ((3, 17), (4, 34), (8, 136))),
+        (15, 3, ((4, 65), (10, 130), (1, 20))),
+        (255, 4, ((10, 1), (5, 2), (160, 4), (80, 8))),
+        (15, 5, ((1, 1), (8, 2), (2, 4), (4, 8))),
+        (15, None, None),
+    ]
+    assert walked.home == {1: (0, 0), 2: (1, 10), 3: (4, 5), 4: (5, 6), 5: (2, 12),
+                           6: (3, 195), 7: (3, 204), 8: (5, 10), 9: (5, 12)}
+    # bag ids that are spaced out but already in (child, parent) form plan
+    # as min-fill's own
+    spaced = TreeDecomposition({10 * b: bag for b, bag in own.bags.items()},
+                               frozenset((10 * c, 10 * p) for c, p in own.edges))
+    again = twdp.compile_set(gamma, spaced)
+    assert (again.program, again.home) == (cs.program, cs.home)
 
 
 def test_caller_decomposition_in_any_form_matches_bruteforce():
