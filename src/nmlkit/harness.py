@@ -58,6 +58,7 @@ from .treewidth import (
     heuristic_decomposition,
     normalize_pseudo,
     parse_td,
+    pseudo_clique_lower_bound,
     validate_decomposition,
     width,
 )
@@ -86,7 +87,9 @@ def _timed(name: str, fn: Callable[[], tuple[bool, str]]) -> CheckResult:
 
 def check_pseudo_clique_treewidth(seed: int = 1, quick: bool = False) -> CheckResult:
     """Exact treewidth of every pseudo-clique with 3..6 mains and uniform
-    cardinality 0..3 equals size minus one, within 60 seconds total."""
+    cardinality 0..3 equals size minus one, within 60 seconds total, and
+    its pseudo-clique lower bound reads the n mains, so tw = n - 1 is
+    certified from below as well as from above."""
 
     def run():
         t0 = time.perf_counter()
@@ -95,11 +98,13 @@ def check_pseudo_clique_treewidth(seed: int = 1, quick: bool = False) -> CheckRe
             for k in range(0, 4):
                 g = gen_pseudo_clique(PseudoCliqueSpec(n, k))
                 w, td = exact_treewidth(g)
-                if w != n - 1 or validate_decomposition(g, td):
-                    bad.append((n, k, w))
+                clique = pseudo_clique_lower_bound(g)
+                if w != n - 1 or clique != n or validate_decomposition(g, td):
+                    bad.append((n, k, w, clique))
         elapsed = time.perf_counter() - t0
         ok = not bad and elapsed < 60.0
-        return ok, f"16/16 instances at width n-1, {elapsed:.2f}s" if ok else f"failures: {bad}"
+        return ok, (f"16/16 instances at width n-1 with a clique minor of n, {elapsed:.2f}s"
+                    if ok else f"failures (n, k, width, clique): {bad}")
 
     return _timed("pseudo-clique treewidth", run)
 

@@ -9,12 +9,14 @@ form that ``_tree_from_elimination`` writes and the treewidth DP reads.
 Pseudo-cliques are handled by undoing subdivisions: a degree-2 vertex is
 replaced by an edge between its two neighbours that remembers the path it
 stands for.  Recognition undoes every non-main; the lower bound undoes
-degree-2 vertices until none is left and searches the rest for a clique.
+degree-2 vertices until none is left and searches the rest for a clique,
+counting a triangle that an undo destroyed.
 
-The exact algorithm is a branch-and-bound over elimination orderings with
-standard safe reductions (simplicial vertices always, almost-simplicial
-vertices up to a certified lower bound) applied first; the vertex cap applies
-to the reduced core, which is what actually gets searched.
+The exact algorithm applies standard safe reductions (simplicial vertices
+always, almost-simplicial vertices up to a certified lower bound), then a
+branch and bound over eliminated sets searches the core they leave, which
+is what the vertex cap applies to.  Every elimination goes through
+``_eliminate_counted``.
 """
 from __future__ import annotations
 
@@ -147,22 +149,6 @@ def _fill_count(adj: dict[int, set[int]], v: int) -> int:
     for a in nbrs:
         missing += len(nbrs - adj[a])
     return (missing - len(nbrs)) // 2
-
-
-def _eliminate(adj: dict[int, set[int]], v: int) -> list[tuple[int, int]]:
-    """Remove v, turning its neighborhood into a clique; returns added edges."""
-    nbrs = sorted(adj[v])
-    added = []
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1:]:
-            if b not in adj[a]:
-                adj[a].add(b)
-                adj[b].add(a)
-                added.append((a, b))
-    for a in nbrs:
-        adj[a].discard(v)
-    del adj[v]
-    return added
 
 
 def _eliminate_counted(
@@ -322,17 +308,9 @@ def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     bag of its first subsequently eliminated neighbor."""
     if sorted(order) != list(g.vertices):
         raise ValueError("order must enumerate every vertex exactly once")
-    return _tree_from_elimination(order, _elimination_bags(g.adjacency(), order))
-
-
-def _elimination_bags(adj: dict[int, set[int]], order: list[int]) -> list[frozenset[int]]:
-    """Eliminate ``order`` from the graph ``adj`` (which it consumes) and
-    return each vertex's closed neighborhood at the time it goes."""
-    bags = []
-    for v in order:
-        bags.append(frozenset(adj[v] | {v}))
-        _eliminate(adj, v)
-    return bags
+    adj = g.adjacency()
+    bags = [frozenset(_eliminate_counted(adj, v, {}, False)[0] | {v}) for v in order]
+    return _tree_from_elimination(order, bags)
 
 
 def heuristic_decomposition(g: Graph, method: str = "min_fill") -> TreeDecomposition:
@@ -514,9 +492,8 @@ def exact_treewidth(
     10 / 20 / 40 mains of ``gen_pseudo_clique(PseudoCliqueSpec(n, 1))``,
     where testing every touched vertex again took 4.5 / 8.1 / 14.9.  The
     witness is ``decomposition_from_order`` of the reductions' order
-    followed by the search's: the reductions' bags are kept as they
-    eliminate, and only the core is eliminated again, along the search's
-    order."""
+    followed by the search's, built from the bags each kept as it
+    eliminated."""
     if g.n == 0:
         return -1, TreeDecomposition({1: frozenset()}, frozenset())
     adj = g.adjacency()
@@ -525,56 +502,59 @@ def exact_treewidth(
     check(limits, "exact_tw_core", len(adj), "exact treewidth: core vertex count")
 
     if adj:
-        heur_order, heur_bags = _greedy_elimination(
-            {v: set(ns) for v, ns in adj.items()}, "min_fill"
-        )
-        heur_width = max(len(bag) for bag in heur_bags) - 1
-        best_width, best_order = _branch_and_bound(adj, heur_width, heur_order)
+        heuristic = _greedy_elimination({v: set(ns) for v, ns in adj.items()}, "min_fill")
+        best_width, best_order, best_bags = _branch_and_bound(adj, *heuristic)
         answer = max(answer, best_width)
         order += best_order
-        bags += _elimination_bags(adj, best_order)
+        bags += best_bags
     return answer, _tree_from_elimination(order, bags)
 
 
 def _branch_and_bound(
-    adj: dict[int, set[int]], best_width: int, best_order: list[int]
-) -> tuple[int, list[int]]:
-    """DFS over elimination orderings of the core with reduction and
-    lower-bound pruning.  Deterministic: candidates scanned in vertex order.
-    The returned width is the width of the returned ordering."""
-    best = [best_width, list(best_order)]
-
-    def dfs(work: dict[int, set[int]], current: int, order: list[int]) -> None:
-        bound = best[0]
-        if current >= bound:
-            return
-        if not work:
-            best[0] = current
-            best[1] = list(order)
-            return
-        sub_lb = _mmd_lower_bound(work)
-        if max(current, sub_lb) >= bound:
-            return
-        # current width and the minor bound both lower-bound every completion
-        # of this branch, which is what the almost-simplicial rule needs
-        reduced, _, forced_here, _ = _reduce(work, max(current, sub_lb))
-        current = max(current, forced_here)
-        if current >= bound:
-            return
-        if not work:
-            best[0] = current
-            best[1] = list(order) + reduced
-            return
-        for v in sorted(work):
-            if len(work[v]) >= best[0]:
+    adj: dict[int, set[int]], best_order: list[int], best_bags: list[frozenset[int]]
+) -> tuple[int, list[int], list[frozenset[int]]]:
+    """Depth-first search of the core ``adj`` (which it consumes) for an
+    elimination ordering narrower than ``best_order``, whose bags are
+    ``best_bags``; returns the width, order and bags of the first found of
+    the least width.  A node, the graph left with the width, order and bags
+    so far, is pruned by minor-min-width and reduced under that bound; its
+    children eliminate each vertex left, smallest first, and wait on the
+    stack uncopied until popped.  The graph left by a set does not depend
+    on the order it went in (Bodlaender, Fomin, Koster, Kratsch and
+    Thilikos, ESA 2006), so a set entered before at no larger width is not
+    searched again."""
+    best = (max(map(len, best_bags)) - 1, best_order, best_bags)
+    entered: dict[frozenset[int], int] = {}
+    stack = [(adj, None, 0, [], [])]  # (graph, vertex to eliminate, width, order, bags)
+    while stack:
+        work, v, current, order, bags = stack.pop()
+        if v is not None:
+            current = max(current, len(work[v]))
+            order = order + [v]
+            gone = frozenset(order)
+            if current >= best[0] or entered.get(gone, current + 1) <= current:
                 continue
-            child = {u: set(ns) for u, ns in work.items()}
-            d = len(child[v])
-            _eliminate(child, v)
-            dfs(child, max(current, d), order + reduced + [v])
-
-    dfs({v: set(ns) for v, ns in adj.items()}, 0, [])
-    return best[0], best[1]
+            entered[gone] = current
+            work = {u: set(ns) for u, ns in work.items()}
+            bags = bags + [frozenset(_eliminate_counted(work, v, {}, False)[0] | {v})]
+        if work:
+            # the width so far and the minor bound both bound every
+            # completion from below, which is what the almost-simplicial
+            # rule needs
+            lb = max(current, _mmd_lower_bound(work))
+            if lb >= best[0]:
+                continue
+            reduced, reduced_bags, forced, _ = _reduce(work, lb)
+            current = max(current, forced)
+            if current >= best[0]:
+                continue
+            order = order + reduced
+            bags = bags + reduced_bags
+        if not work:
+            best = (current, order, bags)
+        else:
+            stack.extend((work, u, current, order, bags) for u in sorted(work, reverse=True))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +763,17 @@ def _max_clique(adj: dict[int, set[int]]) -> list[int]:
     return best
 
 
+def _certify_routes(route: dict[tuple[int, int], list[int]], clique: list[int]) -> None:
+    """Assert that the paths realizing the clique's edges are internally
+    disjoint: every removed vertex lies on the route of at most one."""
+    used: set[int] = set()
+    for i, a in enumerate(clique):
+        for b in clique[i + 1:]:
+            path = route[(a, b) if a < b else (b, a)]
+            assert not used & set(path)
+            used |= set(path)
+
+
 def pseudo_clique_lower_bound(g: Graph, *, limits: Limits | None = None) -> int:
     """Size of the largest clique obtainable by undoing subdivisions (so
     treewidth is at least the result minus one).
@@ -790,7 +781,10 @@ def pseudo_clique_lower_bound(g: Graph, *, limits: Limits | None = None) -> int:
     Undoing a subdivision replaces a degree-2 vertex by an edge between its
     neighbors, smallest such vertex first, to a fixpoint, with duplicate
     edges discarded; each surviving edge therefore stands for an internally
-    disjoint path, which is verified before the clique is certified.
+    disjoint path, which is verified before the clique is certified.  A
+    discarded duplicate destroys the triangle its vertex sat on, the only
+    clique a degree-2 vertex lies in, so that triangle is certified then
+    and counts: a cycle, or a pseudo-clique on 3 mains, reads 3.
 
     The degree-2 vertices wait in a min-heap.  Undoing never raises a
     degree, and lowers one only where the new edge is a duplicate: then its
@@ -806,25 +800,22 @@ def pseudo_clique_lower_bound(g: Graph, *, limits: Limits | None = None) -> int:
     route: dict[tuple[int, int], list[int]] = {e: [] for e in g.edges}
     heap = [v for v, ns in adj.items() if len(ns) == 2]
     heapq.heapify(heap)
+    triangle = 0
     while heap:
         v = heapq.heappop(heap)
         if len(adj[v]) != 2:
             continue
-        ends = tuple(adj[v])
+        a, b = adj[v]
+        if b in adj[a]:  # undoing v discards the duplicate edge and the triangle
+            _certify_routes(route, [a, b, v])
+            triangle = 3
         if not _unsubdivide(adj, route, v):
-            for u in ends:
+            for u in (a, b):
                 if len(adj[u]) == 2:
                     heapq.heappush(heap, u)
     clique = _max_clique(adj)
-    # the paths realizing the clique edges are internally disjoint: every
-    # suppressed vertex lies on the route of at most one surviving edge
-    used: set[int] = set()
-    for i, a in enumerate(clique):
-        for b in clique[i + 1:]:
-            path = route.get((min(a, b), max(a, b)), [])
-            assert not used & set(path)
-            used |= set(path)
-    return len(clique)
+    _certify_routes(route, clique)
+    return max(len(clique), triangle)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import random
 
@@ -206,6 +207,118 @@ def test_exact_core_cap():
         exact_treewidth(g, limits=Limits(exact_tw_core=10))
 
 
+def _subset_treewidth(g):
+    """Treewidth by the subset recurrence (Bodlaender, Fomin, Koster,
+    Kratsch and Thilikos, 2006): TW(empty) = -1 and TW(S) = min over v in S
+    of max(TW(S - v), |Q(S - v, v)|), where Q(S, v) holds the vertices
+    outside S and v that v reaches through S.  Sets are bitmasks over the
+    vertices, and a set comes after each of its subsets."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    adj = g.adjacency()
+    nbrs = [sum(1 << index[u] for u in adj[v]) for v in g.vertices]
+
+    def q(s, i):
+        seen, frontier, out = 1 << i, [i], 0
+        while frontier:
+            new = nbrs[frontier.pop()] & ~seen
+            seen |= new
+            out |= new & ~s
+            inside = new & s
+            while inside:
+                low = inside & -inside
+                frontier.append(low.bit_length() - 1)
+                inside ^= low
+        return bin(out).count("1")
+
+    tw = [-1] * (1 << g.n)
+    for s in range(1, 1 << g.n):
+        rest, best = s, g.n
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            best = min(best, max(tw[s ^ low], q(s ^ low, low.bit_length() - 1)))
+        tw[s] = best
+    return tw[-1]
+
+
+def _count_calls(monkeypatch, name):
+    calls = [0]
+
+    def counted(*args, _original=getattr(treewidth, name)):
+        calls[0] += 1
+        return _original(*args)
+
+    monkeypatch.setattr(treewidth, name, counted)
+    return calls
+
+
+def test_search_matches_the_subset_recurrence(monkeypatch):
+    # only graphs whose reductions leave a core reach the search
+    searches = _count_calls(monkeypatch, "_branch_and_bound")
+    rng = random.Random(34)
+    reached = 0
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(9, 11), rng.uniform(0.3, 0.7))
+        searches[0] = 0
+        w = exact_treewidth(g)[0]
+        if searches[0]:
+            reached += 1
+            assert w == _subset_treewidth(g)
+    assert reached >= 10
+
+
+def _exact_key(g):
+    w, td = exact_treewidth(g)
+    return w, sorted((b, tuple(sorted(bag))) for b, bag in td.bags.items()), sorted(td.edges)
+
+
+def _branching_graphs():
+    graphs = []
+    for seed in (7, 11):
+        r = random.Random(seed)
+        graphs += [random_graph(r, n, r.uniform(0.2, 0.5)) for n in (14, 16, 18, 20, 22, 22)]
+    return graphs
+
+
+def test_exact_witnesses_are_pinned():
+    # width, bags and tree edges of the witness, as the search over
+    # elimination orders without a memo of eliminated sets returned them
+    rng = random.Random(2026)
+    graphs = [random_graph(rng, rng.randint(6, 16), rng.uniform(0.15, 0.6)) for _ in range(400)]
+    keys = [_exact_key(g) for g in graphs + _branching_graphs()]
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == (
+        "a067b4992118867140c5a74d56f9b51dfdaf99f04c1ce4527fcca7a9d232f620")
+
+
+def test_search_work_on_a_branching_graph(monkeypatch):
+    # a node whose eliminated set was entered before at no larger width is
+    # skipped; searching every order took 6,577 bounds on this graph
+    g = _branching_graphs()[9]
+    assert g.n == 20
+    bounds = _count_calls(monkeypatch, "_mmd_lower_bound")
+    first = _exact_key(g)
+    assert first[0] == 9
+    assert bounds[0] == 462
+    assert _exact_key(g) == first
+
+
+def _eliminate(adj, v):
+    """Remove v, turning its neighborhood into a clique, by the definition;
+    returns the added edges."""
+    nbrs = sorted(adj[v])
+    added = []
+    for i, a in enumerate(nbrs):
+        for b in nbrs[i + 1:]:
+            if b not in adj[a]:
+                adj[a].add(b)
+                adj[b].add(a)
+                added.append((a, b))
+    for a in nbrs:
+        adj[a].discard(v)
+    del adj[v]
+    return added
+
+
 def _rescan_reduce(adj, lb, checks=None):
     """The reductions as a rescan: after every elimination, test every vertex
     again from the smallest, and eliminate the first that a rule admits.
@@ -229,7 +342,7 @@ def _rescan_reduce(adj, lb, checks=None):
                 if simplicial:
                     lb = max(lb, d)
                 bags.append(frozenset(nbrs | {v}))
-                treewidth._eliminate(adj, v)
+                _eliminate(adj, v)
                 order.append(v)
                 changed = True
                 break
@@ -329,23 +442,12 @@ def test_exact_decomposition_equals_decomposition_of_its_order():
             gen_pseudo_clique(PseudoCliqueSpec(n, {p: rng.randint(0, 2) for p in pairs})))
 
 
-def _count_reducibility_checks(monkeypatch):
-    calls = [0]
-
-    def counted(*args, _original=treewidth._reducibility):
-        calls[0] += 1
-        return _original(*args)
-
-    monkeypatch.setattr(treewidth, "_reducibility", counted)
-    return calls
-
-
 def test_reduction_work_linear_on_chain_structures(monkeypatch):
     # the reductions empty a chain structure's Gaifman graph; each
     # elimination rechecks only the vertices it can change, so the checks
     # grow with the graph, where a rescan after every elimination grows
     # with its square
-    calls = _count_reducibility_checks(monkeypatch)
+    calls = _count_calls(monkeypatch, "_reducibility")
     work = []
     for m in (400, 800, 1600):
         calls[0] = 0
@@ -361,7 +463,7 @@ def test_reduction_work_on_a_pseudo_clique(monkeypatch):
     rescan = [0]
     _rescan_reduce(adj, treewidth._mmd_lower_bound(adj), rescan)
     assert not adj  # the reductions alone settle it
-    calls = _count_reducibility_checks(monkeypatch)
+    calls = _count_calls(monkeypatch, "_reducibility")
     assert exact_treewidth(g)[0] == 7
     bound = 4 * g.n
     assert calls[0] <= bound < rescan[0], (calls[0], rescan[0])
@@ -370,7 +472,7 @@ def test_reduction_work_on_a_pseudo_clique(monkeypatch):
 def test_reduction_checks_per_vertex_on_pseudo_cliques(monkeypatch):
     # kept fill counts leave a touched vertex that no rule can admit out of
     # the heap, so the checks per vertex stay near constant as the mains grow
-    calls = _count_reducibility_checks(monkeypatch)
+    calls = _count_calls(monkeypatch, "_reducibility")
     for n in (10, 20, 40):
         g = gen_pseudo_clique(PseudoCliqueSpec(n, 1))
         calls[0] = 0
@@ -461,7 +563,7 @@ def _recount_greedy(adj, method):
         counts.append(k)
         touched = adj[v] | {v}
         bags.append(frozenset(touched))
-        added = treewidth._eliminate(adj, v)
+        added = _eliminate(adj, v)
         del current[v]
         if method == "min_fill":
             for a, b in added:
@@ -697,9 +799,13 @@ def test_lower_bound_examples():
     assert pseudo_clique_lower_bound(gen_pseudo_clique(PseudoCliqueSpec(4, 1))) == 4
     assert pseudo_clique_lower_bound(clique(4)) == 4
     assert pseudo_clique_lower_bound(path(5)) == 2
+    # undoing a vertex of a triangle discards a duplicate edge; the
+    # triangle it destroys still counts
+    assert pseudo_clique_lower_bound(clique(3)) == 3
+    assert pseudo_clique_lower_bound(make_graph(7, [(i, i % 7 + 1) for i in range(1, 8)])) == 3
     rng = random.Random(18)
     for _ in range(300):
-        n = rng.randint(4, 8)
+        n = rng.randint(3, 8)
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         longest = min(3, (64 - n) // len(pairs))  # at most 64 vertices, the clique cap
         g = gen_pseudo_clique(PseudoCliqueSpec(n, {p: rng.randint(0, longest) for p in pairs}))
@@ -708,18 +814,19 @@ def test_lower_bound_examples():
 
 def _rescan_unsubdivide(g):
     """The subdivisions undone by a rescan: after every undo, scan the
-    vertices again from the smallest for one of degree 2."""
+    vertices again from the smallest for one of degree 2.  Returns the
+    graph left and whether an undo discarded a duplicate edge."""
     adj = g.adjacency()
     route = {e: [] for e in g.edges}
-    changed = True
+    changed, discarded = True, False
     while changed:
         changed = False
         for v in sorted(adj):
             if len(adj[v]) == 2:
-                treewidth._unsubdivide(adj, route, v)
+                discarded |= not treewidth._unsubdivide(adj, route, v)
                 changed = True
                 break
-    return adj
+    return adj, discarded
 
 
 def _subdivided(rng, k, p):
@@ -759,10 +866,10 @@ def test_lower_bound_heap_matches_the_rescan(monkeypatch):
         got = pseudo_clique_lower_bound(g, limits=limits)
         order = list(undone)
         undone.clear()
-        left = _rescan_unsubdivide(g)
+        left, discarded = _rescan_unsubdivide(g)
         assert order == undone
         assert cliqued[-1] == left
-        assert got == len(treewidth._max_clique(left))
+        assert got == max(len(treewidth._max_clique(left)), 3 if discarded else 0)
 
 
 def test_lower_bound_cap():
