@@ -3,7 +3,7 @@
 Propositional/autoepistemic formulas with brute-force oracles, relational
 structures and their Gaifman graphs, an MSO model checker with the standard
 encodings of satisfiability, implication, extension existence and expansion
-existence, treewidth machinery (heuristic and exact decompositions, nice
+existence, treewidth machinery (min-fill and exact decompositions, nice
 form, pseudo-clique theory), treewidth dynamic programming, and generators
 for the lower-bound instance families.
 """

@@ -209,9 +209,9 @@ def _cmd_tw_compute(args, report: _Report) -> list[str]:
         w, td = exact_treewidth(g)
         method = "exact"
     else:
-        td = heuristic_decomposition(g, args.method)
+        td = heuristic_decomposition(g)
         w = width(td)
-        method = args.method
+        method = "min_fill"
     report.timings["compute"] = (time.perf_counter() - t0) * 1000
     if args.output:
         Path(args.output).write_text(emit_td(td, g.n))
@@ -361,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(tw, "compute", _cmd_tw_compute, output)
     p.add_argument("file", help=".gr file")
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--method", choices=("min_fill", "min_degree"), default="min_fill")
     p = leaf(tw, "verify", _cmd_tw_verify)
     p.add_argument("graph", help=".gr file")
     p.add_argument("decomposition", help=".td file")

@@ -53,6 +53,7 @@ from .structures import (
 )
 from .treewidth import (
     TreeDecomposition,
+    decomposition_from_order,
     emit_td,
     exact_treewidth,
     heuristic_decomposition,
@@ -139,7 +140,7 @@ def check_normalization(seed: int = 1, quick: bool = False) -> CheckResult:
             }
             g = gen_pseudo_clique(PseudoCliqueSpec(n, pairs))
             if rng.random() < 0.5:
-                td = heuristic_decomposition(g, "min_fill")
+                td = heuristic_decomposition(g)
             else:
                 td = TreeDecomposition({1: frozenset(range(1, g.n + 1))}, frozenset())
             out = normalize_pseudo(g, td)
@@ -461,7 +462,7 @@ def check_format_roundtrips(seed: int = 1, quick: bool = False) -> CheckResult:
             again = emit_gr(parse_gr(text))
             if text == again:
                 bit_exact += 1
-            td = heuristic_decomposition(g, "min_fill")
+            td = heuristic_decomposition(g)
             td_text = emit_td(td, g.n)
             parsed, n = parse_td(td_text)
             if td_text == emit_td(parsed, n) and not validate_decomposition(g, parsed):
@@ -476,7 +477,8 @@ def check_format_roundtrips(seed: int = 1, quick: bool = False) -> CheckResult:
 def check_module_invariants(seed: int = 1, quick: bool = False) -> CheckResult:
     """Bundle of module-level invariants: the structural sanity encoding
     holds on every built structure, stage fixpoints echo their candidates,
-    and heuristic decompositions validate on random graphs."""
+    and min-fill's decomposition and that of a shuffled order validate on
+    random graphs."""
     samples = 15 if quick else 60
 
     def run():
@@ -502,16 +504,18 @@ def check_module_invariants(seed: int = 1, quick: bool = False) -> CheckResult:
             for witness in extension_exists(th)[1]:
                 ok, applied = stage_fixpoint(th, witness.generating)
                 echo_ok &= ok and applied == witness.generating
-        heur_ok = True
+        td_ok = True
         for _ in range(samples * 3):
             g = random_graph(rng, rng.randint(0, 12), rng.random())
-            for method in ("min_degree", "min_fill"):
-                heur_ok &= not validate_decomposition(g, heuristic_decomposition(g, method))
-        ok = bool(struc_ok and echo_ok and heur_ok)
+            order = list(g.vertices)
+            rng.shuffle(order)
+            for td in (heuristic_decomposition(g), decomposition_from_order(g, order)):
+                td_ok &= not validate_decomposition(g, td)
+        ok = bool(struc_ok and echo_ok and td_ok)
         return ok, (
             f"structure checks {'ok' if struc_ok else 'FAILED'}, "
             f"fixpoint echo {'ok' if echo_ok else 'FAILED'}, "
-            f"heuristic validity {'ok' if heur_ok else 'FAILED'}"
+            f"decomposition validity {'ok' if td_ok else 'FAILED'}"
         )
 
     return _timed("module invariants", run)

@@ -1,4 +1,4 @@
-"""Tree decompositions: validation, width, heuristic and exact computation,
+"""Tree decompositions: validation, width, min-fill and exact computation,
 nice form, pseudo-clique theory, and PACE-style .td I/O, whose header syntax
 ``structures._read_pace`` reads, as it does for .gr.
 
@@ -16,7 +16,8 @@ The exact algorithm applies standard safe reductions (simplicial vertices
 always, almost-simplicial vertices up to a certified lower bound), then a
 branch and bound over eliminated sets searches the core they leave, which
 is what the vertex cap applies to.  Every elimination goes through
-``_eliminate_counted``.
+``_eliminate_counted``, which keeps fill counts, min-fill's and the
+reductions' alike.
 """
 from __future__ import annotations
 
@@ -152,22 +153,20 @@ def _fill_count(adj: dict[int, set[int]], v: int) -> int:
 
 
 def _eliminate_counted(
-    adj: dict[int, set[int]], v: int, counts: dict[int, int], fill: bool
+    adj: dict[int, set[int]], v: int, counts: dict[int, int]
 ) -> tuple[set[int], dict[int, int]]:
     """Eliminate v from the graph ``adj``, turning its neighborhood into a
-    clique, and keep exact the ``counts`` it holds: each vertex's fill (the
-    missing pairs among its neighbors), or its degree when ``fill`` is
-    false.  Returns v's neighbors and the change in count of every vertex
-    whose count the elimination can move: v's neighbors, whose change may
-    be 0, and the other common neighbors of each pair it joins.  The changes
-    follow from two rules:
+    clique, and keep exact the fill ``counts`` it holds (the missing pairs
+    among each vertex's neighbors).  Returns v's neighbors and the change in
+    fill of every vertex whose fill the elimination can move: v's neighbors,
+    whose change may be 0, and the other common neighbors of each pair it
+    joins.  The changes follow from two rules:
     - adding a missing edge (a, b) between v's neighbors takes 1 from the
       fill of every other common neighbor of a and b, and gives a
       ``|N(a) - N(b)|`` and b ``|N(b) - N(a)|``, both taken before the edge
-      is added (for degree, a and b gain 1);
+      is added;
     - removing v, whose neighbors are a clique by then, takes
-      ``|N(a) - N[v]| = |N(a)| - |N(v)|`` from each neighbor a's fill (1
-      from its degree)."""
+      ``|N(a) - N[v]| = |N(a)| - |N(v)|`` from each neighbor a's fill."""
     nbrs = adj.pop(v)
     size = len(nbrs)
     delta = dict.fromkeys(nbrs, 0)
@@ -177,21 +176,17 @@ def _eliminate_counted(
             if b == a:
                 continue
             nb = adj[b]
-            if fill:
-                common = na & nb
-                for w in common:
-                    if w != v:
-                        delta[w] = delta.get(w, 0) - 1
-                delta[a] += len(na) - len(common)
-                delta[b] += len(nb) - len(common)
-            else:
-                delta[a] += 1
-                delta[b] += 1
+            common = na & nb
+            for w in common:
+                delta[w] = delta.get(w, 0) - 1
+            delta[a] += len(na) - len(common)
+            delta[b] += len(nb) - len(common)
             na.add(b)
             nb.add(a)
+    delta.pop(v, None)  # v is a common neighbor of every pair it joins
     for a in nbrs:
         na = adj[a]
-        delta[a] -= len(na) - size if fill else 1
+        delta[a] -= len(na) - size
         na.discard(v)
     counts.pop(v, None)
     for w, d in delta.items():
@@ -201,26 +196,22 @@ def _eliminate_counted(
 
 
 def _greedy_elimination(
-    adj: dict[int, set[int]], method: str
+    adj: dict[int, set[int]]
 ) -> tuple[list[int], list[frozenset[int]]]:
-    """Greedy elimination ordering of the graph ``adj`` (which it consumes),
-    ties broken by smallest vertex id, with each vertex's closed neighborhood
-    at the time it is eliminated.
+    """Min-fill elimination ordering of the graph ``adj`` (which it
+    consumes), ties broken by smallest vertex id, with each vertex's closed
+    neighborhood at the time it is eliminated.
 
-    Each vertex's count (degree, or fill: the missing pairs among its
-    neighbors) is computed once and then kept exact by the deltas of
-    ``_eliminate_counted`` as each vertex goes.  A vertex of count 0 has no
-    missing pair (fill) or no neighbor (degree), so only its removal moves a
-    count, and each neighbor's at once: that case skips the table of deltas,
-    which would cost min-fill about a tenth of its time on constraint graphs,
-    where most vertices go at fill 0.  A vertex whose count changed is
-    pushed again, as a recount would push it, so the heap yields the same
-    (count, id) minimum at every step and the order and bags are those of
-    recounting every touched vertex."""
-    if method not in ("min_degree", "min_fill"):
-        raise ValueError(f"unknown method {method!r}")
-    fill = method == "min_fill"
-    current = {v: _fill_count(adj, v) if fill else len(adj[v]) for v in adj}
+    Each vertex's fill (the missing pairs among its neighbors) is computed
+    once and then kept exact by the deltas of ``_eliminate_counted`` as each
+    vertex goes.  A vertex of fill 0 has no missing pair, so only its
+    removal moves a fill, and each neighbor's at once: that case skips the
+    table of deltas, which would cost about a tenth of the time on
+    constraint graphs, where most vertices go at fill 0.  A vertex whose
+    fill changed is pushed again, as a recount would push it, so the heap
+    yields the same (fill, id) minimum at every step and the order and bags
+    are those of recounting every touched vertex."""
+    current = {v: _fill_count(adj, v) for v in adj}
     heap = [(k, v) for v, k in current.items()]
     heapq.heapify(heap)
     order: list[int] = []
@@ -231,17 +222,17 @@ def _greedy_elimination(
             continue
         order.append(v)
         if k:
-            nbrs, delta = _eliminate_counted(adj, v, current, fill)
+            nbrs, delta = _eliminate_counted(adj, v, current)
             for w, d in delta.items():
                 if d:
                     heapq.heappush(heap, (current[w], w))
-        else:  # no pair to join: only v's removal moves a count
+        else:  # no pair to join: only v's removal moves a fill
             nbrs = adj.pop(v)
             del current[v]
             size = len(nbrs)
             for a in nbrs:
                 na = adj[a]
-                d = len(na) - size if fill else 1
+                d = len(na) - size
                 na.discard(v)
                 if d:
                     current[a] -= d
@@ -250,9 +241,9 @@ def _greedy_elimination(
     return order, bags
 
 
-def elimination_order(g: Graph, method: str) -> list[int]:
-    """Greedy elimination ordering; ties broken by smallest vertex id."""
-    return _greedy_elimination(g.adjacency(), method)[0]
+def elimination_order(g: Graph) -> list[int]:
+    """Min-fill elimination ordering; ties broken by smallest vertex id."""
+    return _greedy_elimination(g.adjacency())[0]
 
 
 def _tree_from_elimination(order: list[int], bags: list[frozenset[int]]) -> TreeDecomposition:
@@ -309,14 +300,14 @@ def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     if sorted(order) != list(g.vertices):
         raise ValueError("order must enumerate every vertex exactly once")
     adj = g.adjacency()
-    bags = [frozenset(_eliminate_counted(adj, v, {}, False)[0] | {v}) for v in order]
+    bags = [frozenset(_eliminate_counted(adj, v, {})[0] | {v}) for v in order]
     return _tree_from_elimination(order, bags)
 
 
-def heuristic_decomposition(g: Graph, method: str = "min_fill") -> TreeDecomposition:
-    """``decomposition_from_order(g, elimination_order(g, method))``, built in
-    the same elimination run that picks the order."""
-    return _tree_from_elimination(*_greedy_elimination(g.adjacency(), method))
+def heuristic_decomposition(g: Graph) -> TreeDecomposition:
+    """``decomposition_from_order(g, elimination_order(g))``, built in the
+    same elimination run that picks the order."""
+    return _tree_from_elimination(*_greedy_elimination(g.adjacency()))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +451,7 @@ def _reduce(
         rule = _reducibility(adj, v, lb, fills)
         if not rule:
             continue
-        nbrs, delta = _eliminate_counted(adj, v, fills, True)
+        nbrs, delta = _eliminate_counted(adj, v, fills)
         d = len(nbrs)
         forced = max(forced, d)
         bags.append(frozenset(nbrs | {v}))
@@ -502,7 +493,7 @@ def exact_treewidth(
     check(limits, "exact_tw_core", len(adj), "exact treewidth: core vertex count")
 
     if adj:
-        heuristic = _greedy_elimination({v: set(ns) for v, ns in adj.items()}, "min_fill")
+        heuristic = _greedy_elimination({v: set(ns) for v, ns in adj.items()})
         best_width, best_order, best_bags = _branch_and_bound(adj, *heuristic)
         answer = max(answer, best_width)
         order += best_order
@@ -536,7 +527,7 @@ def _branch_and_bound(
                 continue
             entered[gone] = current
             work = {u: set(ns) for u, ns in work.items()}
-            bags = bags + [frozenset(_eliminate_counted(work, v, {}, False)[0] | {v})]
+            bags = bags + [frozenset(_eliminate_counted(work, v, {})[0] | {v})]
         if work:
             # the width so far and the minor bound both bound every
             # completion from below, which is what the almost-simplicial

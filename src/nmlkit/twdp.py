@@ -328,7 +328,7 @@ def compile_graph(
     ``ResourceLimitError`` when the decomposition is wider than
     ``Limits.dp_width``."""
     if td is None:
-        td = heuristic_decomposition(cg.graph, "min_fill")
+        td = heuristic_decomposition(cg.graph)
     else:
         problems = validate_decomposition(cg.graph, td)
         if problems:

@@ -92,7 +92,14 @@ def test_gen_and_tw_pipeline(tmp_path, capsys):
     assert gr.exists() and gr.with_suffix(".labels").exists()
     capsys.readouterr()
     code, payload = run_json(capsys, ["tw", "compute", str(gr), "--exact", "--json"])
-    assert code == 0 and payload["width"] == 4
+    assert code == 0 and payload["width"] == 4 and payload["method"] == "exact"
+    code, payload = run_json(capsys, ["tw", "compute", str(gr), "--json"])
+    assert code == 0 and payload["method"] == "min_fill"
+    # min-fill is the one heuristic: there is no method to choose
+    with pytest.raises(SystemExit) as exc:
+        main(["tw", "compute", str(gr), "--method", "min_fill"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
     td = tmp_path / "pc5_2.td"
     code = main(["tw", "compute", str(gr), "--exact", "-o", str(td)])
@@ -137,6 +144,10 @@ def test_tw_verify_reports_violations(tmp_path, capsys):
     td.write_text("s td 2 1 2\nb 1 1\nb 2 2\n1 2\n")
     code, payload = run_json(capsys, ["tw", "verify", str(gr), str(td), "--json"])
     assert code == 0 and payload["valid"] is False and payload["violations"]
+    td.write_text("s td 2 2 2\nb 1 1 2\nb 2 2\n1 5\n")
+    code, payload = run_json(capsys, ["tw", "verify", str(gr), str(td), "--json"])
+    assert code == 0 and payload["valid"] is False
+    assert payload["violations"] == ["(tree) edge (1,5) references a missing bag"]
 
 
 def test_struct_build(tmp_path, capsys):
@@ -148,6 +159,21 @@ def test_struct_build(tmp_path, capsys):
     )
     assert code == 0 and payload["n_vertices"] == 5 and payload["n_edges"] == 4
     assert out.read_text().startswith("p tw 5 4")
+
+
+def test_imp_kind_structure(tmp_path, capsys):
+    # the MSO implication sentence on the imp structure agrees with the oracle
+    imp = tmp_path / "a.imp"
+    imp.write_text("p: p\np: p -> q\nc: q\n")
+    code, payload = run_json(capsys, ["struct", "build", str(imp), "--kind", "imp", "--json"])
+    assert code == 0 and payload["n_vertices"] == 3 and payload["n_edges"] == 2
+    for text, holds in (("p: p\np: p -> q\nc: q\n", True), ("p: p\nc: q\n", False)):
+        imp.write_text(text)
+        code, payload = run_json(
+            capsys, ["mso", "eval", str(imp), "--kind", "imp", "--name", "imp", "--json"])
+        assert code == 0 and payload["holds"] is holds
+        code, payload = run_json(capsys, ["fmt", "check-imp", str(imp), "--json"])
+        assert code == 0 and payload["implies"] is holds
 
 
 def test_struct_build_labels(tmp_path, capsys):
@@ -198,6 +224,22 @@ def test_gen_json_report(capsys, command, counts):
     # without -o the report is the whole of stdout
     code, payload = run_json(capsys, command + ["--json"])
     assert code == 0 and {k: payload[k] for k in counts} == counts
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["gen", "dl-lower", "-n", "0"], "n must be positive"),
+        (["gen", "ael-lower", "-k", "0"], "k must be positive"),
+        (["gen", "imp-lower", "--kind", "xor3", "-n", "1"], "n must be at least 2"),
+        (["gen", "pseudo-clique", "-n", "1", "-k", "0"], "a pseudo-clique needs at least two main-nodes"),
+    ],
+    ids=["dl-lower", "ael-lower", "imp-lower", "pseudo-clique"],
+)
+def test_gen_rejects_a_family_too_small(capsys, command, message):
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 def test_report_schema_rejects_an_undeclared_key():

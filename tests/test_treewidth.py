@@ -99,34 +99,39 @@ def test_width():
 # ---------------------------------------------------------------------------
 
 
+def _shuffled_decomposition(rng, g):
+    """``decomposition_from_order`` of a seeded shuffle of g's vertices: a
+    valid decomposition that min-fill would not give."""
+    order = list(g.vertices)
+    rng.shuffle(order)
+    return decomposition_from_order(g, order)
+
+
 def test_heuristic_path_width_one():
-    for method in ("min_degree", "min_fill"):
-        td = heuristic_decomposition(path(5), method)
-        assert width(td) == 1
-        assert validate_decomposition(path(5), td) == []
+    td = heuristic_decomposition(path(5))
+    assert width(td) == 1
+    assert validate_decomposition(path(5), td) == []
 
 
 def test_heuristic_clique_width():
-    assert width(heuristic_decomposition(clique(4), "min_degree")) == 3
+    assert width(heuristic_decomposition(clique(4))) == 3
 
 
 def test_heuristic_pseudo_clique_min_fill():
     g = gen_pseudo_clique(PseudoCliqueSpec(4, 1))
-    assert width(heuristic_decomposition(g, "min_fill")) == 3
+    assert width(heuristic_decomposition(g)) == 3
 
 
 def test_heuristic_validity_sweep():
     rng = random.Random(12)
     for _ in range(500):
         g = random_graph(rng, rng.randint(0, 13), rng.random())
-        for method in ("min_degree", "min_fill"):
-            td = heuristic_decomposition(g, method)
-            assert validate_decomposition(g, td) == []
+        assert validate_decomposition(g, heuristic_decomposition(g)) == []
 
 
 def test_elimination_order_deterministic():
     g = random_graph(random.Random(5), 10, 0.4)
-    assert elimination_order(g, "min_fill") == elimination_order(g, "min_fill")
+    assert elimination_order(g) == elimination_order(g)
 
 
 def test_decomposition_from_order_rejects_partial_order():
@@ -171,8 +176,7 @@ def test_exact_never_beaten_by_heuristics():
         w, td = exact_treewidth(g)
         assert validate_decomposition(g, td) == []
         assert width(td) == w
-        for method in ("min_degree", "min_fill"):
-            assert w <= width(heuristic_decomposition(g, method))
+        assert w <= width(heuristic_decomposition(g))
 
 
 def test_exact_matches_bruteforce_orders():
@@ -300,6 +304,15 @@ def test_search_work_on_a_branching_graph(monkeypatch):
     assert first[0] == 9
     assert bounds[0] == 462
     assert _exact_key(g) == first
+    # a set entered again at a smaller width is searched again: skipping
+    # every set entered before makes 12 / 78 / 23 bounds on these graphs
+    for seed, w, calls in ((50, 9, 13), (1527, 8, 81), (3102, 10, 24)):
+        rng = random.Random(seed)
+        n = rng.randint(8, 16)
+        p = rng.uniform(0.25, 0.7)
+        bounds[0] = 0
+        assert exact_treewidth(random_graph(rng, n, p))[0] == w
+        assert bounds[0] == calls, seed
 
 
 def _eliminate(adj, v):
@@ -396,10 +409,10 @@ def test_kept_fill_counts_match_the_recount(monkeypatch):
     # equals the count made from scratch on the graph that is left
     eliminations = [0]
 
-    def checked(adj, v, counts, fill=True, _original=treewidth._eliminate_counted):
-        out = _original(adj, v, counts, fill)
+    def checked(adj, v, counts, _original=treewidth._eliminate_counted):
+        out = _original(adj, v, counts)
         for w, k in counts.items():
-            assert k == (treewidth._fill_count(adj, w) if fill else len(adj[w]))
+            assert k == treewidth._fill_count(adj, w)
         eliminations[0] += 1
         return out
 
@@ -409,8 +422,7 @@ def test_kept_fill_counts_match_the_recount(monkeypatch):
         n = rng.randint(0, 25)
         g = random_graph(rng, n, rng.random() * rng.choice((0.2, 0.5, 1.0)))
         treewidth._reduce(g.adjacency(), rng.randint(0, n))
-        for method in ("min_fill", "min_degree"):
-            heuristic_decomposition(g, method)
+        heuristic_decomposition(g)
     for _ in range(20):
         n = rng.randint(3, 8)
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -496,7 +508,7 @@ def test_make_nice_preserves_width_and_niceness():
     rng = random.Random(8)
     for _ in range(100):
         g = random_graph(rng, rng.randint(1, 10), rng.random())
-        td = heuristic_decomposition(g, "min_degree")
+        td = _shuffled_decomposition(rng, g)
         nice = make_nice(td)
         assert width(nice) == width(td)
         assert validate_decomposition(g, nice) == []
@@ -518,36 +530,32 @@ def test_heuristic_decomposition_equals_decomposition_of_its_order():
     rng = random.Random(12)
     for _ in range(200):
         g = random_graph(rng, rng.randint(0, 30), rng.random() * 0.5)
-        for method in ("min_fill", "min_degree"):
-            order = elimination_order(g, method)
-            one_pass = heuristic_decomposition(g, method)
-            two_pass = decomposition_from_order(g, order)
-            assert one_pass.bags == two_pass.bags
-            assert one_pass.edges == two_pass.edges
-            # the edge rule, restated: the bag of the i-th eliminated vertex
-            # hangs off the bag of its earliest-eliminated later neighbor,
-            # or off the next bag if it has none
-            pos = {v: i for i, v in enumerate(order)}
-            expected = set()
-            for i, v in enumerate(order):
-                assert v in one_pass.bags[i + 1]
-                later = [u for u in one_pass.bags[i + 1] if u != v]
-                if later:
-                    expected.add((i + 1, min(pos[u] for u in later) + 1))
-                elif i + 1 < len(order):
-                    expected.add((i + 1, i + 2))
-            assert one_pass.edges == expected
+        order = elimination_order(g)
+        one_pass = heuristic_decomposition(g)
+        two_pass = decomposition_from_order(g, order)
+        assert one_pass.bags == two_pass.bags
+        assert one_pass.edges == two_pass.edges
+        # the edge rule, restated: the bag of the i-th eliminated vertex
+        # hangs off the bag of its earliest-eliminated later neighbor, or
+        # off the next bag if it has none
+        pos = {v: i for i, v in enumerate(order)}
+        expected = set()
+        for i, v in enumerate(order):
+            assert v in one_pass.bags[i + 1]
+            later = [u for u in one_pass.bags[i + 1] if u != v]
+            if later:
+                expected.add((i + 1, min(pos[u] for u in later) + 1))
+            elif i + 1 < len(order):
+                expected.add((i + 1, i + 2))
+        assert one_pass.edges == expected
 
 
-def _recount_greedy(adj, method):
-    """The greedy elimination as a recount: after each elimination, count
-    again every vertex it touched (the closed neighborhood and, for fill,
-    every common neighbor of an added edge) from scratch.  Returns the
-    order, each vertex's closed neighborhood as it went and its count when
-    it went."""
+def _recount_greedy(adj):
+    """Min-fill as a recount: after each elimination, count again every
+    vertex it touched (the closed neighborhood and every common neighbor of
+    an added edge) from scratch.  Returns the order, each vertex's closed
+    neighborhood as it went and its fill when it went."""
     def count(v):
-        if method == "min_degree":
-            return len(adj[v])
         nbrs = adj[v]  # nbrs - adj[a] holds a and its missing partners
         return sum(len(nbrs - adj[a]) - 1 for a in nbrs) // 2
 
@@ -565,9 +573,8 @@ def _recount_greedy(adj, method):
         bags.append(frozenset(touched))
         added = _eliminate(adj, v)
         del current[v]
-        if method == "min_fill":
-            for a, b in added:
-                touched |= adj[a] & adj[b]
+        for a, b in added:
+            touched |= adj[a] & adj[b]
         for w in touched:
             if w in adj:
                 k2 = count(w)
@@ -578,14 +585,12 @@ def _recount_greedy(adj, method):
 
 
 def _greedy_matches_the_recount(g):
-    """Checks both methods against the recount; returns the counts min-fill
-    eliminated its vertices at."""
-    counts_of = {}
-    for method in ("min_fill", "min_degree"):
-        order, bags, counts_of[method] = _recount_greedy(g.adjacency(), method)
-        assert elimination_order(g, method) == order
-        assert heuristic_decomposition(g, method) == treewidth._tree_from_elimination(order, bags)
-    return counts_of["min_fill"]
+    """Checks min-fill against the recount; returns the fills it eliminated
+    its vertices at."""
+    order, bags, fills = _recount_greedy(g.adjacency())
+    assert elimination_order(g) == order
+    assert heuristic_decomposition(g) == treewidth._tree_from_elimination(order, bags)
+    return fills
 
 
 def _forest(rng, n):
@@ -643,7 +648,7 @@ def test_min_fill_counts_each_vertex_once(monkeypatch):
     for m in (1000, 2000):
         cg = build_constraint_graph(chain(m))
         calls[0] = 0
-        heuristic_decomposition(cg.graph, "min_fill")
+        heuristic_decomposition(cg.graph)
         assert calls[0] == cg.graph.n
 
 
@@ -665,8 +670,8 @@ def test_make_nice_records_kinds_and_numbers_children_first():
     rng = random.Random(13)
     for _ in range(100):
         g = random_graph(rng, rng.randint(1, 25), rng.random() * 0.5)
-        for method in ("min_fill", "min_degree"):
-            nice = make_nice(heuristic_decomposition(g, method))
+        for td in (heuristic_decomposition(g), _shuffled_decomposition(rng, g)):
+            nice = make_nice(td)
             assert sorted(nice.bags) == list(range(1, len(nice.bags) + 1))
             assert nice.root == len(nice.bags)
             for bid in nice.bags:
@@ -681,7 +686,7 @@ def test_make_nice_on_decompositions_not_in_child_parent_form():
     rng = random.Random(17)
     for _ in range(100):
         g = random_graph(rng, rng.randint(1, 20), rng.random() * 0.5)
-        own = heuristic_decomposition(g, rng.choice(("min_fill", "min_degree")))
+        own = heuristic_decomposition(g) if rng.random() < 0.5 else _shuffled_decomposition(rng, g)
         ids = list(own.bags)
         rng.shuffle(ids)
         new = dict(zip(own.bags, ids))
@@ -898,7 +903,7 @@ def test_normalize_bloated_bag():
 
 def test_normalize_cardinality_zero_is_identity():
     g = gen_pseudo_clique(PseudoCliqueSpec(3, 0))
-    td = heuristic_decomposition(g, "min_fill")
+    td = heuristic_decomposition(g)
     out = normalize_pseudo(g, td)
     assert sorted(out.bags.values(), key=sorted) == sorted(td.bags.values(), key=sorted)
 
@@ -906,12 +911,12 @@ def test_normalize_cardinality_zero_is_identity():
 def test_normalize_two_mains_widens_only_with_edge_nodes():
     # two mains joined by a path: width 1, and the chain bag {1, d1, 2} is 3
     g = gen_pseudo_clique(PseudoCliqueSpec(2, 1))
-    td = heuristic_decomposition(g, "min_fill")
+    td = heuristic_decomposition(g)
     out = normalize_pseudo(g, td)
     assert width(td) == 1
     assert validate_decomposition(g, out) == [] and width(out) == 2
     g = gen_pseudo_clique(PseudoCliqueSpec(2, 0))
-    td = heuristic_decomposition(g, "min_fill")
+    td = heuristic_decomposition(g)
     assert normalize_pseudo(g, td) == td and width(td) == 1
 
 
@@ -926,7 +931,7 @@ def test_normalize_random_sweep():
         }
         g = gen_pseudo_clique(PseudoCliqueSpec(n, pairs))
         if rng.random() < 0.5:
-            td = heuristic_decomposition(g, "min_fill")
+            td = heuristic_decomposition(g)
         else:
             td = TreeDecomposition({1: frozenset(range(1, g.n + 1))}, frozenset())
         out = normalize_pseudo(g, td)
@@ -961,7 +966,7 @@ def test_normalize_rejects_non_pseudo_clique():
 
 def test_td_roundtrip():
     g = gen_pseudo_clique(PseudoCliqueSpec(4, 2))
-    td = heuristic_decomposition(g, "min_fill")
+    td = heuristic_decomposition(g)
     text = emit_td(td, g.n)
     parsed, n = parse_td(text)
     assert n == g.n

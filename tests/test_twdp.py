@@ -62,7 +62,7 @@ def test_dp_sat_empty():
 def test_dp_sat_chain():
     gamma = chain(50)
     cg = build_constraint_graph(gamma)
-    td = heuristic_decomposition(cg.graph, "min_fill")
+    td = heuristic_decomposition(cg.graph)
     assert width(td) <= 3
     assert dp_sat(gamma, td) is True
     assert sat_bruteforce(chain(10)) is not None
@@ -155,8 +155,10 @@ def test_verdict_independent_of_decomposition():
     for _ in range(100):
         gamma = random_formula_set(rng, max_subformulae=10)
         cg = build_constraint_graph(gamma)
-        expected = dp_sat(gamma, heuristic_decomposition(cg.graph, "min_fill"))
-        assert dp_sat(gamma, heuristic_decomposition(cg.graph, "min_degree")) == expected
+        expected = dp_sat(gamma, heuristic_decomposition(cg.graph))
+        order = list(cg.graph.vertices)
+        rng.shuffle(order)
+        assert dp_sat(gamma, decomposition_from_order(cg.graph, order)) == expected
         assert dp_sat(gamma, exact_treewidth(cg.graph)[1]) == expected
 
 
@@ -208,7 +210,7 @@ def test_linear_scaling_at_fixed_width():
 def test_nice_node_count_linear_at_fixed_width():
     def nice_nodes(m):
         cg = build_constraint_graph(chain(m))
-        return len(make_nice(heuristic_decomposition(cg.graph, "min_fill")).bags)
+        return len(make_nice(heuristic_decomposition(cg.graph)).bags)
 
     assert nice_nodes(2000) <= 2.05 * nice_nodes(1000)
 
@@ -602,6 +604,7 @@ def test_decomposition_missing_a_vertex_is_rejected():
 @pytest.mark.parametrize("bags, edges, problem", [
     ({1: {1}, 2: {2}}, set(), "2 bags need 1 tree edges, found 0"),
     ({1: {1}, 2: {2}, 3: {1, 2}}, {(1, 2), (2, 1)}, "bag 3 is disconnected from the rest"),
+    ({1: {1, 2}}, {(1, 5)}, r"edge \(1,5\) references a missing bag"),
 ])
 def test_disconnected_decomposition_is_rejected(bags, edges, problem):
     td = TreeDecomposition({b: frozenset(bag) for b, bag in bags.items()}, frozenset(edges))
@@ -638,7 +641,7 @@ def test_caller_and_min_fill_decompositions_give_one_program():
     for _ in range(200):
         gamma = random_formula_set(rng, max_formulas=4, max_subformulae=16, allow_believes=True)
         own = twdp.compile_set(gamma)
-        given = twdp.compile_set(gamma, heuristic_decomposition(own.cg.graph, "min_fill"))
+        given = twdp.compile_set(gamma, heuristic_decomposition(own.cg.graph))
         assert (given.program, given.home, given.width) == (own.program, own.home, own.width)
 
 
@@ -651,7 +654,7 @@ def test_td_round_trip_keeps_min_fill_program():
             for _ in range(200)]
     for gamma in sets + [chain(50)]:
         own = twdp.compile_set(gamma)
-        text = emit_td(heuristic_decomposition(own.cg.graph, "min_fill"), own.cg.graph.n)
+        text = emit_td(heuristic_decomposition(own.cg.graph), own.cg.graph.n)
         parsed, _ = parse_td(text)
         assert twdp._oriented(parsed) is parsed
         assert twdp.compile_set(gamma, parsed).program == own.program
@@ -683,7 +686,7 @@ def test_plan_golden():
                        6: (5, 195), 7: (5, 204), 8: (5, 240), 9: (2, 12)}
     # a caller's copy of that decomposition with its bag ids permuted and
     # every edge flipped is rooted at its smallest id, new bag 1 = {4, 8, 9}
-    own = heuristic_decomposition(cs.cg.graph, "min_fill")
+    own = heuristic_decomposition(cs.cg.graph)
     new = dict(zip(range(1, 10), (7, 3, 9, 1, 5, 8, 2, 6, 4)))
     td = TreeDecomposition({new[b]: bag for b, bag in own.bags.items()},
                            frozenset((new[p], new[c]) for c, p in own.edges))
@@ -715,7 +718,7 @@ def test_caller_decomposition_in_any_form_matches_bruteforce():
     for _ in range(200):
         gamma = random_formula_set(rng, max_formulas=5, max_subformulae=20, allow_believes=True)
         cg = build_constraint_graph(gamma)
-        own = heuristic_decomposition(cg.graph, "min_fill")
+        own = heuristic_decomposition(cg.graph)
         ids = list(own.bags)
         rng.shuffle(ids)
         new = dict(zip(own.bags, ids))
@@ -871,7 +874,7 @@ def test_asserted_compile_matches_bruteforce_and_the_plain_graph():
         expected = sat_bruteforce(gamma) is not None
         seen["sat" if expected else "unsat"] += 1
         assert dp_sat(gamma) == expected, gamma
-        plain = heuristic_decomposition(build_constraint_graph(gamma).graph, "min_fill")
+        plain = heuristic_decomposition(build_constraint_graph(gamma).graph)
         assert dp_sat(gamma, plain) == expected, gamma
     assert min(seen.values()) >= 100, seen
 
