@@ -31,7 +31,6 @@ from .formula import (
 from .structures import (
     Graph,
     RelationalStructure,
-    Vocabulary,
     build_prop_structure,
     build_imp_structure,
     build_dl_structure,

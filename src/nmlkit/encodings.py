@@ -122,8 +122,8 @@ def structure_check(basis: Basis, flavor: str = "prop") -> MsoFormula:
     """Sanity of a formula structure: non-root elements occur as arguments,
     and every non-atom element is a constant or has unique argument slots.
 
-    The shape follows the vocabulary: the ``dl`` flavor exempts rule
-    elements, and the ``ae`` flavor (whose vocabulary has no ``var``) treats
+    The shape follows the relations: the ``dl`` flavor exempts rule
+    elements, and the ``ae`` flavor (whose relations have no ``var``) treats
     belief atoms and materialized belief negations as atoms.  Identical in
     both build variants.
     """

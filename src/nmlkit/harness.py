@@ -336,20 +336,19 @@ def dp_scaling(small: list, large: list) -> tuple[bool, float, float]:
     return all_sat, statistics.median(ratios), best_large
 
 
-def program_work(gamma: list) -> int:
-    """Instructions plus links of the bag program ``gamma`` compiles to: the
-    DP's work, counted exactly, whatever the host's speed."""
-    program = compile_set(gamma).program
+def program_work(program: list) -> int:
+    """Instructions plus links of a bag program (``CompiledSet.program``):
+    the DP's work, counted exactly, whatever the host's speed."""
     return len(program) + sum(parent is not None for _, parent, _ in program)
 
 
-def peak_live_tables(gamma: list) -> int:
-    """The most tables open at once when the bag program ``gamma`` compiles
-    to runs (``twdp._run_dp``), read off the program order: a table opens
-    at its bag's first finished linked child, or at its own instruction, and
+def peak_live_tables(program: list) -> int:
+    """The most tables open at once when a bag program runs
+    (``twdp._run_dp``), read off the program order: a table opens at its
+    bag's first finished linked child, or at its own instruction, and
     closes there, as its parent opens if it was not open yet."""
     open_, peak = set(), 0
-    for slot, (_, parent, _) in enumerate(compile_set(gamma).program):
+    for slot, (_, parent, _) in enumerate(program):
         open_.add(slot)
         if parent is not None:
             open_.add(parent)
@@ -360,14 +359,15 @@ def peak_live_tables(gamma: list) -> int:
 
 def check_dp_scaling(seed: int = 1, quick: bool = False) -> CheckResult:
     """The decomposition DP solves the 2000-rule chain in under a second and
-    scales about linearly from 1000 to 2000, in CPU time and in program
-    work, while the truth-table oracle is rejected by its atom cap on the
-    same instance."""
+    scales about linearly from 1000 to 2000, in CPU time and in the work of
+    the program ``dp_sat`` runs (the asserted one), while the truth-table
+    oracle is rejected by its atom cap on the same instance."""
 
     def run():
         c1000, c2000 = chain(1000), chain(2000)
         all_sat, ratio, time2000 = dp_scaling(c1000, c2000)
-        work_ratio = program_work(c2000) / program_work(c1000)
+        work_ratio = (program_work(compile_set(c2000, asserted=True).program)
+                      / program_work(compile_set(c1000, asserted=True).program))
         try:
             sat_bruteforce(c2000)
             brute_rejected = False

@@ -50,29 +50,6 @@ def const_rel(op: str) -> str:
 CONN_BELIEF = "conn_L_1"
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    relations: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        if len(dict(self.relations)) != len(self.relations):
-            raise ValueError("duplicate relation names in vocabulary")
-
-    def arity(self, name: str) -> int:
-        return dict(self.relations)[name]
-
-
-def _basis_relations(basis: Basis) -> list[tuple[str, int]]:
-    rels: list[tuple[str, int]] = []
-    for op in sorted(basis.names):
-        arity = basis.arity(op)
-        if arity == 0:
-            rels.append((const_rel(op), 1))
-        else:
-            rels.extend((conn_rel(op, i), 2) for i in range(1, arity + 1))
-    return rels
-
-
 @dataclass
 class RelationalStructure:
     """A finite universe 1..n with named relations.
@@ -83,7 +60,6 @@ class RelationalStructure:
     out.  Instances are treated as immutable once built.
     """
 
-    vocabulary: Vocabulary
     universe: tuple[int, ...]
     relations: dict[str, frozenset] = field(default_factory=dict)
     formula_elements: dict[Formula, int] = field(default_factory=dict)
@@ -93,23 +69,9 @@ class RelationalStructure:
         """Tuples of a relation; missing names read as the empty relation."""
         return self.relations.get(name, frozenset())
 
-    def check_invariants(self) -> None:
-        elements = set(self.universe)
-        for name, tups in self.relations.items():
-            try:
-                arity = self.vocabulary.arity(name)
-            except KeyError:
-                raise ValueError(f"relation {name!r} is not in the vocabulary") from None
-            for t in tups:
-                if len(t) != arity:
-                    raise ValueError(f"relation {name} holds a tuple of wrong arity: {t}")
-                if not set(t) <= elements:
-                    raise ValueError(f"relation {name} references unknown elements: {t}")
-
 
 class _Builder:
-    def __init__(self, basis: Basis, mark_vars: bool = True):
-        self.basis = basis
+    def __init__(self, mark_vars: bool = True):
         self.mark_vars = mark_vars
         self.ids: dict[Formula, int] = {}
         self.rels: dict[str, set[tuple[int, ...]]] = {}
@@ -135,17 +97,14 @@ class _Builder:
                 self.add("L", eid)
                 self.add(CONN_BELIEF, self.ids[sub.arg], eid)
 
-    def finish(self, vocabulary: Vocabulary, default_elements: tuple[int, ...] = ()) -> RelationalStructure:
+    def finish(self, default_elements: tuple[int, ...] = ()) -> RelationalStructure:
         n = len(self.ids) + len(default_elements)
-        structure = RelationalStructure(
-            vocabulary=vocabulary,
+        return RelationalStructure(
             universe=tuple(range(1, n + 1)),
             relations={name: frozenset(tups) for name, tups in self.rels.items()},
             formula_elements=dict(self.ids),
             default_elements=default_elements,
         )
-        structure.check_invariants()
-        return structure
 
 
 def _require_prop(formulas: Iterable[Formula], basis: Basis) -> list[Formula]:
@@ -158,43 +117,17 @@ def _require_prop(formulas: Iterable[Formula], basis: Basis) -> list[Formula]:
     return out
 
 
-def prop_vocabulary(basis: Basis) -> Vocabulary:
-    return Vocabulary(tuple(_basis_relations(basis)) + (("var", 1), ("repr", 1)))
-
-
-def imp_vocabulary(basis: Basis) -> Vocabulary:
-    return Vocabulary(
-        tuple(_basis_relations(basis))
-        + (("var", 1), ("repr", 1), ("reprPrem", 1), ("reprConc", 1))
-    )
-
-
-def dl_vocabulary(basis: Basis) -> Vocabulary:
-    return Vocabulary(
-        tuple(_basis_relations(basis.with_negation()))
-        + (("var", 1), ("repr", 1), ("kb", 1), ("default", 1),
-           ("prem", 2), ("just", 2), ("concl", 2))
-    )
-
-
-def ael_vocabulary(basis: Basis) -> Vocabulary:
-    return Vocabulary(
-        tuple(_basis_relations(basis.with_negation()))
-        + (("L", 1), ("repr", 1), (CONN_BELIEF, 2))
-    )
-
-
 def build_prop_structure(gamma: Iterable[Formula], basis: Basis = None) -> RelationalStructure:
     """Structure of a propositional formula set: universe = subformulas,
     ``var``/``const``/``conn`` structural relations, ``repr`` marking the
     top-level formulas.  Shared subformulas become a single element."""
     basis = basis or Basis()
     formulas = _require_prop(gamma, basis)
-    b = _Builder(basis)
+    b = _Builder()
     b.intern(formulas)
     for f in formulas:
         b.add("repr", b.ids[f])
-    return b.finish(prop_vocabulary(basis))
+    return b.finish()
 
 
 def build_imp_structure(
@@ -205,7 +138,7 @@ def build_imp_structure(
     basis = basis or Basis()
     premises = _require_prop(f, basis)
     conclusions = _require_prop(g, basis)
-    b = _Builder(basis)
+    b = _Builder()
     b.intern(premises + conclusions)
     for p in premises:
         b.add("reprPrem", b.ids[p])
@@ -213,7 +146,7 @@ def build_imp_structure(
     for c in conclusions:
         b.add("reprConc", b.ids[c])
         b.add("repr", b.ids[c])
-    return b.finish(imp_vocabulary(basis))
+    return b.finish()
 
 
 def build_dl_structure(theory: "DefaultTheory", basis: Basis = None) -> RelationalStructure:
@@ -233,7 +166,7 @@ def build_dl_structure(theory: "DefaultTheory", basis: Basis = None) -> Relation
         _require_prop((rule.prerequisite, rule.justification, rule.conclusion), basis)
         parts.extend((rule.prerequisite, rule.justification, rule.conclusion))
         neg_justs.append(lnot(rule.justification))
-    b = _Builder(basis)
+    b = _Builder()
     b.intern(kb + parts + neg_justs)
     for f in kb:
         b.add("kb", b.ids[f])
@@ -247,7 +180,7 @@ def build_dl_structure(theory: "DefaultTheory", basis: Basis = None) -> Relation
         b.add("prem", b.ids[rule.prerequisite], did)
         b.add("just", b.ids[rule.justification], did)
         b.add("concl", b.ids[rule.conclusion], did)
-    return b.finish(dl_vocabulary(basis), tuple(default_ids))
+    return b.finish(tuple(default_ids))
 
 
 def build_ael_structure(sigma: Iterable[Formula], basis: Basis = None) -> RelationalStructure:
@@ -260,13 +193,13 @@ def build_ael_structure(sigma: Iterable[Formula], basis: Basis = None) -> Relati
     for f in sigma:
         check_basis(f, basis)
         formulas.append(f)
-    b = _Builder(basis, mark_vars=False)  # the belief vocabulary has no var relation
+    b = _Builder(mark_vars=False)  # an autoepistemic structure has no var relation
     b.intern(formulas)
     believes = [s for s in list(b.ids) if isinstance(s, Believes)]
     b.intern([lnot(bel) for bel in believes])
     for f in formulas:
         b.add("repr", b.ids[f])
-    return b.finish(ael_vocabulary(basis))
+    return b.finish()
 
 
 # ---------------------------------------------------------------------------

@@ -526,6 +526,28 @@ def test_labels_beyond_the_graph_are_a_usage_error(tmp_path, capsys):
     assert "vertex 9 outside 1..3" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "td_text, labels_text, message",
+    [
+        ("s td 2 2 6\nb 1 1 2\nb 2 3 4\n", None,
+         "error: invalid decomposition: (tree) 2 bags need 1 tree edges, found 0"),
+        ("s td 1 6 6\nb 1 1 2 3 4 5 6\n", "", "error: graph carries no main/edge labels"),
+    ],
+    ids=["forest-decomposition", "empty-labels"],
+)
+def test_normalize_refuses_what_it_cannot_rewrite(tmp_path, capsys, td_text, labels_text, message):
+    gr, td = tmp_path / "pc.gr", tmp_path / "pc.td"
+    assert main(["gen", "pseudo-clique", "-n", "3", "-k", "1", "-o", str(gr), "--labels"]) == 0
+    labels = gr.with_suffix(".labels")
+    if labels_text is not None:
+        labels.write_text(labels_text)
+    td.write_text(td_text)
+    capsys.readouterr()
+    assert main(["tw", "normalize", str(gr), str(td), "--labels-file", str(labels)]) == 2
+    err = capsys.readouterr().err
+    assert err.rstrip() == message
+
+
 def test_td_repeated_tree_edge_is_a_parse_error(tmp_path, capsys):
     # the copy would otherwise vanish from the edge set and pass validation
     gr, td = tmp_path / "g.gr", tmp_path / "twice.td"

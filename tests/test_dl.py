@@ -287,3 +287,5 @@ def test_rules_must_be_propositional():
 
     with pytest.raises(ValueError):
         DefaultRule(Believes(P), P, Q)
+    with pytest.raises(ValueError, match="knowledge base must be propositional"):
+        DefaultTheory((Believes(Var("p")),), ())

@@ -16,17 +16,33 @@ from nmlkit.encodings import (
     structure_check,
 )
 from nmlkit.formula import (
+    App,
     Basis,
     Believes,
+    FALSE,
     TRUE,
     Var,
     implies_bruteforce,
+    land,
     limp,
     lnot,
+    lor,
     sat_bruteforce,
     subformulae,
 )
-from nmlkit.mso import And, ExistsSO, ForallSO, Imp, Not, conj, eval_mso, rename_set, to_text
+from nmlkit.mso import (
+    And,
+    ExistsSO,
+    ForallSO,
+    Imp,
+    Not,
+    RelAtom,
+    conj,
+    eval_mso,
+    rename_set,
+    subformulas,
+    to_text,
+)
 from nmlkit.randgen import (
     random_ae_theory,
     random_formula_set,
@@ -54,8 +70,6 @@ def _extension_without_groundedness(basis: Basis):
 
 def test_sat_encoding_fixtures():
     sat = satisfiability(BASIS)
-    from nmlkit.formula import land, lor, parse_formula
-
     assert eval_mso(build_prop_structure([lor(Var("p"), Var("q"))]), sat) is True
     assert eval_mso(build_prop_structure([land(Var("p"), lnot(Var("p")))]), sat) is False
     assert eval_mso(build_prop_structure([]), sat) is True
@@ -107,6 +121,43 @@ def test_structure_check_holds_on_all_built_structures():
         assert eval_mso(st, checks["dl"]) and eval_mso(st, printed["dl"])
         st = build_ael_structure(random_ae_theory(rng).formulas)
         assert eval_mso(st, checks["ae"]) and eval_mso(st, printed["ae"])
+
+
+def _relation_names(phi, names=None) -> set:
+    names = set() if names is None else names
+    if isinstance(phi, RelAtom):
+        names.add(phi.rel)
+    for sub in subformulas(phi):
+        _relation_names(sub, names)
+    return names
+
+
+# every connective of Basis() and both constants, each at least once
+_ALL_CONNECTIVES = App("xor3", (
+    land(Var("p"), Var("q")),
+    lor(Var("q"), TRUE),
+    limp(App("iff", (Var("p"), FALSE)), App("xor", (lnot(Var("r")), Var("p")))),
+))
+
+
+@pytest.mark.parametrize(
+    "sentence, flavor, structure",
+    [
+        ("sat", "prop", lambda: build_prop_structure([_ALL_CONNECTIVES])),
+        ("imp", "imp", lambda: build_imp_structure([_ALL_CONNECTIVES], [Var("p")])),
+        ("extension", "dl", lambda: build_dl_structure(
+            DefaultTheory((_ALL_CONNECTIVES,), (DefaultRule(Var("p"), Var("q"), Var("r")),)))),
+        ("full_exists", "ae", lambda: build_ael_structure([_ALL_CONNECTIVES, Believes(Var("p"))])),
+    ],
+    ids=["prop", "imp", "dl", "ae"],
+)
+def test_encodings_read_exactly_the_relations_builders_write(sentence, flavor, structure):
+    # the relation names live twice, written by the builders and read by the
+    # encodings; a name misspelt on either side shows here
+    read = _relation_names(mso_encoding("struc", BASIS, flavor=flavor))
+    for variant in ("corrected", "as_printed"):
+        _relation_names(mso_encoding(sentence, BASIS, variant), read)
+    assert read == set(structure().relations)
 
 
 def test_extension_encoding_fixtures():
@@ -202,6 +253,8 @@ def test_encoding_dispatcher():
         mso_encoding("nope", BASIS)
     with pytest.raises(ValueError):
         mso_encoding("sat", BASIS, variant="fixed")
+    with pytest.raises(ValueError, match="unknown flavor 'x'; expected prop, imp, dl, or ae"):
+        mso_encoding("struc", flavor="x")
 
 
 def test_assignment_constraint_is_open_in_set_variable():

@@ -54,6 +54,8 @@ def test_pseudo_clique_spec_validation():
         PseudoCliqueSpec(3, -1)
     with pytest.raises(ValueError):
         PseudoCliqueSpec(3, {(1, 2): 1})  # missing pairs
+    with pytest.raises(ValueError, match="cardinality must be nonnegative"):
+        PseudoCliqueSpec(3, {(1, 2): 1, (1, 3): -1, (2, 3): 0})
     spec = PseudoCliqueSpec(3, {(1, 2): 1, (1, 3): 0, (2, 3): 2})
     assert gen_pseudo_clique(spec).n == 6
 

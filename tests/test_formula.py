@@ -209,6 +209,8 @@ def test_evaluate_ternary_parity():
 def test_evaluate_missing_atom():
     with pytest.raises(ValueError, match="missing atom"):
         evaluate(Var("p"), {})
+    with pytest.raises(ValueError, match="assignment is missing atom 'L p'"):
+        evaluate(Believes(Var("p")), {})
 
 
 def test_sat_unsatisfiable():

@@ -27,13 +27,12 @@ from nmlkit.mso import (
     free_vars,
     to_text,
 )
-from nmlkit.structures import RelationalStructure, Vocabulary
+from nmlkit.structures import RelationalStructure
 
 
 def tiny_structure(n=2, eds=((1, 2),)):
     rels = {"E": frozenset(eds), "U": frozenset({(1,)})}
-    vocab = Vocabulary((("E", 2), ("U", 1)))
-    return RelationalStructure(vocab, tuple(range(1, n + 1)), rels)
+    return RelationalStructure(tuple(range(1, n + 1)), rels)
 
 
 def test_full_set_witness():
@@ -178,8 +177,7 @@ def random_structure(rng, n):
             tuple(rng.randint(1, n) for _ in range(ar))
             for _ in range(rng.randint(0, 2 * n))
         )
-    vocab = Vocabulary((("U", 1), ("R", 2), ("S", 2)))
-    return RelationalStructure(vocab, tuple(range(1, n + 1)), rels)
+    return RelationalStructure(tuple(range(1, n + 1)), rels)
 
 
 def random_mso(rng, depth, fo, so):
@@ -440,6 +438,10 @@ def test_every_way_of_building_a_node_returns_the_live_node():
     assert mso._standardize(sentence) is sentence
     assert mso.rename_set(sentence, "S", "S") is sentence
     assert mso.rename_set(sentence, "Unused", "Other") is sentence  # rebuilt throughout
+    shadowing = ExistsSO("G", SetAtom("G", "x"))
+    assert mso.rename_set(shadowing, "G", "H") is shadowing
+    with pytest.raises(ValueError, match="rename would capture 'H'"):
+        mso.rename_set(ExistsSO("H", SetAtom("G", "x")), "G", "H")
     for rebuilt in (copy.copy, copy.deepcopy, lambda n: pickle.loads(pickle.dumps(n))):
         assert rebuilt(sentence) is sentence
     assert Truth(1) is mso.TOP and Not(Truth(False)).body is mso.BOTTOM
@@ -464,18 +466,23 @@ def test_nodes_are_immutable():
 
 
 @pytest.mark.parametrize(
-    "env",
-    [{"x": 9, "X": {1}}, {"x": 1, "X": "ab"}, {"x": True, "X": {1}}],
-    ids=["outside-universe", "string-as-set", "bool-as-element"],
+    "env, message",
+    [
+        ({"x": 9, "X": {1}}, "binding x=9 is outside the universe"),
+        ({"x": 1, "X": "ab"}, "binding X must be an element id or a set of ids"),
+        ({"x": True, "X": {1}}, "binding x must be an element id or a set of ids"),
+        ({"x": 1, "X": {1, 9}}, "set binding X contains non-elements"),
+    ],
+    ids=["outside-universe", "string-as-set", "bool-as-element", "set-outside-universe"],
 )
-def test_both_evaluators_refuse_a_bad_binding_alike(env):
+def test_both_evaluators_refuse_a_bad_binding_alike(env, message):
     s = tiny_structure()
     phi = And((Eq("x", "x"), ExistsFO("y", SetAtom("X", "y"))))
     with pytest.raises(ValueError) as engine:
         eval_mso(s, phi, env)
     with pytest.raises(ValueError) as reference:
         eval_mso_bruteforce(s, phi, env)
-    assert str(engine.value) == str(reference.value)
+    assert str(engine.value) == str(reference.value) == message
 
 
 def test_isomorphism_invariance():
@@ -494,7 +501,6 @@ def test_isomorphism_invariance():
         rng.shuffle(perm)
         mapping = dict(zip(st.universe, perm))
         relabeled = RelationalStructure(
-            st.vocabulary,
             st.universe,
             {
                 name: frozenset(tuple(mapping[x] for x in t) for t in tups)
@@ -623,7 +629,7 @@ def test_memo_does_not_leak_across_calls():
     within_u = ForallFO("x", Imp(SetAtom("W", "x"), RelAtom("U", ("x",))))
     reach = ExistsSO("W", And((SetAtom("W", "e"), within_u)))
     full = tiny_structure(2, ((1, 2),))
-    empty = RelationalStructure(full.vocabulary, full.universe, {"E": frozenset()})
+    empty = RelationalStructure(full.universe, {"E": frozenset()})
     for s, expected in ((full, True), (empty, False), (full, True)):
         assert eval_mso(s, nonempty_u) is expected
         assert eval_mso(s, per_element) is True

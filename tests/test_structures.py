@@ -202,6 +202,8 @@ def test_graph_type_validation():
         Graph(2, frozenset({(1, 1)}))
     with pytest.raises(ValueError):
         Graph(2, frozenset({(1, 3)}))
+    with pytest.raises(ValueError, match=r"edge \(2,1\) not normalized \(expect u < v\)"):
+        Graph(3, frozenset({(2, 1)}))
     g = make_graph(3, [(3, 1), (1, 2)])
     assert (1, 3) in g.edges
     # labels and descriptions name vertices, as edges do

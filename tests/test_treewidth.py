@@ -798,6 +798,8 @@ def test_pseudo_clique_paths_match_the_generator():
     }
     for case, (n, edges) in not_pseudo.items():
         assert pseudo_clique_paths(make_graph(n, edges), {1, 2, 3}) is None, case
+    with pytest.raises(ValueError, match="mains must be vertices of the graph"):
+        pseudo_clique_paths(g, {99})
 
 
 def test_lower_bound_examples():

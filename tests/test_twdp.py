@@ -509,8 +509,9 @@ def test_join_instructions_match_bruteforce(monkeypatch):
 def test_program_work_linear_at_fixed_width():
     # one instruction per bag left and one link per bag that shares a vertex
     # with its parent: 2m - 3 on chain(m)
-    assert (program_work(chain(1000)), program_work(chain(2000))) == (1997, 3997)
-    assert program_work(chain(2000)) <= 2.05 * program_work(chain(1000))
+    small, large = (program_work(twdp.compile_set(chain(m)).program) for m in (1000, 2000))
+    assert (small, large) == (1997, 3997)
+    assert large <= 2.05 * small
 
 
 def _banded(rng, size, band=3):
@@ -531,9 +532,9 @@ def test_peak_live_tables_logarithmic_on_banded_sets(size):
     # most half its parent's: log2(bags) + 1 tables, and one more while the
     # parent opens at a fold
     gamma = _banded(random.Random(size), size)
-    bags = len(twdp.compile_set(gamma).program)
-    assert bags >= size // 2
-    assert peak_live_tables(gamma) <= math.log2(bags) + 2
+    program = twdp.compile_set(gamma).program
+    assert len(program) >= size // 2
+    assert peak_live_tables(program) <= math.log2(len(program)) + 2
 
 
 def _executor_cases(rng):
@@ -895,16 +896,10 @@ def test_asserted_chain_work_and_width():
     # each asserted link x(i) -> x(i+1) folds to a constraint over its two
     # variables: a path of m vertices, width 1 against the plain graph's 2,
     # with the plain program's work, 2m - 3
-    def compiled(m):
-        return twdp.compile_set(chain(m), asserted=True)
-
-    def work(program):
-        return len(program) + sum(parent is not None for _, parent, _ in program)
-
-    small, large = compiled(1000), compiled(2000)
+    small, large = (twdp.compile_set(chain(m), asserted=True) for m in (1000, 2000))
     assert (small.cg.graph.n, large.cg.graph.n) == (1000, 2000)
-    assert (work(small.program), work(large.program)) == (1997, 3997)
-    assert work(large.program) <= 2.05 * work(small.program)
+    assert (program_work(small.program), program_work(large.program)) == (1997, 3997)
+    assert program_work(large.program) <= 2.05 * program_work(small.program)
     assert (small.width, large.width) == (1, 1)
     assert twdp.compile_set(chain(1000)).width == 2
 
@@ -912,19 +907,11 @@ def test_asserted_chain_work_and_width():
 @pytest.mark.parametrize("size", [100, 300, 1000, 3000])
 def test_peak_live_tables_logarithmic_on_asserted_banded_sets(size):
     # the bound of test_peak_live_tables_logarithmic_on_banded_sets, on the
-    # program dp_sat runs for the same set, read off the program order as
-    # harness.peak_live_tables reads it
+    # program dp_sat runs for the same set
     gamma = _banded(random.Random(size), size)
     program = twdp.compile_set(gamma, asserted=True).program
     assert len(program) >= size // 3
-    live, peak = set(), 0
-    for slot, (_, parent, _) in enumerate(program):
-        live.add(slot)
-        if parent is not None:
-            live.add(parent)
-        peak = max(peak, len(live))
-        live.remove(slot)
-    assert peak <= math.log2(len(program)) + 2
+    assert peak_live_tables(program) <= math.log2(len(program)) + 2
 
 
 # Prints every set the twdp oracle compiles (its vertices in order, and its
