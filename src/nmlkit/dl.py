@@ -83,17 +83,18 @@ def _blocked(
     inconsistent with them.  Monotone in ``chosen``; if those premises are
     inconsistent every rule is blocked, which one query settles.  A caller
     that knows the blocked sets of a subset and a superset of ``chosen``
-    passes them as ``known`` and ``possible``, and only the rules between
-    the two are asked about.  A ``possible`` short of every rule comes from
-    a consistent superset, so ``chosen``'s premises are consistent too."""
+    passes them as ``known`` and ``possible`` (default: every rule), and
+    only the rules between are asked about.  A smaller ``possible`` comes
+    from a consistent superset, so ``chosen``'s premises are consistent."""
     rules = theory.defaults
-    if possible is not None and len(possible) == len(known):
+    if possible is None:
+        possible = frozenset(range(1, len(rules) + 1))
+    if len(possible) == len(known):
         return known
     closure = list(theory.knowledge) + [rules[i - 1].conclusion for i in sorted(chosen)]
-    if possible is None or len(possible) == len(rules):
-        if not oracle.satisfiable(closure):
-            return frozenset(range(1, len(rules) + 1))
-    asked = range(1, len(rules) + 1) if possible is None else sorted(possible - known)
+    if len(possible) == len(rules) and not oracle.satisfiable(closure):
+        return possible
+    asked = sorted(possible - known)
     return known.union([
         i for i in asked if not oracle.satisfiable([*closure, rules[i - 1].justification])
     ])
@@ -176,13 +177,12 @@ def extension_exists(
     A child's IN and IN | OPEN both lie between its parent's, so by
     monotonicity their blocked sets lie between the parent's blocked(IN)
     (FLOOR) and blocked(IN | OPEN) (CEILING), which every child inherits:
-    ``_blocked`` then asks only about the rules in CEILING - FLOOR.  A
-    surviving leaf has LO = UP = IN and is confirmed by ``stage_fixpoint``
-    under its FLOOR, which there is blocked(IN).
-    Each popped node counts against
-    ``Limits.search_nodes``; m rules give at most 2^(m+1) - 1 nodes.  The
-    oracle compiles the theory's universe once: the knowledge and every
-    rule's prerequisite, justification and conclusion.
+    ``_blocked`` then asks only about the rules in CEILING - FLOOR.  A leaf
+    inherits blocked(IN), as FLOOR (OUT child) or CEILING (IN child), and
+    ``stage_fixpoint`` decides it under that set alone, on cached queries.
+    Each popped node counts against ``Limits.search_nodes`` (at most
+    2^(m+1) - 1 nodes for m rules); the oracle compiles the theory's
+    universe once: the knowledge and each rule's three parts.
     """
     oracle = oracle or entailment_oracle("brute")
     m = len(theory.defaults)
@@ -205,6 +205,12 @@ def extension_exists(
                 f"DL extension search: node {nodes} exceeds NMLKIT_LIMITS "
                 f"search_nodes={budget} while {where}"
             )
+        if k == 0:
+            # decided under the blocked(IN) it inherits; stage_fixpoint is looked
+            # up at call time, so a wrapper installed on this module sees every leaf
+            if stage_fixpoint(theory, chosen, oracle, blocked=floor if lo is None else ceiling)[0]:
+                witnesses.append(ExtensionWitness(chosen))
+            continue
         if lo is None:
             ceiling = _blocked(theory, chosen | frozenset(range(1, k + 1)), oracle, floor, ceiling)
             lo = _least_fixpoint(theory, ceiling, oracle, refuted)
@@ -212,12 +218,6 @@ def extension_exists(
             floor = _blocked(theory, chosen, oracle, floor, ceiling)
             up = _least_fixpoint(theory, floor, oracle, refuted)
         if not chosen <= up or lo & out:
-            continue
-        if k == 0:
-            # stage_fixpoint is looked up at call time, so a wrapper
-            # installed on this module sees every leaf
-            if stage_fixpoint(theory, chosen, oracle, blocked=floor)[0]:
-                witnesses.append(ExtensionWitness(chosen))
             continue
         # the children's bounds nest inside the parent's, so rule k in LO
         # already prunes the OUT child and rule k outside UP the IN child;

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from nmlkit.bench import run_bench
 from nmlkit.cli import build_parser, main
 from nmlkit.families import chain, gen_imp_lower
 from nmlkit.formula import implies_bruteforce, parse_implication
@@ -416,6 +418,12 @@ def test_bench_rejects_an_empty_size_list(capsys, sizes):
     assert captured.out == "" and "--sizes" in captured.err
 
 
+def test_run_bench_names_an_unknown_family():
+    # the CLI's --family choices stop this input before it gets here
+    with pytest.raises(ValueError, match="^unknown family 'x'$"):
+        run_bench("x", [1])
+
+
 def test_bench_brute_sat_records_limit_row(capsys):
     argv = ["bench", "--family", "chain", "--method", "brute", "--sizes", "26,4", "--json"]
     code, payload = run_json(capsys, argv)
@@ -733,3 +741,13 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == "d: x1 ; y1 ; F"
+
+
+def test_main_module_runs_the_cli(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "p.fs"
+    path.write_text("p\n")
+    monkeypatch.setattr(sys, "argv", ["nmlkit", "fmt", "check-sat", str(path)])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("nmlkit", run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out == "satisfiable: True\n"

@@ -151,6 +151,19 @@ def test_gen_imp_lower_cnf_dnf():
     assert check_class((premises, conclusions), "imp_cnf_dnf")
 
 
+@pytest.mark.parametrize(
+    "generate, message",
+    [
+        (lambda: gen_dl_lower(2, "x"), "unknown variant 'x'"),
+        (lambda: gen_imp_lower("x", 3), "unknown kind 'x'"),
+    ],
+    ids=["dl-variant", "imp-kind"],
+)
+def test_lower_bound_generators_name_an_unknown_variant(generate, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate()
+
+
 def test_gen_imp_lower_cnf_dnf_width_growth():
     widths = []
     for n in range(3, 7):

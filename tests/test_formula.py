@@ -64,6 +64,11 @@ def test_parse_rejects_belief_in_prop_mode():
         parse_formula("L p")
 
 
+def test_parse_mode_is_prop_or_ae():
+    with pytest.raises(ValueError, match="^mode must be 'prop' or 'ae', got 'x'$"):
+        parse_formula("p", mode="x")
+
+
 def test_parse_connective_outside_basis():
     with pytest.raises(ParseError, match="not in basis"):
         parse_formula("p ^ q", basis=Basis({"and", "or", "not"}))
@@ -302,6 +307,8 @@ def test_basis_validation():
         Basis(set())
     with pytest.raises(ValueError):
         Basis({"nand"})
+    with pytest.raises(ValueError, match="^connective 'or' not in basis$"):
+        Basis({"and"}).arity("or")
     assert Basis({"not"}).with_negation() == Basis({"not"})
     assert "not" in Basis({"or"}).with_negation()
 

@@ -31,7 +31,7 @@ from nmlkit.formula import (
     parse_formula,
     sat_bruteforce,
 )
-from nmlkit.harness import dp_scaling, peak_live_tables, program_work
+from nmlkit.harness import peak_live_tables, program_work
 from nmlkit.limits import Limits
 from nmlkit.randgen import random_entailment_query, random_formula, random_formula_set
 from nmlkit.treewidth import (
@@ -199,12 +199,6 @@ def test_twdp_scales_where_bruteforce_cannot():
     assert time.perf_counter() - t0 < 1.0
     with pytest.raises(ResourceLimitError):
         entailment_oracle("brute").entails(gamma, Var("x200"))
-
-
-def test_linear_scaling_at_fixed_width():
-    all_sat, ratio, _ = dp_scaling(chain(1000), chain(2000))
-    assert all_sat
-    assert ratio <= 2.5
 
 
 def test_nice_node_count_linear_at_fixed_width():
